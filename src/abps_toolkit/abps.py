@@ -51,7 +51,6 @@ from abps_toolkit.modlang import (
     ModelSpec,
     ModuleSpec,
     Num,
-    RewardItem,
     Update,
     Variable,
     compose,
@@ -238,7 +237,13 @@ def reference_model_path(variant: str) -> Path:
 
 @dataclass(frozen=True)
 class AbpsModel:
-    """A composed chain plus the parameters and mode that produced it."""
+    """A composed chain plus the parameters and mode that produced it.
+
+    ``spec`` holds the modules only, with no reward blocks: the chain's
+    ``energy`` and ``throughput`` vectors are tabulated state by state from
+    :func:`state_power` and :func:`state_throughput`, the same functions the
+    event simulator integrates.
+    """
 
     variant: str
     mode: str
@@ -284,14 +289,6 @@ def _eq(var: str, value: int) -> modlang.Binary:
     return modlang.Binary("=", Ident(var), Num(float(value)))
 
 
-def _ne(var: str, value: int) -> modlang.Binary:
-    return modlang.Binary("!=", Ident(var), Num(float(value)))
-
-
-def _and(a, b) -> modlang.Binary:
-    return modlang.Binary("&", a, b)
-
-
 def _go(var: str, value: int, rate: float | None) -> Branch:
     return Branch(None if rate is None else Num(rate), (Update(var, Num(float(value))),))
 
@@ -325,38 +322,6 @@ def _oracle_module(rates: dict[str, float], *, synchronized: bool) -> ModuleSpec
     return ModuleSpec("oracle", (Variable("s_oracle", 1, 3, 2),), commands)
 
 
-def _energy_items(params: AbpsParams, mode: str, baseline: float) -> tuple[RewardItem, ...]:
-    e_u = [params.e["UMTS"][p] for p in NIC_PHASES]
-    e_w = [params.e["WiFi"][p] for p in NIC_PHASES]
-    items = [RewardItem(Bool(True), Num(baseline))]
-    if mode == "appendix":
-        items += [RewardItem(_eq("s_U", k), Num(e_u[k])) for k in range(5)]
-        items += [RewardItem(_eq("s_W", k), Num(e_w[k])) for k in range(5)]
-    else:
-        # Both connected: WiFi carries the traffic, UMTS idles at a fraction
-        # of its connected draw.
-        items += [RewardItem(_eq("s_U", k), Num(e_u[k])) for k in (1, 2, 4)]
-        items.append(
-            RewardItem(_and(_eq("s_U", 3), _ne("s_W", 3)), Num(e_u[3]))
-        )
-        items.append(
-            RewardItem(
-                _and(_eq("s_U", 3), _eq("s_W", 3)),
-                Num(params.idle_connected_fraction * e_u[3]),
-            )
-        )
-        items += [RewardItem(_eq("s_W", k), Num(e_w[k])) for k in (1, 2, 3, 4)]
-    return tuple(items)
-
-
-def _throughput_items(params: AbpsParams) -> tuple[RewardItem, ...]:
-    return (
-        RewardItem(_and(_eq("s_W", 3), _ne("s_U", 3)), Num(params.tput_W)),
-        RewardItem(_and(_eq("s_U", 3), _ne("s_W", 3)), Num(params.tput_U)),
-        RewardItem(_and(_eq("s_U", 3), _eq("s_W", 3)), Num(params.tput_W)),
-    )
-
-
 def _build(params: AbpsParams, variant: str, mode: str) -> AbpsModel:
     _check_variant_mode(variant, mode)
     rates = resolved_rates(params, mode)
@@ -375,18 +340,18 @@ def _build(params: AbpsParams, variant: str, mode: str) -> AbpsModel:
         fail=rates["wifi_setup_fail"], gamma=gamma_w, mu=rates["mu_W"],
     )
     oracle = _oracle_module(rates, synchronized=with_off)
-    baseline = params.oracle_baseline_power if variant == "oracle" else 0.0
     spec = ModelSpec(
-        kind="ctmc",
-        constants={},
-        formulas={},
-        modules=(umts, wifi, oracle),
-        rewards={
-            "energy": _energy_items(params, mode, baseline),
-            "throughput": _throughput_items(params),
-        },
+        kind="ctmc", constants={}, formulas={}, modules=(umts, wifi, oracle), rewards={}
     )
-    return AbpsModel(variant, mode, params, spec, compose(spec))
+    chain = compose(spec)
+    u = chain.var_names.index("s_U")
+    w = chain.var_names.index("s_W")
+    energy = np.array([state_power(s[u], s[w], params, mode, variant) for s in chain.states])
+    throughput = np.array([state_throughput(s[u], s[w], params) for s in chain.states])
+    energy.flags.writeable = False
+    throughput.flags.writeable = False
+    chain = replace(chain, rewards={"energy": energy, "throughput": throughput})
+    return AbpsModel(variant, mode, params, spec, chain)
 
 
 def build_plain(params: AbpsParams, mode: str = "text") -> AbpsModel:
@@ -404,7 +369,9 @@ def build(variant: str, params: AbpsParams, mode: str = "text") -> AbpsModel:
 
 
 # --------------------------------------------------------------------------
-# Shared per-state metric definitions (also used by the event simulator)
+# Shared per-state metric definitions: the only statement of the energy and
+# throughput rule. The builders tabulate the chain's reward vectors from
+# them, and the event simulator integrates them over simulated time.
 
 
 def state_power(s_u: int, s_w: int, params: AbpsParams, mode: str, variant: str) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from abps_toolkit import abps, coverage, modlang, packetsim
 from abps_toolkit.ctmc import StructureError, ValidationError
@@ -116,19 +115,13 @@ def cmd_simulate(args) -> int:
             f"{t:.6f},{entity},{event},{detail}\n"
         )
     try:
-        rows = []
-        for variant in _variants(args.variant):
-            if args.reps == 1:
-                runs = [packetsim.simulate(params, config, variant, args.mode, trace)]
-            else:
-                seeds = packetsim.derive_seeds(args.seed, args.reps)
-                runs = [
-                    packetsim.simulate(
-                        params, replace(config, seed=s), variant, args.mode, trace
-                    )
-                    for s in seeds
-                ]
-            rows += [(variant, i, r) for i, r in enumerate(runs)]
+        rows = [
+            (variant, i, r)
+            for variant in _variants(args.variant)
+            for i, r in enumerate(
+                packetsim.run_replications(params, config, variant, args.mode, trace)
+            )
+        ]
     finally:
         if trace_fh is not None:
             trace_fh.close()
@@ -164,16 +157,7 @@ def cmd_compare(args) -> int:
             "power_w": analytic.power_w,
             "throughput_mbps": analytic.throughput_mbps,
         }
-        if args.reps == 1:
-            run = packetsim.simulate(params, config, variant, args.mode)
-            means = {
-                "availability": run.availability,
-                "power_w": run.power_w,
-                "throughput_mbps": run.throughput_mbps,
-            }
-            stats = {k: packetsim.MetricStats(v, float("inf")) for k, v in means.items()}
-        else:
-            stats = packetsim.replicate(params, config, variant, args.mode).stats
+        stats = packetsim.replicate(params, config, variant, args.mode).stats
         for metric, reference in references.items():
             s = stats[metric]
             ok = abs(s.mean - reference) <= 3.0 * s.se

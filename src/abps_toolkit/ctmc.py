@@ -170,7 +170,9 @@ def steady_state(
     Solves pi Q = 0, sum(pi) = 1 restricted to the single closed
     communicating class of the reachable subchain (transient states get
     probability zero); one balance equation is replaced by the
-    normalization constraint and the system solved directly. Raises
+    normalization constraint and the system solved directly. The residual
+    ``max|pi Q|`` divided by the largest exit rate must not exceed
+    ``residual_tol``, so the check is invariant under rescaling time. Raises
     :class:`StructureError` when the reachable subchain contains more than
     one closed class, since then the long-run behavior would depend on the
     start state.
@@ -202,10 +204,15 @@ def steady_state(
     pi = np.zeros(generator.n_states)
     pi[recurrent] = x
 
-    residual = np.abs(pi @ generator.to_dense()).max()
+    dense = generator.to_dense()
+    residual = np.abs(pi @ dense).max()
+    max_exit = -dense.diagonal().min()
+    if max_exit > 0.0:
+        residual /= max_exit
     if residual > residual_tol:
         raise StructureError(
-            f"stationary residual {residual:.3e} exceeds tolerance {residual_tol:.1e}"
+            f"relative stationary residual {residual:.3e} exceeds tolerance "
+            f"{residual_tol:.1e}"
         )
     return StationaryDistribution(probabilities=pi)
 

@@ -1,13 +1,15 @@
 """Packet-level discrete-event simulation of the multi-NIC switching node.
 
-Independent of the analytic chains in every respect except the shared
-parameter set: interface lifecycles and the coverage oracle advance through
-exponential sojourns drawn event by event, datagrams carry sequence numbers
-and are acknowledged end to end, timeouts retransmit over an alternative
-interface, and the receiving side restores order and discards duplicates.
-Simulated time integrals of the same availability/power/throughput state
-functions provide the empirical metrics the analytic model is checked
-against.
+Independent of the analytic chains in every respect except two shared
+definitions: the parameter set (with its resolved rates) and the per-state
+metric functions ``abps.state_power``/``abps.state_throughput``, from which
+the chain builders also tabulate their reward vectors. Interface lifecycles
+and the coverage oracle advance through exponential sojourns drawn event by
+event, datagrams carry sequence numbers and are acknowledged end to end,
+timeouts retransmit over an alternative interface, and the receiving side
+restores order and discards duplicates. Simulated time integrals of the
+shared state functions provide the empirical metrics the analytic model is
+checked against.
 
 Mechanics worth knowing:
 
@@ -547,6 +549,28 @@ def derive_seeds(root_seed: int, n: int) -> list[int]:
     return [int(x) for x in np.random.SeedSequence(root_seed).generate_state(n, dtype=np.uint64)]
 
 
+def run_replications(
+    params: AbpsParams,
+    config: SimConfig,
+    variant: str = "plain",
+    mode: str = "text",
+    trace: TraceFn | None = None,
+    seeds: list[int] | None = None,
+) -> tuple[SimMetrics, ...]:
+    """Run one simulation per seed, sharing ``trace`` across all of them.
+
+    Without explicit seeds a single replication runs at ``config.seed``
+    itself and ``config.replications`` > 1 run at
+    ``derive_seeds(config.seed, config.replications)``.
+    """
+    if seeds is None:
+        n = config.replications
+        seeds = [config.seed] if n == 1 else derive_seeds(config.seed, n)
+    return tuple(
+        simulate(params, replace(config, seed=s), variant, mode, trace) for s in seeds
+    )
+
+
 def replicate(
     params: AbpsParams,
     config: SimConfig,
@@ -556,17 +580,15 @@ def replicate(
 ) -> ReplicationResult:
     """Run ``config.replications`` independent simulations and aggregate.
 
-    Seeds derive deterministically from ``config.seed`` unless given
-    explicitly. Needs at least two replications for a standard error.
+    Seeds come from :func:`run_replications` unless given explicitly.
+    Needs at least two replications for a standard error.
     """
     n = config.replications if seeds is None else len(seeds)
     if n < 2:
-        raise ValidationError("replicate needs at least 2 replications")
-    if seeds is None:
-        seeds = derive_seeds(config.seed, n)
-    runs = tuple(
-        simulate(params, replace(config, seed=s), variant, mode) for s in seeds
-    )
+        raise ValidationError(
+            f"replicate needs at least 2 replications for a standard error, got {n}"
+        )
+    runs = run_replications(params, config, variant, mode, seeds=seeds)
 
     samples: dict[str, list[float]] = {
         "availability": [r.availability for r in runs],

@@ -14,8 +14,6 @@ from abps_toolkit.abps import (
     params_from_mapping,
     reference_model_path,
     resolved_rates,
-    state_power,
-    state_throughput,
     sweep,
 )
 from abps_toolkit.ctmc import ValidationError
@@ -157,19 +155,25 @@ class TestBuilders:
             expected = 26.0 if w == 3 else (0.2 if u == 3 else 0.0)
             assert chain.rewards["throughput"][i] == expected
 
-    def test_reward_vectors_match_state_functions(self):
-        # the composed reward items and the simulator's per-state functions
-        # must agree state by state, in every mode and variant
+    def test_reward_vectors_match_reference_listings_in_appendix_mode(self):
+        # the listings' reward blocks are an independent statement of the
+        # energy and throughput rule; the builder tabulates its own
         p = default_params()
         for variant in ("plain", "oracle"):
-            for mode in ("text", "appendix"):
-                chain = abps.build(variant, p, mode).chain
-                for i in range(chain.n_states):
-                    u, w = chain.value(i, "s_U"), chain.value(i, "s_W")
-                    assert chain.rewards["energy"][i] == pytest.approx(
-                        state_power(u, w, p, mode, variant), abs=1e-12
-                    )
-                    assert chain.rewards["throughput"][i] == state_throughput(u, w, p)
+            spec = modlang.parse_file(reference_model_path(variant))
+            for t_minus, t_plus in ((5.0, 40.0), (20.0, 80.0), (40.0, 120.0)):
+                point = p.with_windows(t_minus, t_plus)
+                built = abps.build(variant, point, mode="appendix").chain
+                parsed = modlang.compose(
+                    spec, {"T_W_minus": t_minus, "T_W_plus": t_plus}
+                )
+                assert modlang.equivalent(built, parsed)
+                index = {state: i for i, state in enumerate(built.states)}
+                order = [parsed.var_names.index(v) for v in built.var_names]
+                for j, state in enumerate(parsed.states):
+                    i = index[tuple(state[k] for k in order)]
+                    for name in ("energy", "throughput"):
+                        assert built.rewards[name][i] == parsed.rewards[name][j]
 
     def test_builder_matches_reference_listing_in_appendix_mode(self):
         p = default_params()

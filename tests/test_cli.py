@@ -4,6 +4,7 @@ import math
 
 from abps_toolkit import cli, coverage
 from abps_toolkit.abps import reference_model_path
+from abps_toolkit.packetsim import derive_seeds
 
 M = 180.0 / (math.pi * coverage.EARTH_RADIUS_M)
 
@@ -135,6 +136,16 @@ class TestSimulate:
         assert lines[0].startswith("variant,rep,seed,availability")
         assert len(lines) == 2
 
+    def test_replication_seeds(self, capsys):
+        def seeds(reps):
+            code, out, _ = run(capsys, "simulate", "--variant", "plain",
+                               "--duration", "200", "--seed", "7", "--reps", reps)
+            assert code == 0
+            return [int(line.split(",")[2]) for line in out.strip().split("\n")[1:]]
+
+        assert seeds("1") == [7]
+        assert seeds("3") == derive_seeds(7, 3)
+
     def test_trace_output(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
         code, _, _ = run(capsys, "simulate", "--variant", "oracle",
@@ -150,10 +161,11 @@ class TestSimulate:
 
 class TestCompare:
     def test_degenerate_single_replication(self, capsys):
-        code, out, _ = run(capsys, "compare", "--reps", "1", "--duration", "100",
+        # one replication has no standard error, so no verdict can be reached
+        code, _, err = run(capsys, "compare", "--reps", "1", "--duration", "100",
                            "--seed", "3")
-        assert code == 0  # infinite SE: indeterminate, not a failure
-        assert "availability" in out and "verdict" in out
+        assert code == 2
+        assert "needs at least 2 replications" in err and "got 1" in err
 
     def test_fixed_seed_reports_identical(self, capsys):
         args = ("compare", "--variant", "plain", "--reps", "3",

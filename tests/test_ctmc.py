@@ -114,6 +114,12 @@ class TestSteadyState:
         with pytest.raises(StructureError, match="closed classes"):
             steady_state(q, 0)
 
+    def test_fast_cycle_solves(self):
+        # a valid chain whose absolute residual (~7e-9) only reflects its rates
+        q = build_generator(3, [(0, 1, 1e8), (1, 2, 2e8), (2, 0, 3e8)])
+        pi = steady_state(q, 0).probabilities
+        np.testing.assert_allclose(pi, [6 / 11, 3 / 11, 2 / 11], atol=1e-12)
+
     def test_result_independent_of_start_state(self):
         rng = np.random.default_rng(11)
         q = _random_irreducible(rng, 8)
@@ -136,7 +142,7 @@ class TestSteadyState:
         assert abs(pi[0] - b / (a + b)) < 1e-12
         assert abs(pi[1] - a / (a + b)) < 1e-12
 
-    @given(scale=st.floats(min_value=1e-4, max_value=1e4), seed=st.integers(0, 10_000))
+    @given(scale=st.floats(min_value=1e-8, max_value=1e8), seed=st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_time_rescaling_invariance(self, scale, seed):
         rng = np.random.default_rng(seed)

@@ -184,7 +184,7 @@ class TestReplicate:
             assert stat.se == 0.0
 
     def test_requires_two_replications(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="at least 2 replications.*got 1"):
             replicate(default_params(), quiet(replications=1), "plain")
 
     def test_within_helper(self):
