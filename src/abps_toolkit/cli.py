@@ -157,10 +157,10 @@ def cmd_compare(args) -> int:
             "power_w": analytic.power_w,
             "throughput_mbps": analytic.throughput_mbps,
         }
-        stats = packetsim.replicate(params, config, variant, args.mode).stats
+        result = packetsim.replicate(params, config, variant, args.mode)
         for metric, reference in references.items():
-            s = stats[metric]
-            ok = abs(s.mean - reference) <= 3.0 * s.se
+            s = result.stats[metric]
+            ok = result.within(metric, reference)
             z = abs(s.mean - reference) / s.se if s.se > 0 else float("inf") if s.mean != reference else 0.0
             failed = failed or not ok
             print(

@@ -7,19 +7,20 @@ interval: no WiFi ahead, WiFi for a short while, WiFi for a long while.
 The activation policy maps events to which interfaces stay powered.
 
 Coverage is disc-based: a point is covered while it sits within some
-access point's radius. Access points sharing a network group are treated
-as one network, so walking across them keeps a single coverage interval
-alive (link-layer roaming); coverage with no persisting network splits at
-the handover point. Interval edges are located by bisecting the interpolated
-position between trajectory samples, so sub-sample precision comes for free;
-blips smaller than the sample spacing are invisible by construction.
+access point's radius, decided once per trajectory as a (sample x AP)
+boolean matrix. Access points sharing a network group are treated as one
+network, so walking across them keeps a single coverage interval alive
+(link-layer roaming); every ungrouped access point is a network of its own,
+and coverage with no persisting network splits at the handover point.
+Interval edges are located by bisecting the interpolated position between
+trajectory samples, so sub-sample precision comes for free; blips smaller
+than the sample spacing are invisible by construction.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import math
 import os
 import threading
 import time
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
 import requests
 
 from abps_toolkit.ctmc import ValidationError
@@ -103,13 +105,17 @@ class CoverageEvent:
     essids: tuple[str, ...] = ()
 
 
-def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in meters."""
-    p1, p2 = math.radians(lat1), math.radians(lat2)
-    dp = p2 - p1
-    dl = math.radians(lon2 - lon1)
-    a = math.sin(dp / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(a))
+def haversine_m(lat1, lon1, lat2, lon2):
+    """Great-circle distance in meters; array arguments broadcast.
+
+    The terms are ordered so that no full-size difference array outlives its
+    use and numpy can update temporaries in place: a (samples x APs) call
+    holds at most three such arrays at once.
+    """
+    p1, p2 = np.radians(lat1), np.radians(lat2)
+    a = (np.sin(np.radians(np.subtract(lon2, lon1)) / 2) ** 2 * (np.cos(p1) * np.cos(p2))
+         + np.sin((p2 - p1) / 2) ** 2)
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(a))
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +252,12 @@ def _record_to_ap(record) -> AccessPoint | None:
 
 
 def _within(aps: Iterable[AccessPoint], lat: float, lon: float, radius: float) -> list[AccessPoint]:
-    found = [ap for ap in aps if haversine_m(lat, lon, ap.lat, ap.lon) <= radius]
-    found.sort(key=lambda ap: (haversine_m(lat, lon, ap.lat, ap.lon), ap.essid))
-    return found
+    """The access points within ``radius`` of the position, nearest first."""
+    aps = list(aps)
+    dist = haversine_m(lat, lon, np.array([ap.lat for ap in aps]),
+                       np.array([ap.lon for ap in aps])).tolist()
+    found = sorted((d, ap.essid, j) for j, (d, ap) in enumerate(zip(dist, aps)) if d <= radius)
+    return [aps[j] for _, _, j in found]
 
 
 def query_aps(catalog, lat: float, lon: float, radius: float) -> list[AccessPoint]:
@@ -284,6 +293,11 @@ def load_trajectory(path) -> list[TrajectorySample]:
 
 
 def _check_trajectory(samples: Sequence[TrajectorySample]) -> None:
+    for k, s in enumerate(samples):
+        if not (-90.0 <= s.lat <= 90.0 and -180.0 <= s.lon <= 180.0):
+            raise ValidationError(
+                f"trajectory sample {k} (t={s.t}) has invalid coordinates ({s.lat}, {s.lon})"
+            )
     for a, b in zip(samples, samples[1:]):
         if not (b.t > a.t):
             raise ValidationError(
@@ -316,44 +330,15 @@ def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
 # Coverage prediction
 
 
-def _coverage_keys(aps: Sequence[AccessPoint], lat: float, lon: float) -> set[str]:
-    """Continuity keys of the APs covering a position.
-
-    Grouped APs share their network's key; isolated APs are their own key,
-    so moving between two ungrouped APs breaks the interval even if their
-    discs happen to touch.
-    """
-    keys = set()
-    for idx, ap in enumerate(aps):
-        if haversine_m(lat, lon, ap.lat, ap.lon) <= ap.radius_m:
-            keys.add(ap.group if ap.group else f"{ap.essid}#{idx}")
-    return keys
-
-
-def _covering_essids(aps: Sequence[AccessPoint], lat: float, lon: float) -> set[str]:
-    return {
-        ap.essid
-        for ap in aps
-        if haversine_m(lat, lon, ap.lat, ap.lon) <= ap.radius_m
-    }
-
-
-def _cross_time(a: TrajectorySample, b: TrajectorySample,
-                aps: Sequence[AccessPoint], inside_at_a: bool) -> float:
-    """Bisect for the instant the covered-by-``aps`` predicate flips in (a, b)."""
-
-    def inside(t: float) -> bool:
-        f = (t - a.t) / (b.t - a.t)
-        lat = a.lat + f * (b.lat - a.lat)
-        lon = a.lon + f * (b.lon - a.lon)
-        return any(
-            haversine_m(lat, lon, ap.lat, ap.lon) <= ap.radius_m for ap in aps
-        )
-
+def _cross_time(a: TrajectorySample, b: TrajectorySample, lat: np.ndarray,
+                lon: np.ndarray, radius: np.ndarray, inside_at_a: bool) -> float:
+    """Bisect for the instant the covered-by-these-discs predicate flips in (a, b)."""
     lo, hi = a.t, b.t
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if inside(mid) == inside_at_a:
+        f = (mid - a.t) / (b.t - a.t)
+        here = haversine_m(a.lat + f * (b.lat - a.lat), a.lon + f * (b.lon - a.lon), lat, lon)
+        if bool((here <= radius).any()) == inside_at_a:
             lo = mid
         else:
             hi = mid
@@ -367,53 +352,50 @@ def predict_coverage(
 
     The intervals partition [first sample, last sample] with no gaps or
     overlaps. A covered interval persists while at least one network keeps
-    covering the walk; a network swap with no overlap in coverage keys
+    covering the walk; a network swap with no network covering both sides
     closes the interval at the handover instant.
     """
     if len(trajectory) < 2:
         raise ValidationError("coverage prediction needs at least 2 samples")
     _check_trajectory(trajectory)
 
-    keys = [_coverage_keys(aps, s.lat, s.lon) for s in trajectory]
-    aps_by_key: dict[str, list[AccessPoint]] = {}
-    for idx, ap in enumerate(aps):
-        aps_by_key.setdefault(ap.group if ap.group else f"{ap.essid}#{idx}", []).append(ap)
+    lat = np.array([ap.lat for ap in aps])
+    lon = np.array([ap.lon for ap in aps])
+    radius = np.array([ap.radius_m for ap in aps])
+    # network key of each AP: its own index, or the index of its group's first AP
+    first: dict[str, int] = {}
+    network = np.array([first.setdefault(ap.group, j) if ap.group else j
+                        for j, ap in enumerate(aps)], dtype=np.intp)
+    # covering[i, j]: sample i lies within AP j's disc
+    covering = haversine_m(np.array([s.lat for s in trajectory])[:, None],
+                           np.array([s.lon for s in trajectory])[:, None], lat, lon) <= radius
+    keys = [set(network[row].tolist()) for row in covering]
 
     intervals: list[CoverageInterval] = []
-    start = trajectory[0].t
-    covered = bool(keys[0])
-    essids: set[str] = _covering_essids(aps, trajectory[0].lat, trajectory[0].lon)
-    groups: set[str] = set(keys[0])
+    start, since = trajectory[0].t, 0
 
-    def close(end: float) -> None:
+    def close(end: float, until: int) -> None:
+        seen = [aps[j] for j in np.flatnonzero(covering[since:until].any(axis=0))]
         intervals.append(
             CoverageInterval(
-                start, end, covered,
-                tuple(sorted(essids)), tuple(sorted(g for g in groups if "#" not in g)),
+                start, end, bool(keys[since]),
+                tuple(sorted({ap.essid for ap in seen})),
+                tuple(sorted({ap.group for ap in seen if ap.group})),
             )
         )
 
     for i in range(len(trajectory) - 1):
-        a, b = trajectory[i], trajectory[i + 1]
-        now_cov, nxt_cov = bool(keys[i]), bool(keys[i + 1])
-        if now_cov != nxt_cov:
-            probe = aps if nxt_cov else [
-                ap for key in keys[i] for ap in aps_by_key[key]
-            ]
-            t_cross = _cross_time(a, b, probe, inside_at_a=now_cov)
-            close(t_cross)
-            start, covered = t_cross, nxt_cov
-            essids, groups = set(), set()
-        elif now_cov and nxt_cov and not (keys[i] & keys[i + 1]):
-            # covered throughout, but no network persists: handover boundary
-            old = [ap for key in keys[i] for ap in aps_by_key[key]]
-            t_cross = _cross_time(a, b, old, inside_at_a=True)
-            close(t_cross)
-            start, covered = t_cross, True
-            essids, groups = set(), set()
-        essids |= _covering_essids(aps, b.lat, b.lon)
-        groups |= keys[i + 1]
-    close(trajectory[-1].t)
+        now, nxt = keys[i], keys[i + 1]
+        if (now or nxt) and not (now & nxt):
+            # coverage flips, or no network persists across a handover; the
+            # probe is every AP when entering coverage, else the APs of the
+            # networks covering sample i
+            probe = np.isin(network, network[covering[i]]) if now else slice(None)
+            t_cross = _cross_time(trajectory[i], trajectory[i + 1], lat[probe],
+                                  lon[probe], radius[probe], inside_at_a=bool(now))
+            close(t_cross, i + 1)
+            start, since = t_cross, i + 1
+    close(trajectory[-1].t, len(trajectory))
     return [iv for iv in intervals if iv.duration > 0.0]
 
 

@@ -150,7 +150,10 @@ def eval_expr(expr: Expr, env: Mapping[str, float]) -> float | bool:
         if op == "*":
             return _num(lhs, expr) * _num(rhs, expr)
         if op == "/":
-            return _num(lhs, expr) / _num(rhs, expr)
+            try:
+                return _num(lhs, expr) / _num(rhs, expr)
+            except ZeroDivisionError:
+                raise CompositionError(f"division by zero in {format_expr(expr)}")
         if op == "=":
             return _num(lhs, expr) == _num(rhs, expr)
         if op == "!=":

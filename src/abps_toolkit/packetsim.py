@@ -77,12 +77,16 @@ class SimConfig:
     replications: int = 30
 
     def __post_init__(self) -> None:
-        if not (self.duration > 0.0):
-            raise ValidationError("duration must be positive")
+        if not (0.0 < self.duration < math.inf):
+            raise ValidationError(f"duration must be positive and finite, got {self.duration}")
+        if not (0.0 <= self.data_rate < math.inf):
+            raise ValidationError(
+                f"data_rate must be 0 (no traffic) or positive and finite, got {self.data_rate}"
+            )
         if not (self.ack_timeout > 0.0):
             raise ValidationError("ack_timeout must be positive")
-        if self.ack_delay < 0.0 or self.data_rate < 0.0:
-            raise ValidationError("ack_delay and data_rate must be nonnegative")
+        if self.ack_delay < 0.0:
+            raise ValidationError("ack_delay must be nonnegative")
         if self.datagram_bytes <= 0:
             raise ValidationError("datagram_bytes must be positive")
         if self.replications < 1:

@@ -66,6 +66,14 @@ class TestSolve:
         assert code == 2
         assert "T_W_plus" in err
 
+    def test_division_by_zero_is_input_error(self, capsys):
+        code, out, err = run(
+            capsys, "solve", str(reference_model_path("oracle")),
+            "--params", "T_W_minus=0", "--params", "T_W_plus=80",
+        )
+        assert (code, out) == (2, "")
+        assert "division by zero" in err and "T_W_minus" in err
+
     def test_unknown_parameter(self, capsys):
         code, _, err = run(capsys, "solve", "plain", "--params", "warp_speed=9")
         assert code == 2
@@ -217,3 +225,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", str(walk), str(catalog))
         assert code == 2
         assert "walk.csv:2" in err
+
+    def test_invalid_coordinates_exit_2(self, capsys, tmp_path):
+        walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"
+        write_corridor_catalog(catalog)
+        for bad in ("999.0", "nan"):
+            walk.write_text(f"t,lat,lon\n0,0.0,0.0\n1,{bad},0.0001\n2,0.0,0.0002\n")
+            code, out, err = run(capsys, "oracle", str(walk), str(catalog))
+            assert (code, out) == (2, "")
+            assert "sample 1" in err and bad in err

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 import requests
 
@@ -37,6 +38,14 @@ def walk(length_m, speed=1.0, step_s=1.0):
     return [TrajectorySample(i * step_s, 0.0, i * step_s * speed * M) for i in range(n + 1)]
 
 
+def math_haversine(lat1, lon1, lat2, lon2):
+    """Scalar reference formula on the math module."""
+    p1, p2 = math.radians(lat1), math.radians(lat2)
+    dl = math.radians(lon2 - lon1)
+    a = math.sin((p2 - p1) / 2) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2) ** 2
+    return 2.0 * coverage.EARTH_RADIUS_M * math.asin(math.sqrt(a))
+
+
 def ap(essid, x_m, radius, group=None):
     return AccessPoint(essid, 0.0, x_m * M, radius_m=radius, group=group)
 
@@ -64,6 +73,19 @@ class TestGeometry:
         assert haversine_m(0, 0, 0, 1) == pytest.approx(
             coverage.EARTH_RADIUS_M * math.pi / 180, rel=1e-9
         )
+
+    def test_haversine_broadcasts_like_scalar_calls(self):
+        lat = np.array([[0.0], [10.5], [-45.25]])
+        lon = np.array([[0.0], [179.9], [-3.0]])
+        ap_lat = np.array([0.0, 10.5004, -89.0, 60.0])
+        ap_lon = np.array([0.001, -179.9, 12.0, -3.0])
+        matrix = haversine_m(lat, lon, ap_lat, ap_lon)
+        assert matrix.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                args = (float(lat[i, 0]), float(lon[i, 0]), float(ap_lat[j]), float(ap_lon[j]))
+                assert matrix[i, j] == haversine_m(*args)
+                assert matrix[i, j] == pytest.approx(math_haversine(*args), rel=1e-12)
 
     def test_query_containment(self):
         catalog = LocalCatalog([ap("one", 50, 30)])
@@ -138,10 +160,32 @@ class TestPredictCoverage:
         same_group = [ap("alpha", 40, 50.3, "net"), ap("beta", 141, 50.3, "net")]
         covered = [iv for iv in predict_coverage(walk(200), same_group) if iv.covered]
         assert len(covered) == 1
+        # a group name is an opaque string: one that looks like an ungrouped
+        # AP's name and catalog index is still a different network
+        lookalike = [ap("alpha", 40, 50.3), ap("beta", 141, 50.3, "alpha#0")]
+        covered = [iv for iv in predict_coverage(walk(200), lookalike) if iv.covered]
+        assert len(covered) == 2
+        assert covered[0].end == pytest.approx(90.3, abs=1e-3)
+        assert (covered[0].essids, covered[0].groups) == (("alpha",), ())
+        assert (covered[1].essids, covered[1].groups) == (("beta",), ("alpha#0",))
+
+    def test_no_access_points_one_uncovered_interval(self):
+        timeline = predict_coverage(walk(100), [])
+        assert [(iv.start, iv.end, iv.covered) for iv in timeline] == [(0.0, 100.0, False)]
+        events = classify_trajectory(walk(100), LocalCatalog([]))
+        assert [(e.timestamp, e.kind) for e in events] == [(0.0, EventKind.EV_NO_WIFI)]
 
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
             predict_coverage([TrajectorySample(0, 0, 0)], [])
+
+    @pytest.mark.parametrize("lat, lon", [(999.0, 0.0), (0.0, -180.5),
+                                          (float("nan"), 0.0), (0.0, float("inf"))])
+    def test_rejects_invalid_coordinates(self, lat, lon):
+        track = walk(10)
+        track[3] = TrajectorySample(3.0, lat, lon)
+        with pytest.raises(ValidationError, match="sample 3"):
+            predict_coverage(track, [ap("mid", 5, 30)])
 
 
 class TestClassify:

@@ -319,6 +319,17 @@ class TestCompose:
         with pytest.raises(CompositionError, match="negative rate"):
             compose(parse(text))
 
+    def test_division_by_zero_names_expression(self):
+        text = """ctmc
+        const double w;
+        module m x : [0..1] init 0;
+          [] x=0 -> 1/w:(x'=1);
+          [] x=1 -> 1.0:(x'=0);
+        endmodule
+        """
+        with pytest.raises(CompositionError, match=r"division by zero in \(1\.0 / w\)"):
+            compose(parse(text), {"w": 0.0})
+
     def test_out_of_range_update(self):
         text = """ctmc
         module m x : [0..1] init 0;

@@ -33,6 +33,14 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SimConfig(replications=0)
 
+    def test_rejects_non_finite_duration_and_rate(self):
+        # an infinite run never ends; an infinite rate makes every datagram due at once
+        with pytest.raises(ValidationError, match="duration must be positive and finite"):
+            SimConfig(duration=float("inf"))
+        for rate in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="data_rate .* positive and finite"):
+                SimConfig(duration=10.0, data_rate=rate)
+
     def test_bad_variant(self):
         with pytest.raises(ValidationError):
             simulate(default_params(), quiet(), variant="mesh")
