@@ -369,9 +369,14 @@ def build(variant: str, params: AbpsParams, mode: str = "text") -> AbpsModel:
 
 
 # --------------------------------------------------------------------------
-# Shared per-state metric definitions: the only statement of the energy and
-# throughput rule. The builders tabulate the chain's reward vectors from
-# them, and the event simulator integrates them over simulated time.
+# Shared per-state metric definitions: the only statement of the availability,
+# energy and throughput rules. The chain's builders and metrics read them, and
+# the event simulator integrates them over simulated time.
+
+
+def state_available(s_u: int, s_w: int) -> bool:
+    """Availability of a composite interface state: at least one is connected."""
+    return s_u == PHASE_CONNECTED or s_w == PHASE_CONNECTED
 
 
 def state_power(s_u: int, s_w: int, params: AbpsParams, mode: str, variant: str) -> float:
@@ -412,7 +417,7 @@ def connected_predicate(chain: ComposedChain):
     u = chain.var_names.index("s_U")
     w = chain.var_names.index("s_W")
     states = chain.states
-    return lambda i: states[i][u] == PHASE_CONNECTED or states[i][w] == PHASE_CONNECTED
+    return lambda i: state_available(states[i][u], states[i][w])
 
 
 def evaluate_chain(chain: ComposedChain) -> MetricsResult:

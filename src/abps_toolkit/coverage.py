@@ -294,6 +294,8 @@ def load_trajectory(path) -> list[TrajectorySample]:
 
 def _check_trajectory(samples: Sequence[TrajectorySample]) -> None:
     for k, s in enumerate(samples):
+        if not np.isfinite(s.t):
+            raise ValidationError(f"trajectory sample {k} has a non-finite timestamp t={s.t}")
         if not (-90.0 <= s.lat <= 90.0 and -180.0 <= s.lon <= 180.0):
             raise ValidationError(
                 f"trajectory sample {k} (t={s.t}) has invalid coordinates ({s.lat}, {s.lon})"

@@ -1,9 +1,12 @@
 """Finite-state continuous-time Markov chains.
 
 Generator matrices, reachability, stationary distributions and rate rewards.
-Chains here are small (tens to a few hundred states), so the stationary
-solver uses a direct dense solve on the recurrent class, which is both fast
-and deterministic.
+Chains here are small (tens to a few hundred states), so a generator is
+stored once, as one read-only dense Q, and everything reads it:
+reachability and the closed class are breadth-first searches on the
+pattern ``Q > 0``, and the stationary solver is a direct dense solve on the
+recurrent class, which is both fast and deterministic (Stewart,
+*Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 2).
 
 All values are immutable after construction and can be shared freely across
 threads; a single solve is single-threaded.
@@ -12,16 +15,13 @@ threads; a single solve is single-threaded.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 #: Default tolerances; every solver entry point accepts overrides.
-ROW_SUM_TOL = 1e-12
 PROB_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
@@ -38,39 +38,40 @@ class StructureError(RuntimeError):
 class GeneratorMatrix:
     """Infinitesimal generator Q of a finite CTMC.
 
-    ``entries`` holds the off-diagonal transition rates (1/s) as a sparse
-    map ``(i, j) -> rate``; the diagonal is implied, so every row sums to
-    zero by construction. Use :func:`build_generator` rather than the raw
+    ``q`` is the dense read-only ``n_states x n_states`` matrix: transition
+    rates (1/s) off the diagonal and minus each state's exit rate on it, so
+    every row sums to zero. Use :func:`build_generator` rather than the raw
     constructor so the invariants are checked.
     """
 
     n_states: int
-    entries: Mapping[tuple[int, int], float]
+    q: np.ndarray
+
+    def __post_init__(self) -> None:
+        q = np.array(self.q, dtype=float)
+        q.flags.writeable = False
+        object.__setattr__(self, "q", q)
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int], float]:
+        """Off-diagonal rates as a read-only map ``(i, j) -> rate``, in row order."""
+        rows, cols = np.nonzero(self.q > 0.0)
+        rates = self.q[rows, cols].tolist()
+        return MappingProxyType(dict(zip(zip(rows.tolist(), cols.tolist()), rates)))
 
     def rate(self, i: int, j: int) -> float:
-        """Transition rate from ``i`` to ``j`` (0.0 if absent)."""
-        if i == j:
-            return -self.exit_rate(i)
-        return self.entries.get((i, j), 0.0)
+        """Transition rate from ``i`` to ``j`` (0.0 if absent), or ``-exit_rate(i)``."""
+        _check_state(self, i)
+        _check_state(self, j)
+        return float(self.q[i, j])
 
     def exit_rate(self, i: int) -> float:
         """Total rate out of state ``i`` (minus the diagonal entry)."""
-        return sum(r for (a, _), r in self.entries.items() if a == i)
-
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Outgoing edges per state as ``[(target, rate), ...]`` lists."""
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n_states)]
-        for (i, j), r in self.entries.items():
-            adj[i].append((j, r))
-        return adj
+        return -self.rate(i, i)
 
     def to_dense(self) -> np.ndarray:
-        """Dense Q with the implied diagonal filled in."""
-        q = np.zeros((self.n_states, self.n_states))
-        for (i, j), r in self.entries.items():
-            q[i, j] = r
-        np.fill_diagonal(q, -q.sum(axis=1))
-        return q
+        """A writable copy of Q."""
+        return self.q.copy()
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def build_generator(
     """
     if not isinstance(n_states, (int, np.integer)) or n_states < 1:
         raise ValidationError(f"n_states must be a positive integer, got {n_states!r}")
-    entries: dict[tuple[int, int], float] = {}
+    q = np.zeros((n_states, n_states))
     for src, dst, rate in transitions:
         if not (0 <= src < n_states) or not (0 <= dst < n_states):
             raise ValidationError(
@@ -139,24 +140,15 @@ def build_generator(
             raise ValidationError(
                 f"transition ({src}, {dst}) needs a positive finite rate, got {rate!r}"
             )
-        key = (int(src), int(dst))
-        entries[key] = entries.get(key, 0.0) + float(rate)
-    return GeneratorMatrix(n_states=int(n_states), entries=entries)
+        q[int(src), int(dst)] += float(rate)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return GeneratorMatrix(n_states=int(n_states), q=q)
 
 
 def reachable_states(generator: GeneratorMatrix, initial: int) -> set[int]:
     """States reachable from ``initial`` along positive-rate transitions."""
     _check_state(generator, initial)
-    adj = generator.adjacency()
-    seen = {initial}
-    frontier = deque([initial])
-    while frontier:
-        here = frontier.popleft()
-        for nxt, _ in adj[here]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+    return set(np.flatnonzero(_closure(generator.q > 0.0, initial)).tolist())
 
 
 def steady_state(
@@ -178,19 +170,11 @@ def steady_state(
     start state.
     """
     reachable = sorted(reachable_states(generator, initial))
-    recurrent = _single_closed_class(generator, reachable)
+    recurrent = np.flatnonzero(_single_closed_class(generator.q > 0.0, reachable))
 
-    pos = {s: k for k, s in enumerate(recurrent)}
-    m = len(recurrent)
-    q = np.zeros((m, m))
-    for (i, j), r in generator.entries.items():
-        if i in pos and j in pos:
-            q[pos[i], pos[j]] = r
-    np.fill_diagonal(q, -q.sum(axis=1))
-
-    a = q.T.copy()
+    a = generator.q.T[np.ix_(recurrent, recurrent)]  # a fresh, writable copy
     a[0, :] = 1.0
-    b = np.zeros(m)
+    b = np.zeros(len(recurrent))
     b[0] = 1.0
     x = np.linalg.solve(a, b)
 
@@ -204,9 +188,8 @@ def steady_state(
     pi = np.zeros(generator.n_states)
     pi[recurrent] = x
 
-    dense = generator.to_dense()
-    residual = np.abs(pi @ dense).max()
-    max_exit = -dense.diagonal().min()
+    residual = np.abs(pi @ generator.q).max()
+    max_exit = -generator.q.diagonal().min()
     if max_exit > 0.0:
         residual /= max_exit
     if residual > residual_tol:
@@ -238,7 +221,6 @@ def expected_reward(dist: StationaryDistribution, rewards: RewardVector) -> floa
 
 def mean_residence_time(generator: GeneratorMatrix, state: int) -> float:
     """Mean sojourn in ``state``: the inverse of its total outgoing rate."""
-    _check_state(generator, state)
     out = generator.exit_rate(state)
     return math.inf if out == 0.0 else 1.0 / out
 
@@ -250,35 +232,43 @@ def _check_state(generator: GeneratorMatrix, state: int) -> None:
         )
 
 
-def _single_closed_class(
-    generator: GeneratorMatrix, reachable: Sequence[int]
-) -> list[int]:
-    """The unique closed communicating class among ``reachable`` states.
+def _closure(edges: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the states reachable from ``start`` along ``edges[i, j]``, found
+    one breadth-first layer at a time."""
+    seen = np.zeros(len(edges), dtype=bool)
+    frontier = np.arange(len(edges)) == start
+    while frontier.any():
+        seen |= frontier
+        frontier = edges[frontier].any(axis=0) & ~seen
+    return seen
 
-    Closed classes are the strongly connected components with no edges
-    leaving them; more than one means the stationary limit is ambiguous.
+
+def _single_closed_class(edges: np.ndarray, reachable: Sequence[int]) -> np.ndarray:
+    """Mask of the unique closed communicating class among ``reachable`` states.
+
+    From a state, step to any state it reaches that cannot reach back; each
+    step shrinks the forward set, and where none is left that set is a
+    closed class. The class is unique exactly when every reachable state
+    reaches it; otherwise the search repeats from a state that reaches none
+    of the classes found so far, until all of them are counted.
     """
-    pos = {s: k for k, s in enumerate(reachable)}
-    rows, cols = [], []
-    for (i, j), _ in generator.entries.items():
-        if i in pos and j in pos:
-            rows.append(pos[i])
-            cols.append(pos[j])
-    graph = csr_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(reachable), len(reachable))
-    )
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-
-    open_comps = set()
-    for (i, j), _ in generator.entries.items():
-        if i in pos and j in pos and labels[pos[i]] != labels[pos[j]]:
-            open_comps.add(labels[pos[i]])
-    closed = [c for c in range(n_comp) if c not in open_comps]
+    closed: list[np.ndarray] = []
+    covered = np.zeros(len(edges), dtype=bool)
+    while not covered[reachable].all():
+        state = reachable[int(np.argmax(~covered[reachable]))]
+        while True:
+            forward = _closure(edges, state)
+            backward = _closure(edges.T, state)
+            escape = forward & ~backward
+            if not escape.any():
+                break
+            state = int(np.argmax(escape))
+        closed.append(forward)
+        covered |= backward  # a state reaching the class reaches each of its members
     if len(closed) != 1:
-        sizes = sorted(int(np.sum(labels == c)) for c in closed)
+        sizes = sorted(int(c.sum()) for c in closed)
         raise StructureError(
             f"reachable subchain has {len(closed)} closed classes "
             f"(sizes {sizes}); the stationary distribution is not unique"
         )
-    keep = closed[0]
-    return [s for s in reachable if labels[pos[s]] == keep]
+    return closed[0]

@@ -1092,18 +1092,16 @@ def equivalent(
         )
 
     if not diffs:
-        a_rates = {
-            (key(a, i), key(a, j)): r for (i, j), r in a.generator.entries.items()
-        }
-        b_rates = {
-            (key(b, i), key(b, j)): r for (i, j), r in b.generator.entries.items()
-        }
-        for edge in sorted(set(a_rates) | set(b_rates)):
-            ra = a_rates.get(edge, 0.0)
-            rb = b_rates.get(edge, 0.0)
-            if abs(ra - rb) > rate_tol:
-                src, dst = edge
-                diffs.append(
-                    f"rate {describe(src)} -> {describe(dst)}: {ra!r} vs {rb!r}"
-                )
+        keys = sorted(a_index)
+        ia = [a_index[k] for k in keys]
+        ib = [b_index[k] for k in keys]
+        qa = a.generator.q[np.ix_(ia, ia)]
+        qb = b.generator.q[np.ix_(ib, ib)]
+        differ = np.abs(qa - qb) > rate_tol
+        np.fill_diagonal(differ, False)
+        for s, d in zip(*np.nonzero(differ)):
+            diffs.append(
+                f"rate {describe(keys[s])} -> {describe(keys[d])}: "
+                f"{float(qa[s, d])!r} vs {float(qb[s, d])!r}"
+            )
     return ChainDiff(not diffs, diffs)

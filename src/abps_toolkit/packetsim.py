@@ -2,11 +2,11 @@
 
 Independent of the analytic chains in every respect except two shared
 definitions: the parameter set (with its resolved rates) and the per-state
-metric functions ``abps.state_power``/``abps.state_throughput``, from which
-the chain builders also tabulate their reward vectors. Interface lifecycles
-and the coverage oracle advance through exponential sojourns drawn event by
-event, datagrams carry sequence numbers and are acknowledged end to end,
-timeouts retransmit over an alternative interface, and the receiving side
+metric functions ``abps.state_available``/``state_power``/``state_throughput``,
+which the chain builders and metrics also read. Interface lifecycles and the
+coverage oracle advance through exponential sojourns drawn event by event,
+datagrams carry sequence numbers and are acknowledged end to end, timeouts
+retransmit over an alternative interface, and the receiving side
 restores order and discards duplicates. Simulated time integrals of the
 shared state functions provide the empirical metrics the analytic model is
 checked against.
@@ -51,6 +51,7 @@ from abps_toolkit.abps import (
     PHASE_SETUP,
     VARIANTS,
     resolved_rates,
+    state_available,
     state_power,
     state_throughput,
 )
@@ -83,10 +84,12 @@ class SimConfig:
             raise ValidationError(
                 f"data_rate must be 0 (no traffic) or positive and finite, got {self.data_rate}"
             )
-        if not (self.ack_timeout > 0.0):
-            raise ValidationError("ack_timeout must be positive")
-        if self.ack_delay < 0.0:
-            raise ValidationError("ack_delay must be nonnegative")
+        if not (0.0 < self.ack_timeout < math.inf):
+            raise ValidationError(
+                f"ack_timeout must be positive and finite, got {self.ack_timeout}"
+            )
+        if not (0.0 <= self.ack_delay < math.inf):
+            raise ValidationError(f"ack_delay must be nonnegative and finite, got {self.ack_delay}")
         if self.datagram_bytes <= 0:
             raise ValidationError("datagram_bytes must be positive")
         if self.replications < 1:
@@ -160,7 +163,8 @@ class _Simulation:
         self.oracle_gen = 0
         self.oracle_entered = 0.0
 
-        # Per-state rate tables keep the hot accrual path cheap.
+        # Per-state tables keep the hot accrual path cheap.
+        self._available = [[state_available(u, w) for w in range(5)] for u in range(5)]
         self._power = [
             [state_power(u, w, params, mode, variant) for w in range(5)]
             for u in range(5)
@@ -244,7 +248,7 @@ class _Simulation:
             return
         u = self.nics["UMTS"].phase
         w = self.nics["WiFi"].phase
-        if u == PHASE_CONNECTED or w == PHASE_CONNECTED:
+        if self._available[u][w]:
             self.acc_avail += dt
         self.acc_power += dt * self._power[u][w]
         self.acc_tput += dt * self._tput[u][w]

@@ -166,6 +166,14 @@ class TestSimulate:
         assert len(first) >= 4
         float(first[0])  # leading field is the timestamp
 
+    def test_non_finite_ack_timing_exit_2(self, capsys):
+        for flag, value in (("--ack-delay", "inf"), ("--ack-delay", "nan"),
+                            ("--ack-timeout", "inf")):
+            code, out, err = run(capsys, "simulate", "--variant", "oracle",
+                                 "--duration", "100", "--data-rate", "5", flag, value)
+            assert (code, out) == (2, "")
+            assert "finite" in err and value in err
+
 
 class TestCompare:
     def test_degenerate_single_replication(self, capsys):
@@ -234,3 +242,11 @@ class TestOracle:
             code, out, err = run(capsys, "oracle", str(walk), str(catalog))
             assert (code, out) == (2, "")
             assert "sample 1" in err and bad in err
+
+    def test_non_finite_timestamp_exit_2(self, capsys, tmp_path):
+        walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"
+        write_corridor_catalog(catalog)
+        walk.write_text(f"t,lat,lon\n0,0.0,0.0\ninf,0.0,{100 * M:.12f}\n")
+        code, out, err = run(capsys, "oracle", str(walk), str(catalog))
+        assert (code, out) == (2, "")
+        assert "sample 1" in err and "timestamp" in err

@@ -179,12 +179,19 @@ class TestPredictCoverage:
         with pytest.raises(ValidationError):
             predict_coverage([TrajectorySample(0, 0, 0)], [])
 
-    @pytest.mark.parametrize("lat, lon", [(999.0, 0.0), (0.0, -180.5),
-                                          (float("nan"), 0.0), (0.0, float("inf"))])
-    def test_rejects_invalid_coordinates(self, lat, lon):
+    @pytest.mark.parametrize("k, t, lat, lon", [
+        pytest.param(3, 3.0, 999.0, 0.0, id="999.0-0.0"),
+        pytest.param(3, 3.0, 0.0, -180.5, id="0.0--180.5"),
+        pytest.param(3, 3.0, float("nan"), 0.0, id="nan-0.0"),
+        pytest.param(3, 3.0, 0.0, float("inf"), id="0.0-inf"),
+        # a non-finite first or last timestamp stretches an interval to infinity
+        pytest.param(10, float("inf"), 0.0, 10 * M, id="t=inf"),
+        pytest.param(0, -float("inf"), 0.0, 0.0, id="t=-inf"),
+    ])
+    def test_rejects_invalid_coordinates(self, k, t, lat, lon):
         track = walk(10)
-        track[3] = TrajectorySample(3.0, lat, lon)
-        with pytest.raises(ValidationError, match="sample 3"):
+        track[k] = TrajectorySample(t, lat, lon)
+        with pytest.raises(ValidationError, match=f"sample {k}"):
             predict_coverage(track, [ap("mid", 5, 30)])
 
 

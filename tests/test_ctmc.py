@@ -36,6 +36,16 @@ class TestBuildGenerator:
     def test_parallel_transitions_summed(self):
         q = build_generator(2, [(0, 1, 1.0), (0, 1, 0.5)])
         assert q.rate(0, 1) == 1.5
+        rng = np.random.default_rng(23)
+        triples = _random_triples(rng, 9)
+        triples += triples[:4]
+        expected: dict[tuple[int, int], float] = {}
+        for i, j, r in triples:
+            expected[(i, j)] = expected.get((i, j), 0.0) + r
+        g = build_generator(9, triples)
+        assert dict(g.entries) == expected
+        with pytest.raises(TypeError):
+            g.entries[(0, 1)] = 1.0
 
     def test_zero_rate_rejected(self):
         with pytest.raises(ValidationError):
@@ -58,6 +68,12 @@ class TestBuildGenerator:
         q = _random_irreducible(rng, 12)
         np.testing.assert_allclose(q.to_dense().sum(axis=1), 0.0, atol=1e-12)
         assert all(r >= 0 for r in q.entries.values())
+        assert not q.q.flags.writeable
+        with pytest.raises(ValueError):
+            q.q[0, 1] = 5.0
+        dense = q.to_dense()
+        dense[0, 1] = 5.0  # a writable copy, not a view
+        assert q.q[0, 1] != 5.0
 
 
 class TestReachability:
@@ -113,6 +129,25 @@ class TestSteadyState:
         q = build_generator(3, [(0, 1, 1.0), (0, 2, 1.0)])
         with pytest.raises(StructureError, match="closed classes"):
             steady_state(q, 0)
+        # 0 -> 1 -> 2 forks into the closed pair {3, 4} and the closed ring {5, 6, 7}
+        q = build_generator(8, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 5, 1.0),
+                                (3, 4, 1.0), (4, 3, 2.0),
+                                (5, 6, 1.0), (6, 7, 1.0), (7, 5, 1.0)])
+        with pytest.raises(StructureError, match=r"2 closed classes \(sizes \[2, 3\]\)"):
+            steady_state(q, 0)
+
+    def test_support_matches_brute_force_reference(self):
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            n, triples, initial = _random_layered_chain(rng)
+            g = build_generator(n, triples)
+            reach = _floyd_warshall_reachability(n, triples)
+            expected_reachable = set(np.flatnonzero(reach[initial]).tolist())
+            assert reachable_states(g, initial) == expected_reachable
+            closed = {s for s in expected_reachable
+                      if all(reach[t, s] for t in np.flatnonzero(reach[s]))}
+            pi = steady_state(g, initial).probabilities
+            assert set(np.flatnonzero(pi > 0.0).tolist()) == closed
 
     def test_fast_cycle_solves(self):
         # a valid chain whose absolute residual (~7e-9) only reflects its rates
@@ -210,3 +245,50 @@ def _random_triples(rng, n):
 
 def _random_irreducible(rng, n):
     return build_generator(n, _random_triples(rng, n))
+
+
+def _random_layered_chain(rng):
+    """A closed block, transient feeders that all lead into it, and an
+    unreachable component that feeds both, on shuffled state indices.
+
+    Returns ``(n, triples, initial)`` with ``initial`` a feeder or a closed
+    state, so exactly one closed class is reachable.
+    """
+    n_closed, n_feed, n_away = (int(k) for k in rng.integers(1, 8, size=3))
+    n = n_closed + n_feed + n_away
+    label = rng.permutation(n)
+    closed = label[:n_closed]
+    feed = label[n_closed:n_closed + n_feed]
+    away = label[n_closed + n_feed:]
+    # the ring of a lone closed state is a self-loop, so it is dropped
+    triples = [(int(closed[i]), int(closed[j]), r)
+               for i, j, r in _random_triples(rng, n_closed) if i != j]
+    for k, s in enumerate(feed):
+        # each feeder steps to the closed block or to an earlier feeder
+        targets = np.concatenate([closed, feed[:k]])
+        triples.append((int(s), int(rng.choice(targets)), float(rng.uniform(0.1, 5.0))))
+        for _ in range(int(rng.integers(0, 3))):  # extra edges may form transient cycles
+            t = int(rng.choice(np.concatenate([closed, feed])))
+            if t != s:
+                triples.append((int(s), t, float(rng.uniform(0.1, 5.0))))
+    for k, s in enumerate(away):
+        if n_away > 1:
+            triples.append((int(s), int(away[(k + 1) % n_away]), 1.0))
+        triples.append((int(s), int(rng.choice(label[:n_closed + n_feed])), 0.5))
+    initial = int(rng.choice(label[:n_closed + n_feed]))
+    return n, triples, initial
+
+
+def _floyd_warshall_reachability(n, triples):
+    """Reflexive-transitive closure of the transition pattern, by Warshall's
+    algorithm: ``reach[i, j]`` iff ``j`` is reachable from ``i``."""
+    reach = np.eye(n, dtype=bool)
+    for i, j, _ in triples:
+        reach[i, j] = True
+    for k in range(n):
+        for i in range(n):
+            if reach[i, k]:
+                for j in range(n):
+                    if reach[k, j]:
+                        reach[i, j] = True
+    return reach

@@ -385,10 +385,12 @@ class TestEquivalence:
         (i, j), rate = next(iter(b.generator.entries.items()))
         entries = dict(b.generator.entries)
         entries[(i, j)] = rate + 1e-6
-        from abps_toolkit.ctmc import GeneratorMatrix
+        from abps_toolkit.ctmc import build_generator
 
         b_perturbed = modlang.ComposedChain(
-            generator=GeneratorMatrix(b.generator.n_states, entries),
+            generator=build_generator(
+                b.generator.n_states, [(s, d, r) for (s, d), r in entries.items()]
+            ),
             var_names=b.var_names,
             states=b.states,
             initial=b.initial,

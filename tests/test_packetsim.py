@@ -40,6 +40,12 @@ class TestConfig:
         for rate in (float("inf"), float("nan")):
             with pytest.raises(ValidationError, match="data_rate .* positive and finite"):
                 SimConfig(duration=10.0, data_rate=rate)
+        # an endless ACK delay or timeout turns every datagram into a duplicate
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="ack_delay must be nonnegative and finite"):
+                SimConfig(duration=10.0, ack_delay=value)
+            with pytest.raises(ValidationError, match="ack_timeout must be positive and finite"):
+                SimConfig(duration=10.0, ack_timeout=value)
 
     def test_bad_variant(self):
         with pytest.raises(ValidationError):
