@@ -239,10 +239,13 @@ def reference_model_path(variant: str) -> Path:
 class AbpsModel:
     """A composed chain plus the parameters and mode that produced it.
 
-    ``spec`` holds the modules only, with no reward blocks: the chain's
-    ``energy`` and ``throughput`` vectors are tabulated state by state from
-    :func:`state_power` and :func:`state_throughput`, the same functions the
-    event simulator integrates.
+    ``spec`` is the variant's one module set, shared by every mode and
+    parameter set: its rates are the parameters named in
+    :func:`resolved_rates`, bound when the chain is composed. It has no
+    reward blocks: the chain's ``energy`` and ``throughput`` vectors are
+    tabulated state by state from :func:`state_power` and
+    :func:`state_throughput`, the same functions the event simulator
+    integrates.
     """
 
     variant: str
@@ -289,18 +292,18 @@ def _eq(var: str, value: int) -> modlang.Binary:
     return modlang.Binary("=", Ident(var), Num(float(value)))
 
 
-def _go(var: str, value: int, rate: float | None) -> Branch:
-    return Branch(None if rate is None else Num(rate), (Update(var, Num(float(value))),))
+def _go(var: str, value: int, rate: str | None) -> Branch:
+    return Branch(None if rate is None else Ident(rate), (Update(var, Num(float(value))),))
 
 
-def _nic_module(name: str, var: str, *, with_off: bool, alpha: float,
-                success: float, fail: float, gamma, mu: float) -> ModuleSpec:
+def _nic_module(name: str, var: str, nic: str, *, with_off: bool, gamma) -> ModuleSpec:
     low = 0 if with_off else 1
     commands = [
-        Command(None, _eq(var, 1), (_go(var, 2, alpha),)),
-        Command(None, _eq(var, 2), (_go(var, 3, success), _go(var, 1, fail))),
+        Command(None, _eq(var, 1), (_go(var, 2, f"alpha_{nic}"),)),
+        Command(None, _eq(var, 2), (_go(var, 3, f"{name}_setup_success"),
+                                    _go(var, 1, f"{name}_setup_fail"))),
         Command(None, _eq(var, 3), (Branch(gamma, (Update(var, Num(4.0)),)),)),
-        Command(None, _eq(var, 4), (_go(var, 1, mu),)),
+        Command(None, _eq(var, 4), (_go(var, 1, f"mu_{nic}"),)),
     ]
     if with_off:
         prefix = name  # umts_0/umts_1, wifi_0/wifi_1
@@ -309,41 +312,45 @@ def _nic_module(name: str, var: str, *, with_off: bool, alpha: float,
     return ModuleSpec(name, (Variable(var, low, 4, 1),), tuple(commands))
 
 
-def _oracle_module(rates: dict[str, float], *, synchronized: bool) -> ModuleSpec:
+def _oracle_module(*, synchronized: bool) -> ModuleSpec:
     def lbl(label: str) -> str | None:
         return label if synchronized else None
 
     commands = (
-        Command(lbl("wifi_1"), _eq("s_oracle", 1), (_go("s_oracle", 2, rates["lambda_U_UW"]),)),
-        Command(lbl("wifi_0"), _eq("s_oracle", 2), (_go("s_oracle", 1, rates["lambda_UW_U"]),)),
-        Command(lbl("umts_0"), _eq("s_oracle", 2), (_go("s_oracle", 3, rates["lambda_UW_W"]),)),
-        Command(lbl("umts_1"), _eq("s_oracle", 3), (_go("s_oracle", 2, rates["lambda_W_UW"]),)),
+        Command(lbl("wifi_1"), _eq("s_oracle", 1), (_go("s_oracle", 2, "lambda_U_UW"),)),
+        Command(lbl("wifi_0"), _eq("s_oracle", 2), (_go("s_oracle", 1, "lambda_UW_U"),)),
+        Command(lbl("umts_0"), _eq("s_oracle", 2), (_go("s_oracle", 3, "lambda_UW_W"),)),
+        Command(lbl("umts_1"), _eq("s_oracle", 3), (_go("s_oracle", 2, "lambda_W_UW"),)),
     )
     return ModuleSpec("oracle", (Variable("s_oracle", 1, 3, 2),), commands)
 
 
+def _spec(variant: str) -> ModelSpec:
+    """The variant's modules; every rate is a parameter named as in
+    :func:`resolved_rates`, so one spec serves every mode and point."""
+    with_off = variant == "oracle"
+    gamma_w = Cond(_eq("s_oracle", 3), Ident("gamma_W_plus"), Ident("gamma_W_minus"))
+    umts = _nic_module("umts", "s_U", "U", with_off=with_off, gamma=Ident("gamma_U"))
+    wifi = _nic_module("wifi", "s_W", "W", with_off=with_off, gamma=gamma_w)
+    oracle = _oracle_module(synchronized=with_off)
+    return ModelSpec(
+        kind="ctmc",
+        constants={name: None for name in resolved_rates(default_params(), "text")},
+        formulas={},
+        modules=(umts, wifi, oracle),
+        rewards={},
+    )
+
+
+#: One spec per variant for the whole process, so ``compose`` compiles each
+#: chain's structure once and every later point only evaluates its rates.
+_SPECS = {variant: _spec(variant) for variant in VARIANTS}
+
+
 def _build(params: AbpsParams, variant: str, mode: str) -> AbpsModel:
     _check_variant_mode(variant, mode)
-    rates = resolved_rates(params, mode)
-    with_off = variant == "oracle"
-    gamma_w = Cond(
-        _eq("s_oracle", 3), Num(rates["gamma_W_plus"]), Num(rates["gamma_W_minus"])
-    )
-    umts = _nic_module(
-        "umts", "s_U", with_off=with_off,
-        alpha=rates["alpha_U"], success=rates["umts_setup_success"],
-        fail=rates["umts_setup_fail"], gamma=Num(rates["gamma_U"]), mu=rates["mu_U"],
-    )
-    wifi = _nic_module(
-        "wifi", "s_W", with_off=with_off,
-        alpha=rates["alpha_W"], success=rates["wifi_setup_success"],
-        fail=rates["wifi_setup_fail"], gamma=gamma_w, mu=rates["mu_W"],
-    )
-    oracle = _oracle_module(rates, synchronized=with_off)
-    spec = ModelSpec(
-        kind="ctmc", constants={}, formulas={}, modules=(umts, wifi, oracle), rewards={}
-    )
-    chain = compose(spec)
+    spec = _SPECS[variant]
+    chain = compose(spec, resolved_rates(params, mode))
     u = chain.var_names.index("s_U")
     w = chain.var_names.index("s_W")
     energy = np.array([state_power(s[u], s[w], params, mode, variant) for s in chain.states])

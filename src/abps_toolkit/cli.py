@@ -161,7 +161,7 @@ def cmd_compare(args) -> int:
         for metric, reference in references.items():
             s = result.stats[metric]
             ok = result.within(metric, reference)
-            z = abs(s.mean - reference) / s.se if s.se > 0 else float("inf") if s.mean != reference else 0.0
+            z = result.z(metric, reference)
             failed = failed or not ok
             print(
                 f"{variant:8} {metric:16} {reference:12.6f} "

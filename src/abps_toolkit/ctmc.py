@@ -7,6 +7,9 @@ reachability and the closed class are breadth-first searches on the
 pattern ``Q > 0``, and the stationary solver is a direct dense solve on the
 recurrent class, which is both fast and deterministic (Stewart,
 *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 2).
+The closed class is found once per pattern: a small bounded memo keyed by
+``Q > 0`` and the initial state serves every chain that differs only in its
+rates, such as the points of a parameter sweep.
 
 All values are immutable after construction and can be shared freely across
 threads; a single solve is single-threaded.
@@ -14,6 +17,7 @@ threads; a single solve is single-threaded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -118,31 +122,55 @@ class RewardVector:
 
 
 def build_generator(
-    n_states: int, transitions: Iterable[tuple[int, int, float]]
+    n_states: int, transitions: Iterable[tuple[int, int, float]] | np.ndarray
 ) -> GeneratorMatrix:
     """Assemble a generator from ``(from, to, rate)`` triples.
 
-    Rates must be strictly positive and indices in range; parallel
-    transitions between the same pair of states are summed, matching the
-    additivity of racing exponential clocks.
+    ``transitions`` is an iterable of triples or an ``(E, 3)`` array. Rates
+    must be strictly positive and finite and indices in range; parallel
+    transitions between the same pair of states are summed in input order,
+    matching the additivity of racing exponential clocks, and each sum and
+    each state's total exit rate must stay finite.
     """
     if not isinstance(n_states, (int, np.integer)) or n_states < 1:
         raise ValidationError(f"n_states must be a positive integer, got {n_states!r}")
+    if not isinstance(transitions, np.ndarray):
+        transitions = list(transitions)
+    src, dst, rates = np.asarray(transitions, dtype=float).reshape(-1, 3).T
+    in_range = (0 <= src) & (src < n_states) & (0 <= dst) & (dst < n_states)
+    bad = ~in_range | (src == dst) | ~((rates > 0.0) & np.isfinite(rates))
+    if bad.any():
+        k = int(np.argmax(bad))
+        pair = f"({_index_text(src[k])}, {_index_text(dst[k])})"
+        if not in_range[k]:
+            raise ValidationError(
+                f"transition {pair} outside state range [0, {n_states})"
+            )
+        if src[k] == dst[k]:
+            raise ValidationError(f"self-loop on state {_index_text(src[k])} is not allowed")
+        raise ValidationError(
+            f"transition {pair} needs a positive finite rate, got {float(rates[k])!r}"
+        )
     q = np.zeros((n_states, n_states))
-    for src, dst, rate in transitions:
-        if not (0 <= src < n_states) or not (0 <= dst < n_states):
-            raise ValidationError(
-                f"transition ({src}, {dst}) outside state range [0, {n_states})"
-            )
-        if src == dst:
-            raise ValidationError(f"self-loop on state {src} is not allowed")
-        if not (rate > 0.0) or not math.isfinite(rate):
-            raise ValidationError(
-                f"transition ({src}, {dst}) needs a positive finite rate, got {rate!r}"
-            )
-        q[int(src), int(dst)] += float(rate)
-    np.fill_diagonal(q, -q.sum(axis=1))
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        np.add.at(q, (src.astype(np.intp), dst.astype(np.intp)), rates)
+        exit_rates = q.sum(axis=1)
+    if not np.isfinite(q).all():
+        i, j = np.argwhere(~np.isfinite(q))[0]
+        raise ValidationError(
+            f"transitions ({i}, {j}) sum to a non-finite rate {float(q[i, j])!r}"
+        )
+    if not np.isfinite(exit_rates).all():
+        i = int(np.argmax(~np.isfinite(exit_rates)))
+        raise ValidationError(
+            f"state {i} has a non-finite total exit rate {float(exit_rates[i])!r}"
+        )
+    np.fill_diagonal(q, -exit_rates)
     return GeneratorMatrix(n_states=int(n_states), q=q)
+
+
+def _index_text(x: float) -> str:
+    return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
 def reachable_states(generator: GeneratorMatrix, initial: int) -> set[int]:
@@ -167,10 +195,11 @@ def steady_state(
     ``residual_tol``, so the check is invariant under rescaling time. Raises
     :class:`StructureError` when the reachable subchain contains more than
     one closed class, since then the long-run behavior would depend on the
-    start state.
+    start state. The class search is remembered per pattern ``Q > 0``.
     """
-    reachable = sorted(reachable_states(generator, initial))
-    recurrent = np.flatnonzero(_single_closed_class(generator.q > 0.0, reachable))
+    _check_state(generator, initial)
+    support = np.packbits(generator.q > 0.0).tobytes()
+    recurrent = _recurrent_class(generator.n_states, initial, support)
 
     a = generator.q.T[np.ix_(recurrent, recurrent)]  # a fresh, writable copy
     a[0, :] = 1.0
@@ -192,7 +221,7 @@ def steady_state(
     max_exit = -generator.q.diagonal().min()
     if max_exit > 0.0:
         residual /= max_exit
-    if residual > residual_tol:
+    if not residual <= residual_tol:  # a NaN residual fails too
         raise StructureError(
             f"relative stationary residual {residual:.3e} exceeds tolerance "
             f"{residual_tol:.1e}"
@@ -241,6 +270,19 @@ def _closure(edges: np.ndarray, start: int) -> np.ndarray:
         seen |= frontier
         frontier = edges[frontier].any(axis=0) & ~seen
     return seen
+
+
+@functools.lru_cache(maxsize=32)
+def _recurrent_class(n_states: int, initial: int, support: bytes) -> np.ndarray:
+    """Indices of the closed class reached from ``initial``, memoized by the
+    packed pattern ``Q > 0``: chains that differ only in their rates share
+    the search. A structure that is rejected raises and is not remembered."""
+    bits = np.unpackbits(np.frombuffer(support, dtype=np.uint8), count=n_states * n_states)
+    edges = bits.reshape(n_states, n_states).astype(bool)
+    reachable = np.flatnonzero(_closure(edges, initial)).tolist()
+    recurrent = np.flatnonzero(_single_closed_class(edges, reachable))
+    recurrent.flags.writeable = False
+    return recurrent
 
 
 def _single_closed_class(edges: np.ndarray, reachable: Sequence[int]) -> np.ndarray:

@@ -26,7 +26,9 @@ are referenced. ``//`` starts a line comment.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+import math
+import operator
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Union
 
@@ -172,10 +174,6 @@ def eval_expr(expr: Expr, env: Mapping[str, float]) -> float | bool:
 
 def eval_number(expr: Expr, env: Mapping[str, float]) -> float:
     return _num(eval_expr(expr, env), expr)
-
-
-def eval_guard(expr: Expr, env: Mapping[str, float]) -> bool:
-    return _bool(eval_expr(expr, env), expr)
 
 
 def _num(value, where) -> float:
@@ -842,155 +840,413 @@ def compose(
     rates (omitted rates count as 1); a label confined to a single module
     behaves as unlabeled. Rate expressions are evaluated in the source
     state, so conditional rates may read other modules' variables.
-    Self-loops that change nothing are dropped. Per-structure reward
-    vectors sum all matching reward items per state.
+    Self-loops that change nothing and zero-rate transitions are dropped.
+    Per-structure reward vectors sum all matching reward items per state.
+
+    A spec's structure is compiled once and reused. The first call walks
+    the states breadth-first, evaluating every guard and update, and keeps
+    each candidate transition with the rate expressions it multiplies. A
+    call with other bindings evaluates only the rate and reward expressions
+    (per source state where one reads a state variable) and scatters them
+    into the generator. Compiled forms are remembered, in small bounded
+    memos, per spec object, per values of the constants that guards and
+    updates read, and per pattern of zero rates; states are numbered, and
+    errors raised, exactly where one full walk at these bindings would
+    number them or meet them.
     """
     bindings = dict(bindings or {})
     for name in bindings:
         if name not in spec.constants:
             raise CompositionError(f"binding for undeclared constant {name!r}")
     consts = _resolve_constants(spec, bindings)
+    return _program(spec).skeleton(consts).instantiate(consts)
 
-    variables = spec.variables()
-    var_names = tuple(v.name for v in variables)
-    var_pos = {v.name: k for k, v in enumerate(variables)}
-    ranges = {v.name: (v.low, v.high) for v in variables}
-    initial = tuple(v.init for v in variables)
 
-    label_modules: dict[str, list[int]] = {}
-    for mi, mod in enumerate(spec.modules):
-        for cmd in mod.commands:
-            if cmd.label is not None:
-                mods = label_modules.setdefault(cmd.label, [])
-                if mi not in mods:
-                    mods.append(mi)
+# Value slots every skeleton shares: an omitted rate, and a reward item whose
+# guard is false.
+_ONE, _ZERO = 0, 1
+_MEMO_LIMIT = 16
 
-    # A label used by one module only synchronizes with nothing.
-    plain: list[tuple[str, Command]] = []
-    synced: dict[str, list[tuple[str, list[Command]]]] = {}
-    for label, mods in label_modules.items():
-        if len(mods) >= 2:
-            synced[label] = [
+
+def _recall(memo: dict, key):
+    """The remembered value for ``key`` (refreshed as most recent), or None."""
+    value = memo.pop(key, None)
+    if value is not None:
+        memo[key] = value
+    return value
+
+
+def _remember(memo: dict, key, value) -> None:
+    """Store ``value``, forgetting the least recently used entries when full."""
+    for old in list(memo)[: max(len(memo) - _MEMO_LIMIT + 1, 0)]:
+        memo.pop(old, None)
+    memo[key] = value
+
+
+# Keyed by id(spec). An entry leaves when its spec is freed, so a spec
+# composed once (a listing parsed for one solve) does not outlive its use and
+# no id is reused while its entry lives.
+_PROGRAMS: dict[int, "_Program"] = {}
+
+
+def _program(spec: ModelSpec) -> "_Program":
+    key = id(spec)
+    program = _recall(_PROGRAMS, key)
+    # the rewards dict is the one part of a spec that can change in place
+    if program is None or program.spec() is not spec or program.rewards != spec.rewards:
+        program = _Program(spec)
+        program.spec = weakref.ref(spec, lambda _: _PROGRAMS.pop(key, None))
+        _remember(_PROGRAMS, key, program)
+    return program
+
+
+class _Term:
+    """An expression and the positions of the state variables it reads.
+
+    Its value depends on the constants and on those variables only, so a
+    compile evaluates it once per combination of their values.
+    """
+
+    __slots__ = ("expr", "names", "positions", "key")
+
+    def __init__(self, expr: Expr, var_names: tuple[str, ...]):
+        self.expr = expr
+        self.names = _idents(expr)
+        self.positions = tuple(k for k, v in enumerate(var_names) if v in self.names)
+        self.key = operator.itemgetter(*self.positions) if self.positions else _no_key
+
+    def env(self, consts: Mapping[str, float], state: tuple[int, ...], var_names):
+        return {**consts, **{var_names[p]: state[p] for p in self.positions}}
+
+
+def _no_key(state: tuple[int, ...]) -> tuple:
+    return ()
+
+
+class _Program:
+    """What composition reads off a spec before any constant has a value."""
+
+    def __init__(self, spec: ModelSpec):
+        variables = spec.variables()
+        var_names = self.var_names = tuple(v.name for v in variables)
+        self.initial = tuple(v.init for v in variables)
+        self.rewards = dict(spec.rewards)
+        var_pos = {v.name: k for k, v in enumerate(variables)}
+        ranges = {v.name: (v.low, v.high) for v in variables}
+
+        # Names read by guards and updates: the constants among them decide
+        # the state space.
+        structural: set[str] = set()
+
+        def term(expr: Expr | None, decides_states: bool = False) -> _Term | None:
+            if expr is None:
+                return None
+            found = _Term(expr, var_names)
+            if decides_states:
+                structural.update(found.names)
+            return found
+
+        def command(cmd: Command):
+            """A guard term and, per branch, its rate term and updates."""
+            return term(cmd.guard, True), [
                 (
-                    spec.modules[mi].name,
-                    [c for c in spec.modules[mi].commands if c.label == label],
+                    term(b.rate),
+                    [(u.var, var_pos[u.var], ranges[u.var], term(u.value, True))
+                     for u in b.updates],
                 )
-                for mi in mods
+                for b in cmd.branches
             ]
-    for mod in spec.modules:
-        for cmd in mod.commands:
-            if cmd.label is None or len(label_modules[cmd.label]) < 2:
-                plain.append((mod.name, cmd))
 
-    def apply_branch(state, env, mod_name, branch) -> tuple[int, ...]:
-        new = list(state)
-        for upd in branch.updates:
-            value = eval_number(upd.value, env)
-            if value != int(value):
-                raise CompositionError(
-                    f"update of {upd.var!r} in module {mod_name!r} "
-                    f"produced non-integer {value!r}"
-                )
-            value = int(value)
-            low, high = ranges[upd.var]
-            if not (low <= value <= high):
-                raise CompositionError(
-                    f"update drives {upd.var!r} to {value}, outside [{low}..{high}]"
-                )
-            new[var_pos[upd.var]] = value
-        return tuple(new)
+        label_modules: dict[str, list[int]] = {}
+        for mi, mod in enumerate(spec.modules):
+            for cmd in mod.commands:
+                if cmd.label is not None:
+                    mods = label_modules.setdefault(cmd.label, [])
+                    if mi not in mods:
+                        mods.append(mi)
 
-    def branch_rate(branch, env, mod_name) -> float:
-        if branch.rate is None:
-            return 1.0
-        rate = eval_number(branch.rate, env)
-        if rate < 0.0:
-            raise CompositionError(
-                f"negative rate {rate!r} in module {mod_name!r} "
-                f"(rate {format_expr(branch.rate)})"
-            )
-        return rate
+        # A label used by one module only synchronizes with nothing.
+        self.plain = []
+        self.synced = []
+        for label, mods in label_modules.items():
+            if len(mods) >= 2:
+                self.synced.append([
+                    (
+                        spec.modules[mi].name,
+                        [command(c) for c in spec.modules[mi].commands if c.label == label],
+                    )
+                    for mi in mods
+                ])
+        for mod in spec.modules:
+            for cmd in mod.commands:
+                if cmd.label is None or len(label_modules[cmd.label]) < 2:
+                    self.plain.append((mod.name, *command(cmd)))
+        self.reward_terms = {
+            rname: [(term(i.guard, True), term(i.value)) for i in items]
+            for rname, items in self.rewards.items()
+        }
+        self.structural = tuple(sorted(structural - set(var_names)))
+        self._skeletons: dict[tuple, _Skeleton] = {}
 
-    index: dict[tuple[int, ...], int] = {initial: 0}
-    states: list[tuple[int, ...]] = [initial]
-    edges: dict[tuple[int, int], float] = {}
-    queue: deque[int] = deque([0])
+    def skeleton(self, consts: Mapping[str, float]) -> "_Skeleton":
+        # an undeclared name stays out of the environment, so a guard
+        # reading it fails as it would in a full walk
+        guard_consts = {n: consts[n] for n in self.structural if n in consts}
+        key = tuple(guard_consts.get(n) for n in self.structural)
+        skeleton = _recall(self._skeletons, key)
+        if skeleton is None:
+            skeleton = _Skeleton(self, guard_consts)
+            if not (skeleton.faults or skeleton.reward_faults):
+                _remember(self._skeletons, key, skeleton)
+        return skeleton
 
-    while queue:
-        si = queue.popleft()
-        state = states[si]
-        env = dict(consts)
-        env.update(zip(var_names, state))
 
-        def record(target: tuple[int, ...], rate: float) -> None:
-            if rate == 0.0 or target == state:
-                return
-            ti = index.get(target)
-            if ti is None:
-                ti = len(states)
-                index[target] = ti
-                states.append(target)
-                queue.append(ti)
-            edges[(si, ti)] = edges.get((si, ti), 0.0) + rate
+class _Skeleton:
+    """Every state a walk reaches while no rate is zero, breadth-first.
 
-        for mod_name, cmd in plain:
-            if not eval_guard(cmd.guard, env):
-                continue
-            for branch in cmd.branches:
-                rate = branch_rate(branch, env, mod_name)
-                record(apply_branch(state, env, mod_name, branch), rate)
+    Per state it keeps, in the order a walk meets them, the value slots the
+    walk evaluates (each slot is one rate or reward expression, in one
+    source state only where the expression reads a state variable) and the
+    candidate transitions, each with the slots whose product is its rate. A
+    guard or update that fails is kept as the state's fault, raised only if
+    a walk at some bindings reaches the state.
+    """
 
-        for label, participants in synced.items():
-            # Every participating module needs an enabled command, else the
-            # label is blocked in this state.
-            options: list[list[tuple[float, str, Branch]]] = []
-            for mod_name, cmds in participants:
-                opts = [
-                    (branch_rate(branch, env, mod_name), mod_name, branch)
-                    for cmd in cmds
-                    if eval_guard(cmd.guard, env)
-                    for branch in cmd.branches
-                ]
-                if not opts:
-                    options = []
-                    break
-                options.append(opts)
-            if not options:
-                continue
-            for combo in itertools.product(*options):
-                rate = 1.0
-                target = state
-                for r, mod_name, branch in combo:
-                    rate *= r
-                    # updates read the source state but apply cumulatively
-                    target = apply_branch(target, env, mod_name, branch)
-                record(target, rate)
+    def __init__(self, program: _Program, consts: dict[str, float]):
+        var_names = self.var_names = program.var_names
+        self.slots: list[tuple[str | None, Expr, dict[str, int]]] = []
+        slot_index: dict[tuple, int] = {}
+        # Guard and update values; failures are not remembered, so they
+        # raise again wherever they are met.
+        known: dict[tuple, float | bool] = {}
 
-    generator = build_generator(
-        len(states), [(i, j, r) for (i, j), r in edges.items()]
-    )
+        def value_of(term: _Term, state) -> float | bool:
+            key = (term, term.key(state))
+            value = known.get(key)
+            if value is None:
+                value = known[key] = eval_expr(term.expr, term.env(consts, state, var_names))
+            return value
 
-    rewards: dict[str, np.ndarray] = {}
-    for rname, items in spec.rewards.items():
-        vec = np.zeros(len(states))
-        for si, state in enumerate(states):
-            env = dict(consts)
-            env.update(zip(var_names, state))
-            total = 0.0
-            for item in items:
-                if eval_guard(item.guard, env):
-                    total += eval_number(item.value, env)
-            vec[si] = total
-        vec.flags.writeable = False
-        rewards[rname] = vec
+        def slot(module: str | None, term: _Term | None, state) -> int:
+            if term is None:
+                return _ONE
+            key = (module, term, term.key(state))
+            k = slot_index.get(key)
+            if k is None:
+                k = slot_index[key] = len(self.slots) + 2
+                extra = {var_names[p]: state[p] for p in term.positions}
+                self.slots.append((module, term.expr, extra))
+            return k
 
-    return ComposedChain(
-        generator=generator,
-        var_names=var_names,
-        states=tuple(states),
-        initial=0,
-        rewards=rewards,
-    )
+        def apply_branch(target, source, mod_name, updates) -> tuple[int, ...]:
+            new = list(target)
+            for var, pos, (low, high), term in updates:
+                value = _num(value_of(term, source), term.expr)
+                if not math.isfinite(value) or value != int(value):
+                    raise CompositionError(
+                        f"update of {var!r} in module {mod_name!r} "
+                        f"produced non-integer {value!r}"
+                    )
+                value = int(value)
+                if not (low <= value <= high):
+                    raise CompositionError(
+                        f"update drives {var!r} to {value}, outside [{low}..{high}]"
+                    )
+                new[pos] = value
+            return tuple(new)
+
+        index = {program.initial: 0}
+        states = [program.initial]
+        self.site_slots: list[list[int]] = []
+        self.faults: dict[int, Exception] = {}
+        edge_dst: list[int] = []
+        edge_factors: list[tuple[int, ...]] = []
+        edge_start: list[int] = []
+
+        for si, state in enumerate(states):  # grows as the walk finds states
+            sites: list[int] = []
+            self.site_slots.append(sites)
+            edge_start.append(len(edge_dst))
+
+            def record(target: tuple[int, ...], factors: tuple[int, ...]) -> None:
+                if target == state:
+                    return
+                ti = index.get(target)
+                if ti is None:
+                    ti = index[target] = len(states)
+                    states.append(target)
+                edge_dst.append(ti)
+                edge_factors.append(factors)
+
+            try:
+                for mod_name, guard, branches in program.plain:
+                    if not _bool(value_of(guard, state), guard.expr):
+                        continue
+                    for rate, updates in branches:
+                        k = slot(mod_name, rate, state)
+                        sites.append(k)
+                        record(apply_branch(state, state, mod_name, updates), (k,))
+
+                for participants in program.synced:
+                    # Every participating module needs an enabled command,
+                    # else the label is blocked in this state.
+                    options: list[list[tuple[int, str, list]]] = []
+                    for mod_name, commands in participants:
+                        opts = []
+                        for guard, branches in commands:
+                            if _bool(value_of(guard, state), guard.expr):
+                                for rate, updates in branches:
+                                    k = slot(mod_name, rate, state)
+                                    sites.append(k)
+                                    opts.append((k, mod_name, updates))
+                        if not opts:
+                            options = []
+                            break
+                        options.append(opts)
+                    if not options:
+                        continue
+                    for combo in itertools.product(*options):
+                        target = state
+                        for _, mod_name, updates in combo:
+                            # updates read the source state but apply cumulatively
+                            target = apply_branch(target, state, mod_name, updates)
+                        record(target, tuple(k for k, _, _ in combo))
+            except ModelError as err:  # raised only where a walk reaches this state
+                self.faults[si] = err
+        edge_start.append(len(edge_dst))
+
+        self.states = states
+        self.edge_start = edge_start
+        self.edge_dst = edge_dst
+        width = max((len(f) for f in edge_factors), default=1)
+        self.edge_slots = np.full((len(edge_factors), width), _ONE, dtype=np.intp)
+        for e, factors in enumerate(edge_factors):
+            self.edge_slots[e, : len(factors)] = factors
+
+        # Reward guards per state; a false guard points at the zero slot.
+        self.reward_slots: dict[str, np.ndarray] = {}
+        self.reward_faults: dict[tuple[str, int], Exception] = {}
+        for rname, items in program.reward_terms.items():
+            table = np.full((len(states), len(items)), _ZERO, dtype=np.intp)
+            for si, state in enumerate(states):
+                for k, (guard, value) in enumerate(items):
+                    try:
+                        enabled = _bool(value_of(guard, state), guard.expr)
+                    except ModelError as err:  # raised only if the state is reached
+                        self.reward_faults[(rname, si)] = err
+                        break
+                    if enabled:
+                        table[si, k] = slot(None, value, state)
+            self.reward_slots[rname] = table
+        self._structures: dict[bytes, _Structure] = {}
+
+    def evaluate(self, consts: Mapping[str, float]) -> tuple[np.ndarray, dict[int, Exception]]:
+        """Every slot's value at ``consts``; failed slots read NaN and keep
+        their error, raised only where a walk meets the slot."""
+        values = [1.0, 0.0]
+        errors: dict[int, Exception] = {}
+        for k, (module, expr, extra) in enumerate(self.slots, start=2):
+            try:
+                value = eval_number(expr, {**consts, **extra} if extra else consts)
+                if module is not None and value < 0.0:
+                    raise CompositionError(
+                        f"negative rate {value!r} in module {module!r} "
+                        f"(rate {format_expr(expr)})"
+                    )
+            except ModelError as err:
+                errors[k] = err
+                value = float("nan")
+            values.append(value)
+        return np.array(values), errors
+
+    def instantiate(self, consts: Mapping[str, float]) -> ComposedChain:
+        values, errors = self.evaluate(consts)
+        rates = values[self.edge_slots[:, 0]]
+        with np.errstate(all="ignore"):  # as Python floats: inf, NaN or 0, no warning
+            for k in range(1, self.edge_slots.shape[1]):
+                rates = rates * values[self.edge_slots[:, k]]
+        live = rates != 0.0
+        key = live.tobytes()
+        structure = _recall(self._structures, key)
+        if structure is None:
+            structure = _Structure(self, live)
+            _remember(self._structures, key, structure)
+        if errors or self.faults:
+            structure.raise_transition_error(self, errors)
+
+        pair_rates = np.bincount(
+            structure.edge_pair, weights=rates[structure.edges], minlength=len(structure.pairs)
+        )
+        generator = build_generator(
+            len(structure.states), np.column_stack((structure.pairs, pair_rates))
+        )
+        if errors or self.reward_faults:
+            structure.raise_reward_error(self, errors)
+        rewards: dict[str, np.ndarray] = {}
+        for rname, table in self.reward_slots.items():
+            vec = np.zeros(len(structure.states))
+            for column in table[structure.keep].T:  # summed in item order
+                vec += values[column]
+            vec.flags.writeable = False
+            rewards[rname] = vec
+        return ComposedChain(
+            generator=generator,
+            var_names=self.var_names,
+            states=structure.states,
+            initial=0,
+            rewards=rewards,
+        )
+
+
+class _Structure:
+    """The states and transitions a walk keeps under one pattern of live
+    (nonzero-rate) candidate transitions, numbered in the walk's order."""
+
+    def __init__(self, skeleton: _Skeleton, live: np.ndarray):
+        new = {0: 0}
+        order = [0]
+        edges: list[int] = []
+        edge_pair: list[int] = []
+        pairs: dict[tuple[int, int], int] = {}
+        for s in order:  # grows as the walk finds states
+            for e in range(skeleton.edge_start[s], skeleton.edge_start[s + 1]):
+                if not live[e]:
+                    continue
+                t = skeleton.edge_dst[e]
+                ti = new.get(t)
+                if ti is None:
+                    ti = new[t] = len(order)
+                    order.append(t)
+                edges.append(e)
+                edge_pair.append(pairs.setdefault((new[s], ti), len(pairs)))
+        self.order = order
+        self.keep = np.array(order, dtype=np.intp)
+        self.states = tuple(skeleton.states[s] for s in order)
+        self.edges = np.array(edges, dtype=np.intp)
+        self.edge_pair = np.array(edge_pair, dtype=np.intp)
+        self.pairs = np.array(list(pairs), dtype=float).reshape(-1, 2)
+
+    def raise_transition_error(
+        self, skeleton: _Skeleton, errors: Mapping[int, Exception]
+    ) -> None:
+        """Raise the first error a walk of these states would meet, if any."""
+        for s in self.order:
+            for k in skeleton.site_slots[s]:
+                if k in errors:
+                    raise errors[k]
+            if s in skeleton.faults:
+                raise skeleton.faults[s]
+
+    def raise_reward_error(self, skeleton: _Skeleton, errors: Mapping[int, Exception]) -> None:
+        """Raise the first error met tabulating the rewards, if any: reward
+        structure by structure, state by state, item by item."""
+        for rname, table in skeleton.reward_slots.items():
+            for s in self.order:
+                for k in table[s]:
+                    if int(k) in errors:
+                        raise errors[int(k)]
+                if (rname, s) in skeleton.reward_faults:
+                    raise skeleton.reward_faults[(rname, s)]
 
 
 def _resolve_constants(

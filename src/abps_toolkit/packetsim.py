@@ -547,9 +547,20 @@ class ReplicationResult:
     stats: Mapping[str, MetricStats]
     runs: tuple[SimMetrics, ...]
 
-    def within(self, metric: str, reference: float, k: float = 3.0) -> bool:
+    def z(self, metric: str, reference: float) -> float:
+        """Distance of the sample mean from ``reference`` in standard errors.
+
+        With a zero standard error the distance is 0 when the mean equals
+        the reference exactly and infinite otherwise.
+        """
         s = self.stats[metric]
-        return abs(s.mean - reference) <= k * s.se
+        distance = abs(s.mean - reference)
+        if s.se > 0:
+            return distance / s.se
+        return math.inf if s.mean != reference else 0.0
+
+    def within(self, metric: str, reference: float, k: float = 3.0) -> bool:
+        return self.z(metric, reference) <= k
 
 
 def derive_seeds(root_seed: int, n: int) -> list[int]:

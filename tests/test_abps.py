@@ -184,6 +184,30 @@ class TestBuilders:
             )
             assert modlang.equivalent(built, parsed)
 
+    def test_builder_spec_prints_as_a_listing_equal_to_the_bundled_one(self):
+        # format_model is the builder's listing: it parses back to the same
+        # spec, which agrees with the bundled listing at every grid point
+        p = default_params()
+        for variant in ("plain", "oracle"):
+            spec = abps.build(variant, p, mode="appendix").spec
+            printed = modlang.parse(modlang.format_model(spec))
+            assert printed == spec
+            listing = modlang.parse_file(reference_model_path(variant))
+            for t_minus in abps.DEFAULT_T_MINUS_GRID:
+                for t_plus in abps.DEFAULT_T_PLUS_GRID:
+                    point = p.with_windows(t_minus, t_plus)
+                    ours = modlang.compose(printed, resolved_rates(point, "appendix"))
+                    theirs = modlang.compose(
+                        listing, {"T_W_minus": t_minus, "T_W_plus": t_plus}
+                    )
+                    assert modlang.equivalent(ours, theirs), (variant, t_minus, t_plus)
+
+    def test_one_spec_per_variant_rates_bound_per_point(self):
+        a = abps.build("oracle", default_params(), mode="text")
+        b = abps.build("oracle", default_params(T_W_minus=10.0), mode="appendix")
+        assert a.spec is b.spec
+        assert set(a.spec.external_parameters) == set(resolved_rates(default_params(), "text"))
+
     def test_text_mode_differs_from_reference_listing(self):
         built = build_oracle(default_params(), mode="text").chain
         parsed = modlang.compose(

@@ -1,12 +1,16 @@
 """Command-line contract tests: output formats and stable exit codes."""
 
 import math
+from pathlib import Path
+
+import pytest
 
 from abps_toolkit import cli, coverage
 from abps_toolkit.abps import reference_model_path
 from abps_toolkit.packetsim import derive_seeds
 
 M = 180.0 / (math.pi * coverage.EARTH_RADIUS_M)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -250,3 +254,23 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(walk), str(catalog))
         assert (code, out) == (2, "")
         assert "sample 1" in err and "timestamp" in err
+
+
+class TestSweepGolden:
+    """``abps sweep`` prints the bytes recorded with the earlier composer,
+    which walked the whole chain again at every grid point."""
+
+    GRIDS = {
+        "default": (),
+        "grid2": ("--grid", "tmin:3,7.5,13,55", "tplus:60,61,300"),
+        "errors": ("--grid", "tmin:0,20,90", "tplus:10,80"),  # bad-window rows
+    }
+
+    @pytest.mark.parametrize("mode", ["text", "appendix"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_sweep_csv_unchanged(self, capsys, grid, mode):
+        expected = (GOLDEN / f"sweep_{grid}_{mode}.csv").read_text(encoding="utf-8")
+        for _ in range(2):  # the second run reuses the compiled chains
+            code, out, _ = run(capsys, "sweep", "--mode", mode, *self.GRIDS[grid])
+            assert code == 0
+            assert out == expected

@@ -63,6 +63,18 @@ class TestBuildGenerator:
         with pytest.raises(ValidationError):
             build_generator(2, [(1, 1, 1.0)])
 
+    def test_non_finite_sums_rejected(self):
+        # each rate is finite, but the parallel pair and the row overflow
+        with pytest.raises(ValidationError, match=r"\(0, 1\) sum to a non-finite rate inf"):
+            build_generator(2, [(0, 1, 1e308), (0, 1, 1e308), (1, 0, 1.0)])
+        with pytest.raises(ValidationError, match="state 0 has a non-finite total exit rate"):
+            build_generator(3, [(0, 1, 1e308), (0, 2, 1e308), (1, 0, 1.0), (2, 0, 1.0)])
+
+    def test_array_input_matches_triples(self):
+        triples = [(0, 1, 1.0), (1, 2, 0.5), (0, 1, 0.25), (2, 0, 3.0)]
+        from_array = build_generator(3, np.array(triples))
+        assert np.array_equal(from_array.q, build_generator(3, iter(triples)).q)
+
     def test_row_sums_zero(self):
         rng = np.random.default_rng(7)
         q = _random_irreducible(rng, 12)
@@ -154,6 +166,26 @@ class TestSteadyState:
         q = build_generator(3, [(0, 1, 1e8), (1, 2, 2e8), (2, 0, 3e8)])
         pi = steady_state(q, 0).probabilities
         np.testing.assert_allclose(pi, [6 / 11, 3 / 11, 2 / 11], atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_residual_fails(self):
+        # a generator assembled without build_generator's checks: pi Q is NaN
+        q = GeneratorMatrix(2, np.array([[-np.inf, np.inf], [1.0, -1.0]]))
+        with pytest.raises(StructureError):
+            steady_state(q, 0)
+
+    def test_class_search_shared_by_rates_not_by_pattern(self):
+        # same pattern Q > 0 at other rates, then a pattern that differs
+        for scale in (1.0, 7.0):
+            q = build_generator(3, [(0, 1, scale), (1, 2, 1.0), (2, 1, 3.0)])
+            np.testing.assert_allclose(steady_state(q, 0).probabilities,
+                                       [0.0, 0.75, 0.25], atol=1e-12)
+        q = build_generator(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 3.0)])
+        assert steady_state(q, 0).probabilities.min() > 0.0
+        with pytest.raises(StructureError, match="closed classes"):
+            steady_state(build_generator(3, [(0, 1, 1.0), (0, 2, 1.0)]), 0)
+        with pytest.raises(StructureError, match="closed classes"):  # not remembered as valid
+            steady_state(build_generator(3, [(0, 1, 2.0), (0, 2, 1.0)]), 0)
 
     def test_result_independent_of_start_state(self):
         rng = np.random.default_rng(11)

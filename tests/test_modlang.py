@@ -1,11 +1,12 @@
 """Parser and composer tests, including the shipped reference listings."""
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
-from abps_toolkit import modlang
+from abps_toolkit import abps, modlang
 from abps_toolkit.modlang import (
     Branch,
     Command,
@@ -25,7 +26,7 @@ from abps_toolkit.modlang import (
     format_model,
     parse,
 )
-from abps_toolkit.abps import reference_model_path
+from abps_toolkit.abps import default_params, reference_model_path, resolved_rates
 
 BINDINGS = {"T_W_minus": 20.0, "T_W_plus": 80.0}
 
@@ -339,6 +340,16 @@ class TestCompose:
         with pytest.raises(CompositionError, match="outside"):
             compose(parse(text))
 
+    def test_non_finite_update_rejected(self):
+        text = """ctmc
+        const double big = 1e308;
+        module m x : [0..1] init 0;
+          [] x=0 -> 1.0:(x'=big*10);
+        endmodule
+        """
+        with pytest.raises(CompositionError, match="non-integer inf"):
+            compose(parse(text))
+
     def test_conditional_rate_reads_other_module(self):
         text = """ctmc
         module a x : [0..1] init 0;
@@ -370,6 +381,125 @@ class TestCompose:
         idx = {chain.states[i]: i for i in range(chain.n_states)}
         assert chain.rewards["r"][idx[(0,)]] == 0.5
         assert chain.rewards["r"][idx[(1,)]] == 2.5
+
+
+def snapshot(chain):
+    """Everything a composed chain carries, bit for bit."""
+    return (chain.var_names, chain.states, chain.initial, chain.generator.q.tobytes(),
+            {name: vec.tobytes() for name, vec in chain.rewards.items()})
+
+
+def outcome(spec, bindings):
+    try:
+        return snapshot(compose(spec, bindings))
+    except modlang.ModelError as err:
+        return type(err), str(err)
+
+
+class TestCompiledCompose:
+    """compose reuses a spec's compiled structure; every call must still
+    equal a compile from scratch (a deep copy is a spec never seen before)."""
+
+    def warm_then_fresh(self, spec, *bindings_seq):
+        outcomes = []
+        for bindings in bindings_seq:
+            warm = outcome(spec, bindings)
+            assert warm == outcome(copy.deepcopy(spec), bindings)
+            outcomes.append(warm)
+        return outcomes
+
+    @pytest.mark.parametrize("variant", ["plain", "oracle"])
+    @pytest.mark.parametrize("mode", ["text", "appendix"])
+    @pytest.mark.parametrize("certain", ["p_U", "p_W"])
+    def test_certain_setup_drops_fail_transitions(self, variant, mode, certain):
+        # p = 1 zeroes a setup-fail rate, which removes its transitions
+        spec = abps.build(variant, default_params(), mode).spec
+        usual = resolved_rates(default_params(), mode)
+        sure = resolved_rates(default_params(**{certain: 1.0}), mode)
+        before, after, again = self.warm_then_fresh(spec, usual, sure, usual)
+        assert before == again
+        q_before, q_after = (np.frombuffer(o[3]).reshape(len(o[1]), -1) for o in (before, after))
+        assert np.count_nonzero(q_after) < np.count_nonzero(q_before)
+
+    def test_guard_and_update_constants_change_the_states(self):
+        spec = parse("""ctmc
+        const double k;
+        const double r;
+        module m x : [0..3] init 0;
+          [] x=0 -> r:(x'=k);
+          [] x!=0 -> 1.0:(x'=0);
+        endmodule
+        module n y : [0..1] init 0;
+          [] y=0 & k=2 -> 1.0:(y'=1);
+          [] y=1 -> 2.0:(y'=0);
+        endmodule
+        rewards "r"
+          x=k : 1.0;
+          y=1 : r;
+        endrewards
+        """)
+        seq = [{"k": 1, "r": 0.5}, {"k": 2, "r": 0.5}, {"k": 3, "r": 2.0},
+               {"k": 2, "r": 0.0}, {"k": 1, "r": 0.5}, {"k": 2.5, "r": 1.0}]
+        results = self.warm_then_fresh(spec, *seq)
+        states = [set(r[1]) if len(r) == 5 else r for r in results]
+        assert states[0] == {(0, 0), (1, 0)}
+        assert states[1] == {(0, 0), (2, 0), (0, 1), (2, 1)}
+        assert states[2] == {(0, 0), (3, 0)}
+        assert states[3] == {(0, 0), (0, 1)}  # r = 0: x never leaves 0
+        assert results[4] == results[0]
+        for bindings, result in zip(seq[:5], results):
+            rewards = np.frombuffer(result[4]["r"])
+            expected = [(x == bindings["k"]) * 1.0 + (y == 1) * bindings["r"]
+                        for x, y in result[1]]
+            assert rewards.tolist() == expected
+        assert results[5] == (CompositionError,
+                              "update of 'x' in module 'm' produced non-integer 2.5")
+
+    def test_errors_keep_their_text(self):
+        spec = parse("""ctmc
+        const double a;
+        const double b;
+        const double w;
+        module m x : [0..2] init 0;
+          [] x=0 -> a:(x'=1);
+          [] x=1 -> b:(x'=2);
+          [] x=2 -> 1/w:(x'=0);
+        endmodule
+        """)
+        ok, hidden, negative, division, again = self.warm_then_fresh(
+            spec,
+            {"a": 1.0, "b": 1.0, "w": 1.0},
+            {"a": 0.0, "b": -1.0, "w": 1.0},  # the negative rate is never reached
+            {"a": 1.0, "b": -1.0, "w": 1.0},
+            {"a": 1.0, "b": 1.0, "w": 0.0},
+            {"a": 1.0, "b": 1.0, "w": 1.0},
+        )
+        assert len(ok[1]) == 3 and hidden[1] == ((0,),)
+        assert negative == (CompositionError,
+                            "negative rate -1.0 in module 'm' (rate b)")
+        assert division == (CompositionError, "division by zero in (1.0 / w)")
+        assert again == ok
+
+    def test_listing_division_by_zero_after_warm_cache(self):
+        spec = parse_reference("oracle")
+        good, bad, back = self.warm_then_fresh(
+            spec, BINDINGS, {"T_W_minus": 0.0, "T_W_plus": 80.0}, BINDINGS)
+        assert bad == (CompositionError, "division by zero in (1.0 / T_W_minus)")
+        assert back == good
+
+    def test_rewards_changed_in_place_are_read(self):
+        spec = parse("""ctmc
+        module m x : [0..1] init 0;
+          [] x=0 -> 1.0:(x'=1);
+          [] x=1 -> 1.0:(x'=0);
+        endmodule
+        rewards "r"
+          x=1 : 2.0;
+        endrewards
+        """)
+        assert list(compose(spec).rewards["r"]) == [0.0, 2.0]
+        spec.rewards["r"] = (modlang.RewardItem(modlang.Bool(True), Num(3.0)),)
+        assert list(compose(spec).rewards["r"]) == [3.0, 3.0]
 
 
 class TestEquivalence:

@@ -208,6 +208,20 @@ class TestReplicate:
         assert rep.within("availability", stat.mean)
         assert not rep.within("availability", stat.mean + 10 * (stat.se + 1e-12))
 
+    def test_z_score(self):
+        stats = {
+            "spread": packetsim.MetricStats(mean=1.0, se=0.5),
+            "exact": packetsim.MetricStats(mean=2.0, se=0.0),
+        }
+        rep = packetsim.ReplicationResult(n=2, stats=stats, runs=())
+        assert rep.z("spread", 2.5) == 3.0
+        assert rep.within("spread", 2.5) and not rep.within("spread", 2.6)
+        # a zero standard error: no distance at the mean, infinite elsewhere
+        assert rep.z("exact", 2.0) == 0.0
+        assert rep.within("exact", 2.0)
+        assert rep.z("exact", 2.0 + 1e-15) == float("inf")
+        assert not rep.within("exact", 2.0 + 1e-15, k=1e300)
+
     def test_power_tracks_mode(self):
         params = default_params()
         cfg = quiet(duration=2e4, seed=31, replications=4)
