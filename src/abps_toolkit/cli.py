@@ -8,6 +8,7 @@ model parameters, malformed records).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from abps_toolkit import abps, coverage, modlang, packetsim
@@ -265,8 +266,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process. Building it costs about 20 times
+    as much as parsing a command line: argparse makes a help formatter, which
+    reads the terminal size, for every argument it adds."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (_InputError, ValidationError, StructureError, modlang.ModelError,

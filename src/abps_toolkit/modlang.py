@@ -1252,49 +1252,51 @@ class _Structure:
 def _resolve_constants(
     spec: ModelSpec, bindings: Mapping[str, float]
 ) -> dict[str, float]:
-    resolved: dict[str, float] = {}
-    resolving: set[str] = set()
+    env = _ConstantEnv(spec, bindings)
+    for name in spec.constants:
+        env[name]
+    return env.resolved
 
-    def resolve(name: str) -> float:
-        if name in resolved:
-            return resolved[name]
-        if name in resolving:
+
+class _ConstantEnv(Mapping):
+    """Constants resolved on demand, so a definition may name a later one.
+
+    The environment evaluates definitions itself and holds no reference to
+    itself, so the spec it reads is freed by reference counting alone; a
+    resolver closure that names itself would keep the spec alive until the
+    cyclic collector ran.
+    """
+
+    def __init__(self, spec: ModelSpec, bindings: Mapping[str, float]):
+        self._spec = spec
+        self._bindings = bindings
+        self._resolving: set[str] = set()
+        self.resolved: dict[str, float] = {}
+
+    def __getitem__(self, name: str) -> float:
+        if name in self.resolved:
+            return self.resolved[name]
+        if name not in self._spec.constants:
+            raise KeyError(name)
+        if name in self._resolving:
             raise CompositionError(f"circular constant definition involving {name!r}")
-        if name in bindings:
-            resolved[name] = float(bindings[name])
-            return resolved[name]
-        expr = spec.constants[name]
-        if expr is None:
-            raise UnboundParameterError(name)
-        resolving.add(name)
-        env = _LazyEnv(resolve, set(spec.constants))
-        value = eval_number(expr, env)
-        resolving.discard(name)
-        resolved[name] = value
+        if name in self._bindings:
+            value = float(self._bindings[name])
+        else:
+            expr = self._spec.constants[name]
+            if expr is None:
+                raise UnboundParameterError(name)
+            self._resolving.add(name)
+            value = eval_number(expr, self)
+            self._resolving.discard(name)
+        self.resolved[name] = value
         return value
 
-    for name in spec.constants:
-        resolve(name)
-    return resolved
-
-
-class _LazyEnv(Mapping):
-    """Environment that resolves constants on demand (for nested definitions)."""
-
-    def __init__(self, resolver, names):
-        self._resolver = resolver
-        self._names = names
-
-    def __getitem__(self, name):
-        if name not in self._names:
-            raise KeyError(name)
-        return self._resolver(name)
-
     def __iter__(self):
-        return iter(self._names)
+        return iter(self._spec.constants)
 
     def __len__(self):
-        return len(self._names)
+        return len(self._spec.constants)
 
 
 # --------------------------------------------------------------------------

@@ -58,6 +58,8 @@ from abps_toolkit.abps import (
 from abps_toolkit.ctmc import ValidationError
 
 ORACLE_STATE_NAMES = {ORACLE_U: "O_U", ORACLE_UW: "O_UW", ORACLE_W: "O_W"}
+# Trace event of an oracle move, by the state it enters.
+_ORACLE_EVENTS = {ORACLE_U: "EV_NO_WIFI", ORACLE_UW: "EV_SHORT_WIFI", ORACLE_W: "EV_LONG_WIFI"}
 
 # Event classes in tie-breaking order.
 _EV_ORACLE, _EV_NIC, _EV_DATA, _EV_ACK, _EV_TIMEOUT = range(5)
@@ -110,10 +112,18 @@ class Datagram:
 @dataclass
 class NicState:
     technology: str
+    scales: list[float]   # mean sojourn 1/rate per phase; 0 = the phase never ends (off)
+    p_setup_ok: float     # chance that a finished setup connects
     phase: int = PHASE_DISCONNECTED
     active: bool = True
     generation: int = 0   # bumping it cancels the scheduled transition
-    entered: float = 0.0
+
+
+def _nic_state(technology: str, alpha: float, success: float, fail: float,
+               gamma: float, mu: float) -> NicState:
+    setup = success + fail
+    scales = [0.0, 1.0 / alpha, 1.0 / setup, 1.0 / gamma, 1.0 / mu]  # by phase
+    return NicState(technology, scales, success / setup)
 
 
 @dataclass(frozen=True)
@@ -149,39 +159,41 @@ class _Simulation:
         self.variant = variant
         self.mode = mode
         self.trace = trace
-        self.rates = resolved_rates(params, mode)
-        self.rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
+        # scale * standard_exponential() is bit for bit rng.exponential(scale)
+        self.draw = rng.standard_exponential
+        self.uniform = rng.random
 
         self.now = 0.0
         self.last_accrual = 0.0
         self.serial = itertools.count()
         self.heap: list[tuple] = []
 
-        self.nics = {"UMTS": NicState("UMTS"), "WiFi": NicState("WiFi")}
+        r = resolved_rates(params, mode)
+        self.umts = _nic_state("UMTS", r["alpha_U"], r["umts_setup_success"],
+                               r["umts_setup_fail"], r["gamma_U"], r["mu_U"])
+        self.wifi = _nic_state("WiFi", r["alpha_W"], r["wifi_setup_success"],
+                               r["wifi_setup_fail"], r["gamma_W_minus"], r["mu_W"])
+        self.nics = {"UMTS": self.umts, "WiFi": self.wifi}
         self.available: set[str] = set()
         self.oracle_state = ORACLE_UW
         self.oracle_gen = 0
         self.oracle_entered = 0.0
+        # WiFi's connected sojourn ends at a rate set by the oracle state
+        self.wifi_hold_scale = {ORACLE_U: 1.0 / r["gamma_W_minus"],
+                                ORACLE_UW: 1.0 / r["gamma_W_minus"],
+                                ORACLE_W: 1.0 / r["gamma_W_plus"]}
+        self.lambda_uw_u = r["lambda_UW_U"]
+        self.lambda_uw = r["lambda_UW_U"] + r["lambda_UW_W"]
+        self.oracle_scale = {ORACLE_U: 1.0 / r["lambda_U_UW"],
+                             ORACLE_UW: 1.0 / self.lambda_uw,
+                             ORACLE_W: 1.0 / r["lambda_W_UW"]}
 
-        # Per-state tables keep the hot accrual path cheap.
-        self._available = [[state_available(u, w) for w in range(5)] for u in range(5)]
-        self._power = [
-            [state_power(u, w, params, mode, variant) for w in range(5)]
-            for u in range(5)
-        ]
-        self._tput = [
-            [state_throughput(u, w, params) for w in range(5)] for u in range(5)
-        ]
-
-        self.acc_avail = 0.0
-        self.acc_power = 0.0
-        self.acc_tput = 0.0
-        self.occupancy: dict[tuple[int, int, int], float] = {}
+        # time spent per (UMTS phase, WiFi phase, oracle state), at cell
+        # (u * 5 + w) * 4 + o; every time-based metric is derived from it
+        self.occupancy = [0.0] * 100
         self.oracle_sojourn_sum = {ORACLE_U: 0.0, ORACLE_UW: 0.0, ORACLE_W: 0.0}
         self.oracle_sojourn_cnt = {ORACLE_U: 0, ORACLE_UW: 0, ORACLE_W: 0}
-        self.phase_time: dict[str, list[float]] = {
-            "UMTS": [0.0] * 5, "WiFi": [0.0] * 5
-        }
 
         self.next_seq = 0
         self.pending: dict[int, Datagram] = {}
@@ -200,128 +212,70 @@ class _Simulation:
     def _push(self, when: float, kind: int, *payload) -> None:
         heapq.heappush(self.heap, (when, kind, next(self.serial), *payload))
 
-    def _exp(self, rate: float) -> float:
-        return float(self.rng.exponential(1.0 / rate))
-
-    def _wifi_gamma(self) -> float:
-        if self.oracle_state == ORACLE_W:
-            return self.rates["gamma_W_plus"]
-        return self.rates["gamma_W_minus"]
-
-    def _phase_rate(self, nic: NicState) -> float:
-        r = self.rates
-        if nic.technology == "UMTS":
-            table = {
-                PHASE_DISCONNECTED: r["alpha_U"],
-                PHASE_SETUP: r["umts_setup_success"] + r["umts_setup_fail"],
-                PHASE_CONNECTED: r["gamma_U"],
-                PHASE_FAILED: r["mu_U"],
-            }
-        else:
-            table = {
-                PHASE_DISCONNECTED: r["alpha_W"],
-                PHASE_SETUP: r["wifi_setup_success"] + r["wifi_setup_fail"],
-                PHASE_CONNECTED: self._wifi_gamma(),
-                PHASE_FAILED: r["mu_W"],
-            }
-        return table.get(nic.phase, 0.0)
-
     def _schedule_nic(self, nic: NicState) -> None:
-        rate = self._phase_rate(nic)
-        if rate > 0.0:
-            self._push(self.now + self._exp(rate), _EV_NIC, nic.technology, nic.generation)
+        scale = nic.scales[nic.phase]
+        if scale:
+            heapq.heappush(self.heap, (self.now + scale * self.draw(), _EV_NIC,
+                                       next(self.serial), nic, nic.generation))
 
     def _schedule_oracle(self) -> None:
-        r = self.rates
-        rate = {
-            ORACLE_U: r["lambda_U_UW"],
-            ORACLE_UW: r["lambda_UW_U"] + r["lambda_UW_W"],
-            ORACLE_W: r["lambda_W_UW"],
-        }[self.oracle_state]
-        self._push(self.now + self._exp(rate), _EV_ORACLE, self.oracle_gen)
-
-    # -- bookkeeping --------------------------------------------------------
+        scale = self.oracle_scale[self.oracle_state]
+        self._push(self.now + scale * self.draw(), _EV_ORACLE, self.oracle_gen)
 
     def _accrue(self) -> None:
-        dt = self.now - self.last_accrual
-        if dt <= 0.0:
-            return
-        u = self.nics["UMTS"].phase
-        w = self.nics["WiFi"].phase
-        if self._available[u][w]:
-            self.acc_avail += dt
-        self.acc_power += dt * self._power[u][w]
-        self.acc_tput += dt * self._tput[u][w]
-        key = (u, w, self.oracle_state)
-        self.occupancy[key] = self.occupancy.get(key, 0.0) + dt
-        self.phase_time["UMTS"][u] += dt
-        self.phase_time["WiFi"][w] += dt
-        self.last_accrual = self.now
-
-    def _emit(self, entity: str, event: str, detail: str) -> None:
-        if self.trace is not None:
-            self.trace(self.now, entity, event, detail)
+        now = self.now
+        cell = (self.umts.phase * 5 + self.wifi.phase) * 4 + self.oracle_state
+        self.occupancy[cell] += now - self.last_accrual
+        self.last_accrual = now
 
     # -- interface state machine --------------------------------------------
 
-    def _set_phase(self, nic: NicState, phase: int) -> None:
-        nic.phase = phase
-        nic.entered = self.now
-        nic.generation += 1
-        self._schedule_nic(nic)
-
-    def _nic_fire(self, tech: str, generation: int) -> None:
-        nic = self.nics[tech]
+    def _nic_fire(self, nic: NicState, generation: int) -> None:
         if generation != nic.generation:
             return
         self._accrue()
-        r = self.rates
         phase = nic.phase
         if phase == PHASE_DISCONNECTED:
             new = PHASE_SETUP
         elif phase == PHASE_SETUP:
-            if tech == "UMTS":
-                p_ok = r["umts_setup_success"] / (
-                    r["umts_setup_success"] + r["umts_setup_fail"]
-                )
-            else:
-                p_ok = r["wifi_setup_success"] / (
-                    r["wifi_setup_success"] + r["wifi_setup_fail"]
-                )
-            new = PHASE_CONNECTED if self.rng.random() < p_ok else PHASE_DISCONNECTED
+            new = PHASE_CONNECTED if self.uniform() < nic.p_setup_ok else PHASE_DISCONNECTED
         elif phase == PHASE_CONNECTED:
             new = PHASE_FAILED
-        elif phase == PHASE_FAILED:
+        else:  # failed; an off interface has no clock
             new = PHASE_DISCONNECTED
-        else:
-            return
-        self._emit(f"nic:{tech}", "phase", f"{NIC_PHASES[phase]}->{NIC_PHASES[new]}")
-        self._set_phase(nic, new)
+        if self.trace is not None:
+            self.trace(self.now, f"nic:{nic.technology}", "phase",
+                       f"{NIC_PHASES[phase]}->{NIC_PHASES[new]}")
+        nic.phase = new
+        nic.generation += 1
+        self._schedule_nic(nic)
         if new == PHASE_CONNECTED:
-            self.available.add(tech)
+            self.available.add(nic.technology)
             self._flush_parked()
-        elif phase == PHASE_FAILED and new == PHASE_DISCONNECTED:
+        elif phase == PHASE_FAILED:
             # only now does the proxy learn the connection dropped
-            self.available.discard(tech)
+            self.available.discard(nic.technology)
 
-    def _force_off(self, tech: str) -> None:
-        nic = self.nics[tech]
+    def _force_off(self, nic: NicState) -> None:
         nic.active = False
-        self.available.discard(tech)
+        self.available.discard(nic.technology)
         if nic.phase == PHASE_OFF:
             return
-        self._emit(f"nic:{tech}", "phase", f"{NIC_PHASES[nic.phase]}->off (forced)")
+        if self.trace is not None:
+            self.trace(self.now, f"nic:{nic.technology}", "phase",
+                       f"{NIC_PHASES[nic.phase]}->off (forced)")
         nic.phase = PHASE_OFF
-        nic.entered = self.now
         nic.generation += 1  # cancels any scheduled transition
 
-    def _force_on(self, tech: str) -> None:
-        nic = self.nics[tech]
+    def _force_on(self, nic: NicState) -> None:
         nic.active = True
         if nic.phase != PHASE_OFF:
             return
-        self._emit(f"nic:{tech}", "phase", "off->disconnected (forced)")
-        self._set_phase(nic, PHASE_DISCONNECTED)
+        if self.trace is not None:
+            self.trace(self.now, f"nic:{nic.technology}", "phase", "off->disconnected (forced)")
+        nic.phase = PHASE_DISCONNECTED
+        nic.generation += 1
+        self._schedule_nic(nic)
 
     # -- oracle process -------------------------------------------------------
 
@@ -330,30 +284,30 @@ class _Simulation:
             return
         self._accrue()
         state = self.oracle_state
-        r = self.rates
-        if state == ORACLE_U:
-            target, event, on, off = ORACLE_UW, "EV_SHORT_WIFI", "WiFi", None
-        elif state == ORACLE_W:
-            target, event, on, off = ORACLE_UW, "EV_SHORT_WIFI", "UMTS", None
+        if state != ORACLE_UW:
+            target = ORACLE_UW
+        elif self.uniform() * self.lambda_uw < self.lambda_uw_u:
+            target = ORACLE_U
         else:
-            lam_u, lam_w = r["lambda_UW_U"], r["lambda_UW_W"]
-            if self.rng.random() * (lam_u + lam_w) < lam_u:
-                target, event, on, off = ORACLE_U, "EV_NO_WIFI", None, "WiFi"
-            else:
-                target, event, on, off = ORACLE_W, "EV_LONG_WIFI", None, "UMTS"
+            target = ORACLE_W
         self.oracle_sojourn_sum[state] += self.now - self.oracle_entered
         self.oracle_sojourn_cnt[state] += 1
         self.oracle_state = target
         self.oracle_entered = self.now
         self.oracle_gen += 1
-        self._emit("oracle", event,
-                   f"{ORACLE_STATE_NAMES[state]}->{ORACLE_STATE_NAMES[target]}")
+        if self.trace is not None:
+            self.trace(self.now, "oracle", _ORACLE_EVENTS[target],
+                       f"{ORACLE_STATE_NAMES[state]}->{ORACLE_STATE_NAMES[target]}")
         if self.variant == "oracle":
-            if on is not None:
-                self._force_on(on)
-            if off is not None:
-                self._force_off(off)
-        wifi = self.nics["WiFi"]
+            # U rules WiFi out and W rules UMTS out; back in UW both are on
+            if target == ORACLE_U:
+                self._force_off(self.wifi)
+            elif target == ORACLE_W:
+                self._force_off(self.umts)
+            else:
+                self._force_on(self.wifi if state == ORACLE_U else self.umts)
+        wifi = self.wifi
+        wifi.scales[PHASE_CONNECTED] = self.wifi_hold_scale[target]
         if wifi.phase == PHASE_CONNECTED:
             # holding rate changed with the oracle state; redraw (memoryless)
             wifi.generation += 1
@@ -381,7 +335,8 @@ class _Simulation:
         tech = self._preferred()
         if tech is None:
             self.parked.append(datagram)
-            self._emit("proxy", "park", f"seq={datagram.seq}")
+            if self.trace is not None:
+                self.trace(self.now, "proxy", "park", f"seq={datagram.seq}")
             return
         self._transmit(datagram, tech)
 
@@ -391,8 +346,9 @@ class _Simulation:
         datagram.attempts += 1
         if datagram.attempts > 1:
             self.retransmissions += 1
-        self._emit(f"nic:{tech}", "send",
-                   f"seq={datagram.seq} attempt={datagram.attempts} active={nic.active}")
+        if self.trace is not None:
+            self.trace(self.now, f"nic:{tech}", "send",
+                       f"seq={datagram.seq} attempt={datagram.attempts} active={nic.active}")
         if nic.phase == PHASE_CONNECTED:
             self._receive(datagram)
             if self.config.ack_delay <= 0.0:
@@ -409,13 +365,15 @@ class _Simulation:
         seq = datagram.seq
         if seq < self.next_expected or seq in self.reorder:
             self.duplicates += 1
-            self._emit("relay", "duplicate", f"seq={seq}")
+            if self.trace is not None:
+                self.trace(self.now, "relay", "duplicate", f"seq={seq}")
             return
         self.reorder.add(seq)
         while self.next_expected in self.reorder:
             self.reorder.remove(self.next_expected)
             self.delivered += 1
-            self._emit("app", "deliver", f"seq={self.next_expected}")
+            if self.trace is not None:
+                self.trace(self.now, "app", "deliver", f"seq={self.next_expected}")
             self.next_expected += 1
 
     def _ack(self, seq: int) -> None:
@@ -426,13 +384,15 @@ class _Simulation:
         datagram = self.pending.get(seq)
         if datagram is None:
             return  # acknowledged in the meantime
-        self._emit("proxy", "timeout", f"seq={seq}")
+        if self.trace is not None:
+            self.trace(self.now, "proxy", "timeout", f"seq={seq}")
         alternative = self._preferred(exclude=datagram.nic)
         if alternative is None and datagram.nic in self.available:
             alternative = datagram.nic  # sole usable interface: retry there
         if alternative is None:
             self.parked.append(datagram)
-            self._emit("proxy", "park", f"seq={seq}")
+            if self.trace is not None:
+                self.trace(self.now, "proxy", "park", f"seq={seq}")
         else:
             self._transmit(datagram, alternative)
 
@@ -450,52 +410,55 @@ class _Simulation:
 
     def run(self) -> SimMetrics:
         cfg = self.config
-        self._schedule_nic(self.nics["UMTS"])
-        self._schedule_nic(self.nics["WiFi"])
+        self._schedule_nic(self.umts)
+        self._schedule_nic(self.wifi)
         self._schedule_oracle()
         if cfg.data_rate > 0.0:
             self._push(1.0 / cfg.data_rate, _EV_DATA, 0)
 
-        heap = self.heap
+        heap, pop, duration = self.heap, heapq.heappop, cfg.duration
+        nic_fire, oracle_fire = self._nic_fire, self._oracle_fire
         while heap:
-            entry = heapq.heappop(heap)
+            entry = pop(heap)
             when = entry[0]
-            if when > cfg.duration:
+            if when > duration:
                 break
             self.now = when
             kind = entry[1]
             if kind == _EV_NIC:
-                self._nic_fire(entry[3], entry[4])
+                nic_fire(entry[3], entry[4])
             elif kind == _EV_ORACLE:
-                self._oracle_fire(entry[3])
+                oracle_fire(entry[3])
             elif kind == _EV_DATA:
                 self._generate()
             elif kind == _EV_ACK:
                 self._ack(entry[3])
             elif kind == _EV_TIMEOUT:
                 self._timeout(entry[3])
-        self.now = cfg.duration
+        self.now = duration
         self._accrue()
 
-        duration = cfg.duration
-        sojourn_mean = {
-            ORACLE_STATE_NAMES[s]: self.oracle_sojourn_sum[s] / c
-            for s, c in self.oracle_sojourn_cnt.items()
-            if c > 0
-        }
-        sojourn_count = {
-            ORACLE_STATE_NAMES[s]: c
-            for s, c in self.oracle_sojourn_cnt.items()
-            if c > 0
-        }
+        occupancy = {}
+        phase_time = {"UMTS": [0.0] * 5, "WiFi": [0.0] * 5}
+        available = power = throughput = 0.0
+        for u, w, o in itertools.product(range(5), range(5), ORACLE_STATE_NAMES):
+            t = self.occupancy[(u * 5 + w) * 4 + o]
+            if t > 0.0:
+                occupancy[u, w, o] = t / duration
+                phase_time["UMTS"][u] += t
+                phase_time["WiFi"][w] += t
+                available += t if state_available(u, w) else 0.0
+                power += t * state_power(u, w, self.params, self.mode, self.variant)
+                throughput += t * state_throughput(u, w, self.params)
+        counts = self.oracle_sojourn_cnt
         return SimMetrics(
             variant=self.variant,
             mode=self.mode,
             duration=duration,
             seed=cfg.seed,
-            availability=self.acc_avail / duration,
-            power_w=self.acc_power / duration,
-            throughput_mbps=self.acc_tput / duration,
+            availability=available / duration,
+            power_w=power / duration,
+            throughput_mbps=throughput / duration,
             goodput_mbps=self.acked * cfg.datagram_bytes * 8 / duration / 1e6,
             generated=self.generated,
             acked=self.acked,
@@ -504,17 +467,15 @@ class _Simulation:
             retransmissions=self.retransmissions,
             lost_sends=self.lost_sends,
             parked_at_end=len(self.parked),
-            oracle_sojourn_mean=sojourn_mean,
-            oracle_sojourn_count=sojourn_count,
+            oracle_sojourn_mean={ORACLE_STATE_NAMES[s]: self.oracle_sojourn_sum[s] / c
+                                 for s, c in counts.items() if c > 0},
+            oracle_sojourn_count={ORACLE_STATE_NAMES[s]: c
+                                  for s, c in counts.items() if c > 0},
             nic_phase_fraction={
-                tech: {
-                    NIC_PHASES[p]: t / duration
-                    for p, t in enumerate(times)
-                    if t > 0.0
-                }
-                for tech, times in self.phase_time.items()
+                tech: {NIC_PHASES[p]: t / duration for p, t in enumerate(times) if t > 0.0}
+                for tech, times in phase_time.items()
             },
-            occupancy={k: v / duration for k, v in sorted(self.occupancy.items())},
+            occupancy=occupancy,
         )
 
 

@@ -256,6 +256,40 @@ class TestOracle:
         assert "sample 1" in err and "timestamp" in err
 
 
+class TestParserReuse:
+    """One parser serves every ``cli.main`` call in a process, and no call
+    leaves state behind for the next."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "solve", "plain")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
+    def test_out_path_not_carried_over(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, out, _ = run(capsys, "sweep", "--out", str(path))
+        assert code == 0 and out.startswith("wrote 24 rows")
+        code, out, _ = run(capsys, "sweep")
+        assert code == 0
+        assert out == path.read_text(encoding="utf-8")
+
+    def test_repeated_params_do_not_accumulate(self, capsys):
+        default = run(capsys, "solve", "plain")
+        narrow = ("solve", "plain", "--params", "T_W_minus=5", "--params", "T_W_plus=50")
+        first = run(capsys, *narrow)
+        assert first[0] == 0 and first != default
+        assert run(capsys, *narrow) == first
+        assert run(capsys, "solve", "plain", "--params", "nope=1")[0] == 2
+        assert run(capsys, "solve", "plain") == default
+
+
 class TestSweepGolden:
     """``abps sweep`` prints the bytes recorded with the earlier composer,
     which walked the whole chain again at every grid point."""
@@ -274,3 +308,36 @@ class TestSweepGolden:
             code, out, _ = run(capsys, "sweep", "--mode", mode, *self.GRIDS[grid])
             assert code == 0
             assert out == expected
+
+
+class TestSimulatorGolden:
+    """``abps compare`` and ``abps simulate`` reproduce the outputs recorded
+    with the earlier event loop, which drew every sojourn through
+    ``rng.exponential`` and kept six running time integrals. The random
+    stream is the same; summing occupancy per state instead of per event
+    moves the float metrics by a few ulps, below the CSV tolerance."""
+
+    @pytest.mark.parametrize("mode", ["text", "appendix"])
+    def test_compare_report_unchanged(self, capsys, mode):
+        expected = (GOLDEN / f"compare_{mode}.txt").read_text(encoding="utf-8")
+        code, out, _ = run(capsys, "compare", "--reps", "4", "--duration", "5000",
+                           "--seed", "3", "--mode", mode)
+        assert (code, out) == (0, expected)
+
+    @pytest.mark.parametrize("name, argv", [
+        ("idle", ("--variant", "both", "--reps", "3", "--duration", "20000")),
+        ("traffic", ("--variant", "oracle", "--duration", "300", "--data-rate", "20",
+                     "--ack-delay", "2", "--ack-timeout", "0.5")),
+    ])
+    def test_simulate_csv_unchanged(self, capsys, name, argv):
+        expected = (GOLDEN / f"simulate_{name}.csv").read_text(encoding="utf-8")
+        code, out, _ = run(capsys, "simulate", *argv)
+        assert code == 0
+        got_rows = [line.split(",") for line in out.splitlines()]
+        want_rows = [line.split(",") for line in expected.splitlines()]
+        assert got_rows[0] == want_rows[0] and len(got_rows) == len(want_rows)
+        for got, want in zip(got_rows[1:], want_rows[1:]):
+            assert got[:3] == want[:3]          # variant, rep, seed
+            assert got[7:] == want[7:]          # duplicates, retransmissions
+            assert [float(x) for x in got[3:7]] == pytest.approx(
+                [float(x) for x in want[3:7]], rel=1e-11, abs=0.0)

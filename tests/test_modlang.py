@@ -1,7 +1,9 @@
 """Parser and composer tests, including the shipped reference listings."""
 
 import copy
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -292,6 +294,46 @@ class TestCompose:
         spec = parse_reference("plain")
         with pytest.raises(UnboundParameterError, match="T_W"):
             compose(spec, {"T_W_minus": 20.0})
+
+    CONSTANTS = """ctmc
+    const double a = 2*b;
+    const double b;
+    const double c = d + 1;
+    const double d = c;
+    module m x : [0..1] init 0;
+      [] x=0 -> a:(x'=1);
+      [] x=1 -> 1.0:(x'=0);
+    endmodule
+    """
+
+    def test_constants_resolve_in_any_order_and_name_their_errors(self):
+        spec = parse(self.CONSTANTS.replace("d + 1", "b + 1").replace("= c;", "= 0.5;"))
+        assert compose(spec, {"b": 1.5}).generator.rate(0, 1) == 3.0
+        with pytest.raises(UnboundParameterError, match="b"):
+            compose(spec)
+        with pytest.raises(CompositionError, match="circular constant definition"):
+            compose(parse(self.CONSTANTS), {"b": 1.0})
+        # the parser rejects this; a spec built in code reaches the composer
+        spec = model_of(two_state_module("m", "x", 1.0, 1.0),
+                        constants={"a": modlang.Ident("nope")})
+        with pytest.raises(UndeclaredIdentifierError, match="nope"):
+            compose(spec)
+
+    def test_composed_spec_freed_without_cyclic_collector(self):
+        # a spec is released by reference counting alone, and its compiled
+        # entry with it
+        gc.collect()
+        gc.disable()
+        try:
+            spec = parse_reference("oracle")
+            compose(spec, BINDINGS)
+            alive = weakref.ref(spec)
+            programs = len(modlang._PROGRAMS)
+            del spec
+            assert alive() is None
+            assert len(modlang._PROGRAMS) == programs - 1
+        finally:
+            gc.enable()
 
     def test_unknown_binding_rejected(self):
         spec = parse_reference("plain")

@@ -182,6 +182,24 @@ class TestTraffic:
         assert parks, "early datagrams should park while both NICs set up"
         assert m.delivered_in_order > 0
 
+    def test_tracing_leaves_results_unchanged(self):
+        # ACKs slower than the timeout, so every trace point is reached
+        params = default_params(T_W_minus=5.0, T_W_plus=40.0)
+        cfg = SimConfig(duration=1000.0, seed=17, data_rate=10.0,
+                        ack_timeout=0.5, ack_delay=0.6)
+        trace = Trace()
+        traced = simulate(params, cfg, "oracle", trace=trace)
+        assert traced == simulate(params, cfg, "oracle")
+        kinds = {(entity.split(":")[0], event, "forced" in detail)
+                 for _, entity, event, detail in trace.records}
+        assert kinds >= {
+            ("nic", "phase", False), ("nic", "phase", True), ("nic", "send", False),
+            ("proxy", "park", False), ("proxy", "timeout", False),
+            ("relay", "duplicate", False), ("app", "deliver", False),
+            ("oracle", "EV_NO_WIFI", False), ("oracle", "EV_SHORT_WIFI", False),
+            ("oracle", "EV_LONG_WIFI", False),
+        }
+
     def test_trace_records_oracle_events(self):
         trace = Trace()
         simulate(default_params(), quiet(duration=2000.0), "oracle", trace=trace)
