@@ -26,10 +26,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
+from urllib.parse import urlencode, urlsplit
 
 import numpy as np
-import requests
 
 from abps_toolkit.ctmc import ValidationError
 
@@ -131,9 +131,14 @@ class LocalCatalog:
             with open(source, "r", encoding="utf-8", newline="") as fh:
                 self.access_points = self._parse(fh)
         else:
-            self.access_points = list(source)
+            self.access_points = tuple(source)
+        aps = self.access_points
+        self._lat = np.array([ap.lat for ap in aps])
+        self._lon = np.array([ap.lon for ap in aps])
+        rank = {essid: k for k, essid in enumerate(sorted({ap.essid for ap in aps}))}
+        self._essid_rank = np.array([rank[ap.essid] for ap in aps])
 
-    def _parse(self, fh) -> list[AccessPoint]:
+    def _parse(self, fh) -> tuple[AccessPoint, ...]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -152,28 +157,79 @@ class LocalCatalog:
                 self.skipped_records += 1
             else:
                 aps.append(ap)
-        return aps
+        return tuple(aps)
 
     def query(self, lat: float, lon: float, radius: float) -> list[AccessPoint]:
-        return _within(self.access_points, lat, lon, radius)
+        """The access points within ``radius`` of the position, nearest first;
+        equal distances in ESSID order, then in catalog order."""
+        dist = haversine_m(lat, lon, self._lat, self._lon)
+        hits = np.flatnonzero(dist <= radius)
+        # lexsort is stable and its last key is the primary one
+        order = hits[np.lexsort((self._essid_rank[hits], dist[hits]))]
+        return [self.access_points[j] for j in order.tolist()]
+
+
+class _Reply(NamedTuple):
+    status_code: int
+    body: bytes
+
+    def json(self):
+        import json
+
+        return json.loads(self.body)
+
+
+class _UrllibSession:
+    """The default transport of ``RemoteCatalog``: ``requests.get``'s call
+    shape on the standard library, which is imported on the first query so
+    that no program pays for an HTTP stack it never uses."""
+
+    def get(self, url: str, params: dict, headers: dict, timeout: float) -> _Reply:
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(url + ("&" if "?" in url else "?") + urlencode(params))
+        for name, value in headers.items():
+            # urllib's redirect handler copies every other header to the
+            # target, whatever its host
+            request.add_unredirected_header(name, value)
+        # http(s) handlers alone: a redirect to any other scheme fails as unknown
+        opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
+                        urllib.request.HTTPSHandler(), urllib.request.HTTPDefaultErrorHandler(),
+                        urllib.request.HTTPRedirectHandler(), urllib.request.HTTPErrorProcessor(),
+                        urllib.request.UnknownHandler()):
+            opener.add_handler(handler)
+        try:
+            with opener.open(request, timeout=timeout) as reply:
+                return _Reply(reply.status, reply.read())
+        except urllib.error.HTTPError as err:
+            err.close()
+            return _Reply(err.code, b"")
 
 
 class RemoteCatalog:
     """HTTP catalog client: GET with lat/lon/radius, records come back as JSON.
 
     Credentials, when needed, are read from the environment variable named
-    by ``token_env`` and sent as a bearer token.
+    by ``token_env`` and sent as a bearer token, never to a redirect target.
+    ``session`` is anything with ``requests.Session``'s ``get``; the default
+    speaks http and https through the standard library.
     """
 
     def __init__(self, base_url: str, timeout_s: float = 10.0,
                  token_env: str = CATALOG_TOKEN_ENV, session=None) -> None:
+        if urlsplit(base_url).scheme not in ("http", "https"):
+            raise ValidationError(f"catalog URL must be http or https, got {base_url!r}")
         self.base_url = base_url
         self.timeout_s = timeout_s
         self.token_env = token_env
-        self.session = session or requests
+        self.session = session or _UrllibSession()
         self.skipped_records = 0
 
     def query(self, lat: float, lon: float, radius: float) -> list[AccessPoint]:
+        import http.client
+
         headers = {}
         token = os.environ.get(self.token_env)
         if token:
@@ -185,7 +241,9 @@ class RemoteCatalog:
                 headers=headers,
                 timeout=self.timeout_s,
             )
-        except requests.RequestException as err:
+        # socket and urllib errors (requests' too) are OSErrors; a broken
+        # HTTP exchange (IncompleteRead, BadStatusLine) is not
+        except (OSError, http.client.HTTPException) as err:
             raise CatalogUnavailable(f"catalog request failed: {err}") from err
         if response.status_code != 200:
             raise CatalogUnavailable(
@@ -195,6 +253,10 @@ class RemoteCatalog:
             records = response.json()
         except ValueError as err:
             raise CatalogUnavailable("catalog answered malformed JSON") from err
+        if not isinstance(records, list):
+            raise CatalogUnavailable(
+                f"catalog answered {repr(records)[:80]}, not a JSON array"
+            )
         aps = []
         for record in records:
             ap = _record_to_ap(record)
@@ -203,7 +265,7 @@ class RemoteCatalog:
             else:
                 aps.append(ap)
         # the service already filters; re-check locally so the contract holds
-        return _within(aps, lat, lon, radius)
+        return LocalCatalog(aps).query(lat, lon, radius)
 
 
 class TtlCache:
@@ -234,6 +296,7 @@ class TtlCache:
 
 
 def _record_to_ap(record) -> AccessPoint | None:
+    """The access point a record describes, or None when it is malformed."""
     try:
         group = (record.get("group") or "").strip() or None
         raw_open = str(record.get("open", "true")).strip().lower()
@@ -247,17 +310,10 @@ def _record_to_ap(record) -> AccessPoint | None:
             group=group,
             open=raw_open in ("true", "1", "yes"),
         )
-    except (KeyError, TypeError, ValueError, ValidationError):
+    # AttributeError: a JSON record that is not an object, or a group that
+    # is not a string
+    except (AttributeError, KeyError, TypeError, ValueError, ValidationError):
         return None
-
-
-def _within(aps: Iterable[AccessPoint], lat: float, lon: float, radius: float) -> list[AccessPoint]:
-    """The access points within ``radius`` of the position, nearest first."""
-    aps = list(aps)
-    dist = haversine_m(lat, lon, np.array([ap.lat for ap in aps]),
-                       np.array([ap.lon for ap in aps])).tolist()
-    found = sorted((d, ap.essid, j) for j, (d, ap) in enumerate(zip(dist, aps)) if d <= radius)
-    return [aps[j] for _, _, j in found]
 
 
 def query_aps(catalog, lat: float, lon: float, radius: float) -> list[AccessPoint]:

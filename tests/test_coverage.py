@@ -1,10 +1,18 @@
 """Coverage classifier tests: geometry, catalogs, events, policy."""
 
+import contextlib
+import http.server
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+import urllib.error
+from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 from abps_toolkit import coverage
 from abps_toolkit.coverage import (
@@ -104,6 +112,18 @@ class TestGeometry:
             query_aps(catalog, 91.0, 0.0, 10.0)
         with pytest.raises(ValidationError):
             query_aps(catalog, 0.0, 0.0, 0.0)
+
+    def test_query_order_matches_sorted_reference(self):
+        # a small grid of positions and few names, so distances and ESSIDs tie
+        rng = np.random.default_rng(11)
+        aps = [AccessPoint(f"ap-{rng.integers(4)}", float(rng.integers(-3, 4)) * 40 * M,
+                           float(rng.integers(-3, 4)) * 40 * M) for _ in range(120)]
+        catalog = LocalCatalog(aps)
+        for lat, lon, radius in ((0.0, 0.0, 100.0), (20 * M, -40 * M, 250.0), (0.0, 0.0, 1.0)):
+            found = sorted((haversine_m(lat, lon, a.lat, a.lon), a.essid, j)
+                           for j, a in enumerate(aps))
+            expected = [id(aps[j]) for d, _, j in found if d <= radius]
+            assert [id(a) for a in catalog.query(lat, lon, radius)] == expected
 
     def test_corridor_points_share_group(self):
         catalog = LocalCatalog(corridor_catalog())
@@ -302,10 +322,13 @@ class TestCatalogFiles:
             load_trajectory(path)
 
 
+_EMPTY = object()
+
+
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, bad_json=False):
+    def __init__(self, status_code=200, payload=_EMPTY, bad_json=False):
         self.status_code = status_code
-        self._payload = payload or []
+        self._payload = [] if payload is _EMPTY else payload
         self._bad_json = bad_json
 
     def json(self):
@@ -350,7 +373,7 @@ class TestRemoteCatalog:
             RemoteCatalog("http://x", session=session).query(0, 0, 10)
 
     def test_network_error_raises_unavailable(self):
-        session = FakeSession(error=requests.ConnectionError("nope"))
+        session = FakeSession(error=urllib.error.URLError("nope"))
         with pytest.raises(CatalogUnavailable):
             RemoteCatalog("http://x", session=session).query(0, 0, 10)
 
@@ -359,20 +382,150 @@ class TestRemoteCatalog:
         with pytest.raises(CatalogUnavailable):
             RemoteCatalog("http://x", session=session).query(0, 0, 10)
 
+    @pytest.mark.parametrize("payload", [{"error": "quota"}, None, 5, "aps"])
+    def test_body_not_an_array_raises_unavailable(self, payload):
+        session = FakeSession(FakeResponse(payload=payload))
+        with pytest.raises(CatalogUnavailable, match="not a JSON array"):
+            RemoteCatalog("http://x", session=session).query(0, 0, 10)
+        events = classify_trajectory(walk(100), RemoteCatalog("http://x", session=session))
+        assert [e.kind for e in events] == [EventKind.EV_SHORT_WIFI]
+
     def test_malformed_records_skipped(self):
         session = FakeSession(
-            FakeResponse(payload=[self.RECORD, {"essid": "broken", "lat": "x", "lon": 0}])
+            FakeResponse(payload=[self.RECORD, {"essid": "broken", "lat": "x", "lon": 0},
+                                  None, 5, "remote-2", [self.RECORD],
+                                  dict(self.RECORD, group=5)])
         )
         catalog = RemoteCatalog("http://x", session=session)
         assert len(catalog.query(0.0, 0.0, 500.0)) == 1
-        assert catalog.skipped_records == 1
+        assert catalog.skipped_records == 6
+
+    @pytest.mark.parametrize("url", ["file:///etc/hosts", "ftp://catalog.example/aps",
+                                     "catalog.example/aps"])
+    def test_only_http_urls(self, url):
+        with pytest.raises(ValidationError, match="http"):
+            RemoteCatalog(url, session=FakeSession())
 
     def test_unavailable_degrades_to_short_wifi(self):
-        session = FakeSession(error=requests.Timeout("slow"))
+        session = FakeSession(error=TimeoutError("slow"))
         catalog = RemoteCatalog("http://x", session=session)
         events = classify_trajectory(walk(100), catalog)
         assert [e.kind for e in events] == [EventKind.EV_SHORT_WIFI]
         assert apply_policy(events[0]) == NicActivation(True, True)
+
+
+@contextlib.contextmanager
+def catalog_server(reply):
+    """A loopback HTTP server; ``reply(path)`` gives (status, headers, body).
+    Yields its base URL and the list of requests it received."""
+    seen = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            seen.append({"path": self.path, "headers": dict(self.headers)})
+            status, headers, body = reply(self.path)
+            self.send_response(status)
+            for name, value in {"Content-Length": str(len(body)), **headers}.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.handle_error = lambda request, address: None  # clients that gave up
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}", seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def json_reply(body, status=200):
+    return lambda path: (status, {"Content-Type": "application/json"}, body.encode())
+
+
+class TestRemoteCatalogOverHttp:
+    """The default stdlib transport against loopback servers."""
+
+    BODY = ('[{"essid": "remote-1", "lat": 0.0, "lon": 0.0003, "radius_m": 60,'
+            ' "group": "campusnet", "open": true}]')
+
+    def test_records_and_query_string(self, monkeypatch):
+        monkeypatch.setenv(coverage.CATALOG_TOKEN_ENV, "sekrit")
+        with catalog_server(json_reply(self.BODY)) as (url, seen):
+            found = RemoteCatalog(url + "/aps?key=k1", timeout_s=5.0).query(0.0, 0.0, 500.0)
+        assert [a.essid for a in found] == ["remote-1"]
+        assert found[0].group == "campusnet"
+        assert seen[0]["path"] == "/aps?key=k1&lat=0.0&lon=0.0&radius=500.0"
+        assert seen[0]["headers"]["Authorization"] == "Bearer sekrit"
+
+    def test_http_error_raises_unavailable(self):
+        with catalog_server(json_reply('{"error": "busy"}', status=503)) as (url, _):
+            with pytest.raises(CatalogUnavailable, match="HTTP 503"):
+                RemoteCatalog(url, timeout_s=5.0).query(0.0, 0.0, 10.0)
+
+    def test_body_not_an_array_raises_unavailable(self):
+        with catalog_server(json_reply('{"error": "quota"}')) as (url, _):
+            with pytest.raises(CatalogUnavailable, match="not a JSON array"):
+                RemoteCatalog(url, timeout_s=5.0).query(0.0, 0.0, 10.0)
+
+    def test_truncated_body_raises_unavailable(self):
+        # http.client's IncompleteRead is no OSError
+        cut = lambda path: (200, {"Content-Length": "100"}, b"[]")  # noqa: E731
+        with catalog_server(cut) as (url, _):
+            with pytest.raises(CatalogUnavailable, match="IncompleteRead"):
+                RemoteCatalog(url, timeout_s=5.0).query(0.0, 0.0, 10.0)
+
+    def test_slow_server_times_out(self):
+        def slow(path):
+            time.sleep(1.0)
+            return 200, {}, b"[]"
+
+        with catalog_server(slow) as (url, _):
+            start = time.monotonic()
+            with pytest.raises(CatalogUnavailable):
+                RemoteCatalog(url, timeout_s=0.2).query(0.0, 0.0, 10.0)
+            assert time.monotonic() - start < 0.9
+
+    def test_token_not_sent_to_redirect_target(self, monkeypatch):
+        monkeypatch.setenv(coverage.CATALOG_TOKEN_ENV, "sekrit")
+        with catalog_server(json_reply(self.BODY)) as (target, at_target):
+            moved = lambda path: (302, {"Location": target + path}, b"")  # noqa: E731
+            with catalog_server(moved) as (url, at_origin):
+                found = RemoteCatalog(url + "/aps", timeout_s=5.0).query(0.0, 0.0, 500.0)
+        assert [a.essid for a in found] == ["remote-1"]
+        assert at_origin[0]["headers"]["Authorization"] == "Bearer sekrit"
+        assert at_target[0]["path"] == at_origin[0]["path"]
+        assert "authorization" not in {k.lower() for k in at_target[0]["headers"]}
+
+    def test_redirect_to_another_scheme_refused(self):
+        moved = lambda path: (302, {"Location": "ftp://127.0.0.1:9/aps"}, b"")  # noqa: E731
+        with catalog_server(moved) as (url, _):
+            with pytest.raises(CatalogUnavailable, match="unknown url type"):
+                RemoteCatalog(url, timeout_s=5.0).query(0.0, 0.0, 10.0)
+
+
+def test_cli_imports_no_http_stack():
+    """An HTTP stack is loaded only by a remote catalog query."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from abps_toolkit import cli, coverage\n"
+            "assert cli.main(['sweep']) == 0\n"
+            "print(sorted(m for m in ('requests', 'urllib3', 'urllib.request', 'http.client')"
+            " if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestTtlCache:
