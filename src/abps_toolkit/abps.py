@@ -342,8 +342,8 @@ def _spec(variant: str) -> ModelSpec:
     )
 
 
-#: One spec per variant for the whole process, so ``compose`` compiles each
-#: chain's structure once and every later point only evaluates its rates.
+#: One spec per variant for the whole process, so ``compose`` walks each
+#: chain once and every later point replays the walk, evaluating its rates.
 _SPECS = {variant: _spec(variant) for variant in VARIANTS}
 
 

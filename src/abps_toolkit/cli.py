@@ -76,6 +76,11 @@ def cmd_solve(args) -> int:
         model = abps.build(args.model, _assemble_params(args), args.mode)
         _print_metrics(abps.evaluate(model))
         return 0
+    if args.params_file:
+        raise _InputError(
+            "--params-file names built-in variant parameters; "
+            "bind a listing's constants with --params K=V"
+        )
     spec = modlang.parse_file(args.model)
     chain = modlang.compose(spec, _parse_overrides(args.params))
     _print_metrics(abps.evaluate_chain(chain))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import os
 import threading
 import time
@@ -70,8 +71,8 @@ class AccessPoint:
             raise ValidationError(f"latitude {self.lat} outside [-90, 90]")
         if not (-180.0 <= self.lon <= 180.0):
             raise ValidationError(f"longitude {self.lon} outside [-180, 180]")
-        if not (self.radius_m > 0.0):
-            raise ValidationError("coverage radius must be positive")
+        if not (self.radius_m > 0.0 and math.isfinite(self.radius_m)):
+            raise ValidationError("coverage radius must be positive and finite")
 
 
 @dataclass(frozen=True)

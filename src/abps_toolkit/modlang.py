@@ -843,68 +843,51 @@ def compose(
     Self-loops that change nothing and zero-rate transitions are dropped.
     Per-structure reward vectors sum all matching reward items per state.
 
-    A spec's structure is compiled once and reused. The first call walks
-    the states breadth-first, evaluating every guard and update, and keeps
-    each candidate transition with the rate expressions it multiplies. A
-    call with other bindings evaluates only the rate and reward expressions
-    (per source state where one reads a state variable) and scatters them
-    into the generator. Compiled forms are remembered, in small bounded
-    memos, per spec object, per values of the constants that guards and
-    updates read, and per pattern of zero rates; states are numbered, and
-    errors raised, exactly where one full walk at these bindings would
-    number them or meet them.
+    States are numbered breadth-first from the initial state. Errors are
+    raised in that order: a guard, update or rate that fails in a reached
+    state, then a rate or sum ``build_generator`` rejects, then a reward
+    guard or value that fails.
+
+    The last walk of a spec is remembered while the spec lives. A later call
+    replays it, evaluating only the rate and reward expressions, while the
+    constants that guards and updates read and the rewards are unchanged
+    and the same candidate transitions are live (nonzero); otherwise it
+    walks again.
     """
     bindings = dict(bindings or {})
     for name in bindings:
         if name not in spec.constants:
             raise CompositionError(f"binding for undeclared constant {name!r}")
     consts = _resolve_constants(spec, bindings)
-    return _program(spec).skeleton(consts).instantiate(consts)
+    key = id(spec)
+    walk = _WALKS.get(key)
+    if walk is not None and walk.spec() is spec:
+        chain = walk.replay(spec, consts)
+        if chain is not None:
+            return chain
+    walk = _Walk(spec, consts)
+    walk.spec = weakref.ref(spec, lambda _: _WALKS.pop(key, None))
+    _WALKS[key] = walk
+    chain = walk.chain
+    del walk.chain  # a replay builds its own chain; keep no copy of this one
+    return chain
 
 
-# Value slots every skeleton shares: an omitted rate, and a reward item whose
+# Value slots every walk shares: an omitted rate, and a reward item whose
 # guard is false.
 _ONE, _ZERO = 0, 1
-_MEMO_LIMIT = 16
-
-
-def _recall(memo: dict, key):
-    """The remembered value for ``key`` (refreshed as most recent), or None."""
-    value = memo.pop(key, None)
-    if value is not None:
-        memo[key] = value
-    return value
-
-
-def _remember(memo: dict, key, value) -> None:
-    """Store ``value``, forgetting the least recently used entries when full."""
-    for old in list(memo)[: max(len(memo) - _MEMO_LIMIT + 1, 0)]:
-        memo.pop(old, None)
-    memo[key] = value
-
 
 # Keyed by id(spec). An entry leaves when its spec is freed, so a spec
 # composed once (a listing parsed for one solve) does not outlive its use and
 # no id is reused while its entry lives.
-_PROGRAMS: dict[int, "_Program"] = {}
-
-
-def _program(spec: ModelSpec) -> "_Program":
-    key = id(spec)
-    program = _recall(_PROGRAMS, key)
-    # the rewards dict is the one part of a spec that can change in place
-    if program is None or program.spec() is not spec or program.rewards != spec.rewards:
-        program = _Program(spec)
-        program.spec = weakref.ref(spec, lambda _: _PROGRAMS.pop(key, None))
-        _remember(_PROGRAMS, key, program)
-    return program
+_WALKS: dict[int, "_Walk"] = {}
 
 
 class _Term:
     """An expression and the positions of the state variables it reads.
 
     Its value depends on the constants and on those variables only, so a
-    compile evaluates it once per combination of their values.
+    walk evaluates it once per combination of their values.
     """
 
     __slots__ = ("expr", "names", "positions", "key")
@@ -923,16 +906,26 @@ def _no_key(state: tuple[int, ...]) -> tuple:
     return ()
 
 
-class _Program:
-    """What composition reads off a spec before any constant has a value."""
+class _Walk:
+    """One breadth-first walk of a spec at some bindings, kept for replay.
 
-    def __init__(self, spec: ModelSpec):
+    The walk meets states, guards, updates and values in the order of a full
+    walk and raises the first error where it meets it. It records each value
+    slot it evaluates (one rate or reward expression, in one source state
+    only where the expression reads a state variable), every candidate
+    transition with the slots whose product is its rate, which candidates
+    were live (nonzero), each state's reward slots, and the constants that
+    guards and updates read. Bindings that leave those constants alone and
+    every candidate as live as before walk the same states, so a replay
+    evaluates the slots only.
+    """
+
+    def __init__(self, spec: ModelSpec, consts: Mapping[str, float]):
         variables = spec.variables()
         var_names = self.var_names = tuple(v.name for v in variables)
-        self.initial = tuple(v.init for v in variables)
-        self.rewards = dict(spec.rewards)
         var_pos = {v.name: k for k, v in enumerate(variables)}
         ranges = {v.name: (v.low, v.high) for v in variables}
+        self.rewards = dict(spec.rewards)
 
         # Names read by guards and updates: the constants among them decide
         # the state space.
@@ -966,11 +959,11 @@ class _Program:
                         mods.append(mi)
 
         # A label used by one module only synchronizes with nothing.
-        self.plain = []
-        self.synced = []
+        plain = []
+        synced = []
         for label, mods in label_modules.items():
             if len(mods) >= 2:
-                self.synced.append([
+                synced.append([
                     (
                         spec.modules[mi].name,
                         [command(c) for c in spec.modules[mi].commands if c.label == label],
@@ -980,51 +973,26 @@ class _Program:
         for mod in spec.modules:
             for cmd in mod.commands:
                 if cmd.label is None or len(label_modules[cmd.label]) < 2:
-                    self.plain.append((mod.name, *command(cmd)))
-        self.reward_terms = {
+                    plain.append((mod.name, *command(cmd)))
+        reward_terms = {
             rname: [(term(i.guard, True), term(i.value)) for i in items]
             for rname, items in self.rewards.items()
         }
-        self.structural = tuple(sorted(structural - set(var_names)))
-        self._skeletons: dict[tuple, _Skeleton] = {}
+        # Guards and updates see only the constants they read; an undeclared
+        # name stays out, so a guard reading it fails as in a full walk.
+        self.guard_names = tuple(structural - set(var_names))
+        guard_env = self.guard_env = {n: consts[n] for n in self.guard_names if n in consts}
 
-    def skeleton(self, consts: Mapping[str, float]) -> "_Skeleton":
-        # an undeclared name stays out of the environment, so a guard
-        # reading it fails as it would in a full walk
-        guard_consts = {n: consts[n] for n in self.structural if n in consts}
-        key = tuple(guard_consts.get(n) for n in self.structural)
-        skeleton = _recall(self._skeletons, key)
-        if skeleton is None:
-            skeleton = _Skeleton(self, guard_consts)
-            if not (skeleton.faults or skeleton.reward_faults):
-                _remember(self._skeletons, key, skeleton)
-        return skeleton
-
-
-class _Skeleton:
-    """Every state a walk reaches while no rate is zero, breadth-first.
-
-    Per state it keeps, in the order a walk meets them, the value slots the
-    walk evaluates (each slot is one rate or reward expression, in one
-    source state only where the expression reads a state variable) and the
-    candidate transitions, each with the slots whose product is its rate. A
-    guard or update that fails is kept as the state's fault, raised only if
-    a walk at some bindings reaches the state.
-    """
-
-    def __init__(self, program: _Program, consts: dict[str, float]):
-        var_names = self.var_names = program.var_names
         self.slots: list[tuple[str | None, Expr, dict[str, int]]] = []
+        values = [1.0, 0.0]
         slot_index: dict[tuple, int] = {}
-        # Guard and update values; failures are not remembered, so they
-        # raise again wherever they are met.
-        known: dict[tuple, float | bool] = {}
+        known: dict[tuple, float | bool] = {}  # guard and update values
 
         def value_of(term: _Term, state) -> float | bool:
             key = (term, term.key(state))
             value = known.get(key)
             if value is None:
-                value = known[key] = eval_expr(term.expr, term.env(consts, state, var_names))
+                value = known[key] = eval_expr(term.expr, term.env(guard_env, state, var_names))
             return value
 
         def slot(module: str | None, term: _Term | None, state) -> int:
@@ -1033,9 +1001,10 @@ class _Skeleton:
             key = (module, term, term.key(state))
             k = slot_index.get(key)
             if k is None:
-                k = slot_index[key] = len(self.slots) + 2
                 extra = {var_names[p]: state[p] for p in term.positions}
+                values.append(_slot_value(consts, module, term.expr, extra))
                 self.slots.append((module, term.expr, extra))
+                k = slot_index[key] = len(values) - 1
             return k
 
         def apply_branch(target, source, mod_name, updates) -> tuple[int, ...]:
@@ -1055,198 +1024,137 @@ class _Skeleton:
                 new[pos] = value
             return tuple(new)
 
-        index = {program.initial: 0}
-        states = [program.initial]
-        self.site_slots: list[list[int]] = []
-        self.faults: dict[int, Exception] = {}
-        edge_dst: list[int] = []
+        initial = tuple(v.init for v in variables)
+        index = {initial: 0}
+        states = [initial]
         edge_factors: list[tuple[int, ...]] = []
-        edge_start: list[int] = []
+        live: list[bool] = []
+        rates: list[float] = []
+        edge_pair: list[int] = []
+        pairs: dict[tuple[int, int], int] = {}
 
         for si, state in enumerate(states):  # grows as the walk finds states
-            sites: list[int] = []
-            self.site_slots.append(sites)
-            edge_start.append(len(edge_dst))
 
             def record(target: tuple[int, ...], factors: tuple[int, ...]) -> None:
                 if target == state:
                     return
-                ti = index.get(target)
-                if ti is None:
-                    ti = index[target] = len(states)
-                    states.append(target)
-                edge_dst.append(ti)
+                rate = values[factors[0]]
+                for k in factors[1:]:
+                    rate *= values[k]
                 edge_factors.append(factors)
+                live.append(rate != 0.0)
+                if rate != 0.0:
+                    ti = index.get(target)
+                    if ti is None:
+                        ti = index[target] = len(states)
+                        states.append(target)
+                    rates.append(rate)
+                    edge_pair.append(pairs.setdefault((si, ti), len(pairs)))
 
-            try:
-                for mod_name, guard, branches in program.plain:
-                    if not _bool(value_of(guard, state), guard.expr):
-                        continue
-                    for rate, updates in branches:
-                        k = slot(mod_name, rate, state)
-                        sites.append(k)
-                        record(apply_branch(state, state, mod_name, updates), (k,))
+            for mod_name, guard, branches in plain:
+                if not _bool(value_of(guard, state), guard.expr):
+                    continue
+                for rate, updates in branches:
+                    k = slot(mod_name, rate, state)
+                    record(apply_branch(state, state, mod_name, updates), (k,))
 
-                for participants in program.synced:
-                    # Every participating module needs an enabled command,
-                    # else the label is blocked in this state.
-                    options: list[list[tuple[int, str, list]]] = []
-                    for mod_name, commands in participants:
-                        opts = []
-                        for guard, branches in commands:
-                            if _bool(value_of(guard, state), guard.expr):
-                                for rate, updates in branches:
-                                    k = slot(mod_name, rate, state)
-                                    sites.append(k)
-                                    opts.append((k, mod_name, updates))
-                        if not opts:
-                            options = []
-                            break
-                        options.append(opts)
-                    if not options:
-                        continue
-                    for combo in itertools.product(*options):
-                        target = state
-                        for _, mod_name, updates in combo:
-                            # updates read the source state but apply cumulatively
-                            target = apply_branch(target, state, mod_name, updates)
-                        record(target, tuple(k for k, _, _ in combo))
-            except ModelError as err:  # raised only where a walk reaches this state
-                self.faults[si] = err
-        edge_start.append(len(edge_dst))
+            for participants in synced:
+                # Every participating module needs an enabled command, else
+                # the label is blocked in this state.
+                options: list[list[tuple[int, str, list]]] = []
+                for mod_name, commands in participants:
+                    opts = []
+                    for guard, branches in commands:
+                        if _bool(value_of(guard, state), guard.expr):
+                            for rate, updates in branches:
+                                opts.append((slot(mod_name, rate, state), mod_name, updates))
+                    if not opts:
+                        options = []
+                        break
+                    options.append(opts)
+                if not options:
+                    continue
+                for combo in itertools.product(*options):
+                    target = state
+                    for _, mod_name, updates in combo:
+                        # updates read the source state but apply cumulatively
+                        target = apply_branch(target, state, mod_name, updates)
+                    record(target, tuple(k for k, _, _ in combo))
 
-        self.states = states
-        self.edge_start = edge_start
-        self.edge_dst = edge_dst
+        self.states = tuple(states)
         width = max((len(f) for f in edge_factors), default=1)
         self.edge_slots = np.full((len(edge_factors), width), _ONE, dtype=np.intp)
         for e, factors in enumerate(edge_factors):
             self.edge_slots[e, : len(factors)] = factors
+        self.live = np.array(live, dtype=bool).tobytes()  # packed: compared per replay
+        self.edge_pair = np.array(edge_pair, dtype=np.intp)
+        self.pairs = np.array(list(pairs), dtype=float).reshape(-1, 2)
+        generator = self._generator(np.array(rates))
 
-        # Reward guards per state; a false guard points at the zero slot.
+        # Rewards are read after the generator is built, so its errors come
+        # first. A false guard points at the zero slot.
         self.reward_slots: dict[str, np.ndarray] = {}
-        self.reward_faults: dict[tuple[str, int], Exception] = {}
-        for rname, items in program.reward_terms.items():
+        for rname, items in reward_terms.items():
             table = np.full((len(states), len(items)), _ZERO, dtype=np.intp)
             for si, state in enumerate(states):
                 for k, (guard, value) in enumerate(items):
-                    try:
-                        enabled = _bool(value_of(guard, state), guard.expr)
-                    except ModelError as err:  # raised only if the state is reached
-                        self.reward_faults[(rname, si)] = err
-                        break
-                    if enabled:
+                    if _bool(value_of(guard, state), guard.expr):
                         table[si, k] = slot(None, value, state)
             self.reward_slots[rname] = table
-        self._structures: dict[bytes, _Structure] = {}
+        self.chain = self._chain(generator, np.array(values))
 
-    def evaluate(self, consts: Mapping[str, float]) -> tuple[np.ndarray, dict[int, Exception]]:
-        """Every slot's value at ``consts``; failed slots read NaN and keep
-        their error, raised only where a walk meets the slot."""
-        values = [1.0, 0.0]
-        errors: dict[int, Exception] = {}
-        for k, (module, expr, extra) in enumerate(self.slots, start=2):
-            try:
-                value = eval_number(expr, {**consts, **extra} if extra else consts)
-                if module is not None and value < 0.0:
-                    raise CompositionError(
-                        f"negative rate {value!r} in module {module!r} "
-                        f"(rate {format_expr(expr)})"
-                    )
-            except ModelError as err:
-                errors[k] = err
-                value = float("nan")
-            values.append(value)
-        return np.array(values), errors
-
-    def instantiate(self, consts: Mapping[str, float]) -> ComposedChain:
-        values, errors = self.evaluate(consts)
+    def replay(self, spec: ModelSpec, consts: Mapping[str, float]) -> ComposedChain | None:
+        """The chain at ``consts`` if a walk would retrace this one, else None."""
+        guard_env = {n: consts[n] for n in self.guard_names if n in consts}
+        if self.rewards != spec.rewards or guard_env != self.guard_env:
+            return None
+        try:
+            values = np.array([1.0, 0.0] + [
+                _slot_value(consts, module, expr, extra) for module, expr, extra in self.slots
+            ])
+        except ModelError:  # a walk finds whether, and where, it is met
+            return None
         rates = values[self.edge_slots[:, 0]]
         with np.errstate(all="ignore"):  # as Python floats: inf, NaN or 0, no warning
             for k in range(1, self.edge_slots.shape[1]):
                 rates = rates * values[self.edge_slots[:, k]]
         live = rates != 0.0
-        key = live.tobytes()
-        structure = _recall(self._structures, key)
-        if structure is None:
-            structure = _Structure(self, live)
-            _remember(self._structures, key, structure)
-        if errors or self.faults:
-            structure.raise_transition_error(self, errors)
+        if live.tobytes() != self.live:
+            return None
+        return self._chain(self._generator(rates[live]), values)
 
-        pair_rates = np.bincount(
-            structure.edge_pair, weights=rates[structure.edges], minlength=len(structure.pairs)
-        )
-        generator = build_generator(
-            len(structure.states), np.column_stack((structure.pairs, pair_rates))
-        )
-        if errors or self.reward_faults:
-            structure.raise_reward_error(self, errors)
+    def _generator(self, rates: np.ndarray) -> GeneratorMatrix:
+        """The generator of the live candidates' ``rates``, in walk order."""
+        pair_rates = np.bincount(self.edge_pair, weights=rates, minlength=len(self.pairs))
+        return build_generator(len(self.states), np.column_stack((self.pairs, pair_rates)))
+
+    def _chain(self, generator: GeneratorMatrix, values: np.ndarray) -> ComposedChain:
         rewards: dict[str, np.ndarray] = {}
         for rname, table in self.reward_slots.items():
-            vec = np.zeros(len(structure.states))
-            for column in table[structure.keep].T:  # summed in item order
+            vec = np.zeros(len(self.states))
+            for column in table.T:  # summed in item order
                 vec += values[column]
             vec.flags.writeable = False
             rewards[rname] = vec
         return ComposedChain(
             generator=generator,
             var_names=self.var_names,
-            states=structure.states,
+            states=self.states,
             initial=0,
             rewards=rewards,
         )
 
 
-class _Structure:
-    """The states and transitions a walk keeps under one pattern of live
-    (nonzero-rate) candidate transitions, numbered in the walk's order."""
-
-    def __init__(self, skeleton: _Skeleton, live: np.ndarray):
-        new = {0: 0}
-        order = [0]
-        edges: list[int] = []
-        edge_pair: list[int] = []
-        pairs: dict[tuple[int, int], int] = {}
-        for s in order:  # grows as the walk finds states
-            for e in range(skeleton.edge_start[s], skeleton.edge_start[s + 1]):
-                if not live[e]:
-                    continue
-                t = skeleton.edge_dst[e]
-                ti = new.get(t)
-                if ti is None:
-                    ti = new[t] = len(order)
-                    order.append(t)
-                edges.append(e)
-                edge_pair.append(pairs.setdefault((new[s], ti), len(pairs)))
-        self.order = order
-        self.keep = np.array(order, dtype=np.intp)
-        self.states = tuple(skeleton.states[s] for s in order)
-        self.edges = np.array(edges, dtype=np.intp)
-        self.edge_pair = np.array(edge_pair, dtype=np.intp)
-        self.pairs = np.array(list(pairs), dtype=float).reshape(-1, 2)
-
-    def raise_transition_error(
-        self, skeleton: _Skeleton, errors: Mapping[int, Exception]
-    ) -> None:
-        """Raise the first error a walk of these states would meet, if any."""
-        for s in self.order:
-            for k in skeleton.site_slots[s]:
-                if k in errors:
-                    raise errors[k]
-            if s in skeleton.faults:
-                raise skeleton.faults[s]
-
-    def raise_reward_error(self, skeleton: _Skeleton, errors: Mapping[int, Exception]) -> None:
-        """Raise the first error met tabulating the rewards, if any: reward
-        structure by structure, state by state, item by item."""
-        for rname, table in skeleton.reward_slots.items():
-            for s in self.order:
-                for k in table[s]:
-                    if int(k) in errors:
-                        raise errors[int(k)]
-                if (rname, s) in skeleton.reward_faults:
-                    raise skeleton.reward_faults[(rname, s)]
+def _slot_value(
+    consts: Mapping[str, float], module: str | None, expr: Expr, extra: dict[str, int]
+) -> float:
+    """A rate (``module`` set, checked non-negative) or reward value."""
+    value = eval_number(expr, {**consts, **extra} if extra else consts)
+    if module is not None and value < 0.0:
+        raise CompositionError(
+            f"negative rate {value!r} in module {module!r} (rate {format_expr(expr)})"
+        )
+    return value
 
 
 def _resolve_constants(

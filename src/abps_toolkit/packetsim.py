@@ -147,7 +147,6 @@ class SimMetrics:
     parked_at_end: int
     oracle_sojourn_mean: Mapping[str, float]
     oracle_sojourn_count: Mapping[str, int]
-    nic_phase_fraction: Mapping[str, Mapping[str, float]]
     occupancy: Mapping[tuple[int, int, int], float]
 
 
@@ -439,14 +438,11 @@ class _Simulation:
         self._accrue()
 
         occupancy = {}
-        phase_time = {"UMTS": [0.0] * 5, "WiFi": [0.0] * 5}
         available = power = throughput = 0.0
         for u, w, o in itertools.product(range(5), range(5), ORACLE_STATE_NAMES):
             t = self.occupancy[(u * 5 + w) * 4 + o]
             if t > 0.0:
                 occupancy[u, w, o] = t / duration
-                phase_time["UMTS"][u] += t
-                phase_time["WiFi"][w] += t
                 available += t if state_available(u, w) else 0.0
                 power += t * state_power(u, w, self.params, self.mode, self.variant)
                 throughput += t * state_throughput(u, w, self.params)
@@ -471,10 +467,6 @@ class _Simulation:
                                  for s, c in counts.items() if c > 0},
             oracle_sojourn_count={ORACLE_STATE_NAMES[s]: c
                                   for s, c in counts.items() if c > 0},
-            nic_phase_fraction={
-                tech: {NIC_PHASES[p]: t / duration for p, t in enumerate(times) if t > 0.0}
-                for tech, times in phase_time.items()
-            },
             occupancy=occupancy,
         )
 

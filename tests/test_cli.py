@@ -94,6 +94,17 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "plain", "--params-file", str(cfg))
         assert code == 0
 
+    def test_params_file_with_listing_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("T_W_minus = 5\nT_W_plus = 120\n")
+        code, out, err = run(
+            capsys, "solve", str(reference_model_path("oracle")),
+            "--params", "T_W_minus=20", "--params", "T_W_plus=80",
+            "--params-file", str(cfg),
+        )
+        assert (code, out) == (2, "")
+        assert "--params-file" in err and "--params K=V" in err
+
 
 class TestSweep:
     def test_default_grid_row_count(self, capsys, tmp_path):
@@ -304,7 +315,7 @@ class TestSweepGolden:
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_sweep_csv_unchanged(self, capsys, grid, mode):
         expected = (GOLDEN / f"sweep_{grid}_{mode}.csv").read_text(encoding="utf-8")
-        for _ in range(2):  # the second run reuses the compiled chains
+        for _ in range(2):  # the second run replays the remembered walks
             code, out, _ = run(capsys, "sweep", "--mode", mode, *self.GRIDS[grid])
             assert code == 0
             assert out == expected

@@ -2,6 +2,7 @@
 
 import contextlib
 import http.server
+import json
 import math
 import os
 import subprocess
@@ -301,6 +302,17 @@ class TestCatalogFiles:
         assert len(catalog.access_points) == 1
         assert catalog.skipped_records == 3
 
+    def test_infinite_radius_row_skipped_with_count(self, tmp_path):
+        path = tmp_path / "aps.csv"
+        path.write_text(
+            "essid,lat,lon,radius_m,group,open\n"
+            "good,0.0,0.0,50,,true\n"
+            "huge,0.0,0.0,inf,,true\n"
+        )
+        catalog = LocalCatalog(path)
+        assert [a.essid for a in catalog.access_points] == ["good"]
+        assert catalog.skipped_records == 1
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "aps.csv"
         path.write_text("campus-1,0.0,0.0003,60,campusnet,true\n")
@@ -399,6 +411,13 @@ class TestRemoteCatalog:
         catalog = RemoteCatalog("http://x", session=session)
         assert len(catalog.query(0.0, 0.0, 500.0)) == 1
         assert catalog.skipped_records == 6
+
+    def test_infinite_radius_record_skipped(self):
+        huge = json.loads('{"essid": "huge", "lat": 0.0, "lon": 0.0, "radius_m": Infinity}')
+        session = FakeSession(FakeResponse(payload=[self.RECORD, huge]))
+        catalog = RemoteCatalog("http://x", session=session)
+        assert [a.essid for a in catalog.query(0.0, 0.0, 500.0)] == ["remote-1"]
+        assert catalog.skipped_records == 1
 
     @pytest.mark.parametrize("url", ["file:///etc/hosts", "ftp://catalog.example/aps",
                                      "catalog.example/aps"])

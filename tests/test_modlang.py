@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abps_toolkit import abps, modlang
 from abps_toolkit.modlang import (
@@ -29,6 +31,7 @@ from abps_toolkit.modlang import (
     parse,
 )
 from abps_toolkit.abps import default_params, reference_model_path, resolved_rates
+from abps_toolkit.ctmc import ValidationError
 
 BINDINGS = {"T_W_minus": 20.0, "T_W_plus": 80.0}
 
@@ -320,18 +323,18 @@ class TestCompose:
             compose(spec)
 
     def test_composed_spec_freed_without_cyclic_collector(self):
-        # a spec is released by reference counting alone, and its compiled
-        # entry with it
+        # a spec is released by reference counting alone, and its remembered
+        # walk with it
         gc.collect()
         gc.disable()
         try:
             spec = parse_reference("oracle")
             compose(spec, BINDINGS)
             alive = weakref.ref(spec)
-            programs = len(modlang._PROGRAMS)
+            walks = len(modlang._WALKS)
             del spec
             assert alive() is None
-            assert len(modlang._PROGRAMS) == programs - 1
+            assert len(modlang._WALKS) == walks - 1
         finally:
             gc.enable()
 
@@ -434,13 +437,39 @@ def snapshot(chain):
 def outcome(spec, bindings):
     try:
         return snapshot(compose(spec, bindings))
-    except modlang.ModelError as err:
+    except (modlang.ModelError, ValidationError) as err:
         return type(err), str(err)
 
 
+@st.composite
+def small_specs(draw):
+    """Listings of one or two modules over a, b, c (rates and rewards) and
+    k (a guard and update constant), with shared labels, self-loops,
+    out-of-range and non-integer updates, and divisions."""
+    lines = ["ctmc"] + [f"const double {n};" for n in "abck"]
+    names = [f"v{i}" for i in range(draw(st.integers(1, 2)))]
+    for i, var in enumerate(names):
+        lines += [f"module m{i}", f"  {var} : [0..2] init 0;"]
+        for _ in range(draw(st.integers(1, 3))):
+            j = draw(st.integers(0, 2))
+            label = draw(st.sampled_from(["", "", "s"]))
+            guard = draw(st.sampled_from(
+                [f"{var}={j}", f"{var}!={j}", "true", f"{var}=k", f"{names[0]}=1 | {var}={j}"]))
+            rate = draw(st.sampled_from(["a", "b", "a*b", "1/c", f"({names[-1]}=1 ? a : 2.0)"]))
+            value = draw(st.sampled_from([str(j), str(j), "k", f"{var}+1", f"{j}/2"]))
+            lines.append(f"  [{label}] {guard} -> {rate}:({var}'={value});")
+        lines.append("endmodule")
+    if draw(st.booleans()):
+        lines += ['rewards "r"', f"  {names[0]}=1 : 1/c;", "  true : b;", "endrewards"]
+    return parse("\n".join(lines) + "\n")
+
+
+BINDING_VALUES = st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.0, 1e308])
+
+
 class TestCompiledCompose:
-    """compose reuses a spec's compiled structure; every call must still
-    equal a compile from scratch (a deep copy is a spec never seen before)."""
+    """compose replays a spec's remembered walk; every call must still
+    equal a compose from scratch (a deep copy is a spec never seen before)."""
 
     def warm_then_fresh(self, spec, *bindings_seq):
         outcomes = []
@@ -528,6 +557,34 @@ class TestCompiledCompose:
             spec, BINDINGS, {"T_W_minus": 0.0, "T_W_plus": 80.0}, BINDINGS)
         assert bad == (CompositionError, "division by zero in (1.0 / T_W_minus)")
         assert back == good
+
+    def test_generator_errors_precede_reward_errors(self):
+        # a walk builds its generator before it reads the rewards, so the
+        # overflowing rate is reported and 1/c is never evaluated
+        spec = parse("""ctmc
+        const double a;
+        const double b;
+        const double c;
+        module m x : [0..1] init 0;
+          [] x=0 -> a*b:(x'=1);
+          [] x=1 -> 1.0:(x'=0);
+        endmodule
+        rewards "r"
+          true : 1/c;
+        endrewards
+        """)
+        ok, bad = self.warm_then_fresh(
+            spec, {"a": 1, "b": 1, "c": 1}, {"a": 2, "b": 1e308, "c": 0})
+        assert ok[1] == ((0,), (1,))
+        assert bad == (ValidationError,
+                       "transition (0, 1) needs a positive finite rate, got inf")
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_specs(), st.lists(st.fixed_dictionaries({n: BINDING_VALUES for n in "abck"}),
+                                   min_size=2, max_size=5))
+    def test_every_call_equals_a_fresh_compose(self, spec, bindings_seq):
+        for bindings in bindings_seq:
+            assert outcome(spec, bindings) == outcome(copy.deepcopy(spec), bindings)
 
     def test_rewards_changed_in_place_are_read(self):
         spec = parse("""ctmc
