@@ -73,13 +73,18 @@ def _print_metrics(result: abps.MetricsResult) -> None:
 
 def cmd_solve(args) -> int:
     if args.model in abps.VARIANTS:
-        model = abps.build(args.model, _assemble_params(args), args.mode)
+        model = abps.build(args.model, _assemble_params(args), args.mode or "text")
         _print_metrics(abps.evaluate(model))
         return 0
     if args.params_file:
         raise _InputError(
             "--params-file names built-in variant parameters; "
             "bind a listing's constants with --params K=V"
+        )
+    if args.mode is not None:
+        raise _InputError(
+            "--mode picks a built-in variant's energy rule; "
+            "a listing fixes its own rule in its rates and rewards"
         )
     spec = modlang.parse_file(args.model)
     chain = modlang.compose(spec, _parse_overrides(args.params))
@@ -237,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a built-in variant or a model file")
     p.add_argument("model", help="'plain', 'oracle', or a model source path")
     _add_params_flags(p)
-    p.set_defaults(handler=cmd_solve)
+    # no default mode, so that a listing solve can tell an explicit --mode
+    p.set_defaults(handler=cmd_solve, mode=None)
 
     p = sub.add_parser("sweep", help="metrics over a WiFi-window grid, as CSV")
     p.add_argument("--grid", nargs=2, metavar=("tmin:LIST", "tplus:LIST"),

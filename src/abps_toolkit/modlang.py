@@ -846,7 +846,7 @@ def compose(
     States are numbered breadth-first from the initial state. Errors are
     raised in that order: a guard, update or rate that fails in a reached
     state, then a rate or sum ``build_generator`` rejects, then a reward
-    guard or value that fails.
+    guard or value that fails, then a reward sum that is not finite.
 
     The last walk of a spec is remembered while the spec lives. A later call
     replays it, evaluating only the rate and reward expressions, while the
@@ -1132,8 +1132,16 @@ class _Walk:
         rewards: dict[str, np.ndarray] = {}
         for rname, table in self.reward_slots.items():
             vec = np.zeros(len(self.states))
-            for column in table.T:  # summed in item order
-                vec += values[column]
+            with np.errstate(all="ignore"):  # an overflow is rejected below
+                for column in table.T:  # summed in item order
+                    vec += values[column]
+            finite = np.isfinite(vec)
+            if not finite.all():
+                si = int(finite.argmin())  # the first state that is not finite
+                raise CompositionError(
+                    f"reward structure {rname!r} needs finite values, "
+                    f"got {float(vec[si])!r} in state {si}"
+                )
             vec.flags.writeable = False
             rewards[rname] = vec
         return ComposedChain(

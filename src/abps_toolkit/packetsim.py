@@ -22,8 +22,16 @@ Mechanics worth knowing:
   a configurable fixed delay (0 = instantaneous). With a delay larger than
   the ACK timeout every datagram is retransmitted at least once, which is
   the easiest way to exercise duplicate suppression.
-- Ties in the event queue break by event class (state machines before
-  traffic), then by scheduling order, so runs are reproducible bit for bit.
+- Interface and oracle transitions are the only entries of the event
+  heap. Traffic comes from three other sources: the time of the next
+  datagram, which advances by the fixed period, and two FIFOs of pending
+  ACKs and timeouts. Each FIFO entry lies a fixed delay after its send and
+  simulated time never runs backwards, so each FIFO is already in time and
+  scheduling order. The loop takes the earliest of the heap top, the next
+  datagram, the ACK head and the timeout head, in that order, and a later
+  source wins only when it is strictly earlier. Ties therefore break by
+  event class (oracle, interface, datagram, ACK, timeout), then by
+  scheduling order, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ ORACLE_STATE_NAMES = {ORACLE_U: "O_U", ORACLE_UW: "O_UW", ORACLE_W: "O_W"}
 # Trace event of an oracle move, by the state it enters.
 _ORACLE_EVENTS = {ORACLE_U: "EV_NO_WIFI", ORACLE_UW: "EV_SHORT_WIFI", ORACLE_W: "EV_LONG_WIFI"}
 
-# Event classes in tie-breaking order.
+# Event classes in tie-breaking order; only the first two go on the heap.
 _EV_ORACLE, _EV_NIC, _EV_DATA, _EV_ACK, _EV_TIMEOUT = range(5)
 
 TraceFn = Callable[[float, str, str, str], None]
@@ -98,7 +106,7 @@ class SimConfig:
             raise ValidationError("replications must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class Datagram:
     """One application datagram; sequence numbers are unique per flow."""
 
@@ -166,7 +174,13 @@ class _Simulation:
         self.now = 0.0
         self.last_accrual = 0.0
         self.serial = itertools.count()
-        self.heap: list[tuple] = []
+        self.heap: list[tuple] = []   # interface and oracle transitions only
+        # (when, seq) of pending ACKs and timeouts, each in time order
+        self.acks: deque[tuple[float, int]] = deque()
+        self.timeouts: deque[tuple[float, int]] = deque()
+        self.ack_delay = config.ack_delay
+        self.ack_timeout = config.ack_timeout
+        self.size_bits = config.datagram_bytes * 8
 
         r = resolved_rates(params, mode)
         self.umts = _nic_state("UMTS", r["alpha_U"], r["umts_setup_success"],
@@ -208,9 +222,6 @@ class _Simulation:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _push(self, when: float, kind: int, *payload) -> None:
-        heapq.heappush(self.heap, (when, kind, next(self.serial), *payload))
-
     def _schedule_nic(self, nic: NicState) -> None:
         scale = nic.scales[nic.phase]
         if scale:
@@ -219,7 +230,8 @@ class _Simulation:
 
     def _schedule_oracle(self) -> None:
         scale = self.oracle_scale[self.oracle_state]
-        self._push(self.now + scale * self.draw(), _EV_ORACLE, self.oracle_gen)
+        heapq.heappush(self.heap, (self.now + scale * self.draw(), _EV_ORACLE,
+                                   next(self.serial), self.oracle_gen))
 
     def _accrue(self) -> None:
         now = self.now
@@ -325,10 +337,9 @@ class _Simulation:
         seq = self.next_seq
         self.next_seq += 1
         self.generated += 1
-        datagram = Datagram(seq, self.now, self.config.datagram_bytes * 8)
+        datagram = Datagram(seq, self.now, self.size_bits)
         self.pending[seq] = datagram
         self._send(datagram)
-        self._push(self.now + 1.0 / self.config.data_rate, _EV_DATA, 0)
 
     def _send(self, datagram: Datagram) -> None:
         tech = self._preferred()
@@ -350,15 +361,15 @@ class _Simulation:
                        f"seq={datagram.seq} attempt={datagram.attempts} active={nic.active}")
         if nic.phase == PHASE_CONNECTED:
             self._receive(datagram)
-            if self.config.ack_delay <= 0.0:
+            if self.ack_delay <= 0.0:
                 self._ack(datagram.seq)
             else:
-                self._push(self.now + self.config.ack_delay, _EV_ACK, datagram.seq)
-                self._push(self.now + self.config.ack_timeout, _EV_TIMEOUT, datagram.seq)
+                self.acks.append((self.now + self.ack_delay, datagram.seq))
+                self.timeouts.append((self.now + self.ack_timeout, datagram.seq))
         else:
             # failed but not yet detected: the datagram is lost in transit
             self.lost_sends += 1
-            self._push(self.now + self.config.ack_timeout, _EV_TIMEOUT, datagram.seq)
+            self.timeouts.append((self.now + self.ack_timeout, datagram.seq))
 
     def _receive(self, datagram: Datagram) -> None:
         seq = datagram.seq
@@ -412,28 +423,44 @@ class _Simulation:
         self._schedule_nic(self.umts)
         self._schedule_nic(self.wifi)
         self._schedule_oracle()
+        period = next_data = math.inf
         if cfg.data_rate > 0.0:
-            self._push(1.0 / cfg.data_rate, _EV_DATA, 0)
+            period = next_data = 1.0 / cfg.data_rate
 
         heap, pop, duration = self.heap, heapq.heappop, cfg.duration
+        acks, timeouts = self.acks, self.timeouts
         nic_fire, oracle_fire = self._nic_fire, self._oracle_fire
-        while heap:
-            entry = pop(heap)
-            when = entry[0]
+        generate, ack, timeout = self._generate, self._ack, self._timeout
+        while True:
+            # the oracle's next move is always on the heap; a traffic source
+            # is taken only when strictly earlier than every one before it
+            when = heap[0][0]
+            kind = _EV_ORACLE  # a heap entry: oracle or interface
+            if next_data < when:
+                when = next_data
+                kind = _EV_DATA
+            if acks and acks[0][0] < when:
+                when = acks[0][0]
+                kind = _EV_ACK
+            if timeouts and timeouts[0][0] < when:
+                when = timeouts[0][0]
+                kind = _EV_TIMEOUT
             if when > duration:
                 break
             self.now = when
-            kind = entry[1]
-            if kind == _EV_NIC:
-                nic_fire(entry[3], entry[4])
-            elif kind == _EV_ORACLE:
-                oracle_fire(entry[3])
+            if kind == _EV_ORACLE:
+                entry = pop(heap)
+                if entry[1] == _EV_NIC:
+                    nic_fire(entry[3], entry[4])
+                else:
+                    oracle_fire(entry[3])
             elif kind == _EV_DATA:
-                self._generate()
+                next_data = when + period
+                generate()
             elif kind == _EV_ACK:
-                self._ack(entry[3])
-            elif kind == _EV_TIMEOUT:
-                self._timeout(entry[3])
+                ack(acks.popleft()[1])
+            else:
+                timeout(timeouts.popleft()[1])
         self.now = duration
         self._accrue()
 

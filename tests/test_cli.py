@@ -105,6 +105,17 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "--params-file" in err and "--params K=V" in err
 
+    @pytest.mark.parametrize("mode", ["text", "appendix"])
+    def test_mode_with_listing_rejected(self, capsys, mode):
+        windows = ("--params", "T_W_minus=20", "--params", "T_W_plus=80")
+        code, out, err = run(capsys, "solve", str(reference_model_path("plain")),
+                             *windows, "--mode", mode)
+        assert (code, out) == (2, "")
+        assert "--mode" in err and "listing fixes its own rule" in err
+        # without --mode the listing solves; the built-in routes take either mode
+        assert run(capsys, "solve", str(reference_model_path("plain")), *windows)[0] == 0
+        assert run(capsys, "solve", "plain", *windows, "--mode", mode)[0] == 0
+
 
 class TestSweep:
     def test_default_grid_row_count(self, capsys, tmp_path):
@@ -339,6 +350,8 @@ class TestSimulatorGolden:
         ("idle", ("--variant", "both", "--reps", "3", "--duration", "20000")),
         ("traffic", ("--variant", "oracle", "--duration", "300", "--data-rate", "20",
                      "--ack-delay", "2", "--ack-timeout", "0.5")),
+        ("traffic_acked", ("--variant", "oracle", "--reps", "8", "--duration", "50",
+                           "--data-rate", "50", "--ack-delay", "0.2", "--ack-timeout", "1")),
     ])
     def test_simulate_csv_unchanged(self, capsys, name, argv):
         expected = (GOLDEN / f"simulate_{name}.csv").read_text(encoding="utf-8")

@@ -3,6 +3,7 @@
 import copy
 import gc
 import itertools
+import warnings
 import weakref
 
 import numpy as np
@@ -578,6 +579,29 @@ class TestCompiledCompose:
         assert ok[1] == ((0,), (1,))
         assert bad == (ValidationError,
                        "transition (0, 1) needs a positive finite rate, got inf")
+
+    @pytest.mark.parametrize("value", [1e308, float("nan")])
+    def test_non_finite_reward_sum_rejected(self, value):
+        # 1e308 + 1e308 overflows in the sum; NaN is not finite on its own
+        spec = parse("""ctmc
+        const double a;
+        module m x : [0..1] init 0;
+          [] x=0 -> 1.0:(x'=1);
+          [] x=1 -> 1.0:(x'=0);
+        endmodule
+        rewards "r"
+          true : a;
+          true : a;
+        endrewards
+        """)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning may leak
+            ok, bad, again = self.warm_then_fresh(spec, {"a": 1.0}, {"a": value}, {"a": 1.0})
+        assert np.frombuffer(ok[4]["r"]).tolist() == [2.0, 2.0]
+        got = "inf" if value == 1e308 else "nan"
+        assert bad == (CompositionError,
+                       f"reward structure 'r' needs finite values, got {got} in state 0")
+        assert again == ok
 
     @settings(max_examples=150, deadline=None)
     @given(small_specs(), st.lists(st.fixed_dictionaries({n: BINDING_VALUES for n in "abck"}),

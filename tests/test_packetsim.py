@@ -140,6 +140,21 @@ class TestTraffic:
             m.generated * 1250 * 8 / 2000.0 / 1e6
         )
 
+    def test_ack_beats_timeout_due_at_the_same_instant(self):
+        # with the ACK delay equal to the timeout both fall due at the same
+        # float time; the ACK goes first, so nothing is ever resent
+        params = default_params(
+            T_W_minus=1e9, T_W_plus=1e9, gamma_U=1e-9,
+            lambda_UW_U=0.025, lambda_UW_W=0.025, lambda_W_UW=1 / 80,
+        )
+        cfg = SimConfig(duration=2000.0, seed=3, data_rate=10.0,
+                        ack_delay=0.5, ack_timeout=0.5)
+        m = simulate(params, cfg, "plain")
+        assert m.generated == 20000
+        assert m.lost_sends == 0
+        assert m.retransmissions == 0
+        assert m.duplicates == 0
+
     def test_duplicates_suppressed_under_aggressive_timeout(self):
         # ACK slower than the timeout: every delivered datagram is resent at
         # least once, so the relay must discard heavily
