@@ -37,9 +37,7 @@ from abps_toolkit.ctmc import (
     StationaryDistribution,
     StructureError,
     ValidationError,
-    expected_reward,
     steady_state,
-    steady_state_probability,
 )
 from abps_toolkit.modlang import (
     Bool,
@@ -53,7 +51,7 @@ from abps_toolkit.modlang import (
     Num,
     Update,
     Variable,
-    compose,
+    compose,  # noqa: F401 -- kept in this namespace for callers that import it from here
 )
 
 #: Interface phases in their numeric encoding order (0..4).
@@ -116,12 +114,10 @@ class AbpsParams:
             raise ValidationError(
                 f"need T_W_plus >= T_W_minus > 0, got {self.T_W_plus}, {self.T_W_minus}"
             )
-        if self.lambda_UW_U is None:
-            object.__setattr__(self, "lambda_UW_U", 0.5 * self.gamma_W_minus)
-        if self.lambda_UW_W is None:
-            object.__setattr__(self, "lambda_UW_W", 0.5 * self.gamma_W_minus)
-        if self.lambda_W_UW is None:
-            object.__setattr__(self, "lambda_W_UW", self.gamma_W_plus)
+        derived = _window_rates(self.T_W_minus, self.T_W_plus)
+        for name in ("lambda_UW_U", "lambda_UW_W", "lambda_W_UW"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, derived[name])
         for name in (
             "alpha_U", "beta_U", "gamma_U", "mu_U", "alpha_W", "beta_W", "mu_W",
             "lambda_U_UW", "lambda_UW_U", "lambda_UW_W", "lambda_W_UW",
@@ -165,6 +161,15 @@ class AbpsParams:
             lambda_UW_W=None,
             lambda_W_UW=None,
         )
+
+
+def _window_rates(T_W_minus, T_W_plus) -> dict:
+    """The rates the WiFi windows set, for floats or arrays of them: both
+    gammas and the oracle rates of the residence-time construction."""
+    gamma_minus, gamma_plus = 1.0 / T_W_minus, 1.0 / T_W_plus
+    return {"gamma_W_minus": gamma_minus, "gamma_W_plus": gamma_plus,
+            "lambda_UW_U": 0.5 * gamma_minus, "lambda_UW_W": 0.5 * gamma_minus,
+            "lambda_W_UW": gamma_plus}
 
 
 def default_params(**overrides) -> AbpsParams:
@@ -342,23 +347,35 @@ def _spec(variant: str) -> ModelSpec:
     )
 
 
-#: One spec per variant for the whole process, so ``compose`` walks each
-#: chain once and every later point replays the walk, evaluating its rates.
-_SPECS = {variant: _spec(variant) for variant in VARIANTS}
+#: One compiled program per variant for the whole process: a point replays
+#: its walk, evaluating only the rates, and a sweep solves a grid in a stack.
+_PROGRAMS = {variant: modlang.compile(_spec(variant)) for variant in VARIANTS}
 
 
 def _build(params: AbpsParams, variant: str, mode: str) -> AbpsModel:
     _check_variant_mode(variant, mode)
-    spec = _SPECS[variant]
-    chain = compose(spec, resolved_rates(params, mode))
-    u = chain.var_names.index("s_U")
-    w = chain.var_names.index("s_W")
-    energy = np.array([state_power(s[u], s[w], params, mode, variant) for s in chain.states])
-    throughput = np.array([state_throughput(s[u], s[w], params) for s in chain.states])
-    energy.flags.writeable = False
-    throughput.flags.writeable = False
+    program = _PROGRAMS[variant]
+    chain = program.evaluate(resolved_rates(params, mode))
+    energy, throughput = _rewards(chain.var_names, chain.states, params, mode, variant)
     chain = replace(chain, rewards={"energy": energy, "throughput": throughput})
-    return AbpsModel(variant, mode, params, spec, chain)
+    return AbpsModel(variant, mode, params, program.spec, chain)
+
+
+def _rewards(var_names, states, params: AbpsParams, mode: str, variant: str):
+    """The energy and throughput vectors over ``states``."""
+    return (
+        _state_table(var_names, states, state_power, params, mode, variant),
+        _state_table(var_names, states, state_throughput, params),
+    )
+
+
+def _state_table(var_names, states, rule, *args) -> np.ndarray:
+    """``rule(s_U, s_W, *args)`` tabulated over ``states``, read-only."""
+    u = var_names.index("s_U")
+    w = var_names.index("s_W")
+    table = np.array([rule(s[u], s[w], *args) for s in states], dtype=float)
+    table.flags.writeable = False
+    return table
 
 
 def build_plain(params: AbpsParams, mode: str = "text") -> AbpsModel:
@@ -419,19 +436,12 @@ class MetricsResult:
     distribution: StationaryDistribution
 
 
-def connected_predicate(chain: ComposedChain):
-    """State-index predicate: at least one interface is connected."""
-    u = chain.var_names.index("s_U")
-    w = chain.var_names.index("s_W")
-    states = chain.states
-    return lambda i: state_available(states[i][u], states[i][w])
-
-
 def evaluate_chain(chain: ComposedChain) -> MetricsResult:
     """Solve a composed chain and read the three standard metrics off it.
 
     The chain must expose ``s_U``/``s_W`` variables and ``energy`` and
-    ``throughput`` reward structures.
+    ``throughput`` reward structures. Availability is the stationary mass
+    of the states :func:`state_available` accepts.
     """
     for var in ("s_U", "s_W"):
         if var not in chain.var_names:
@@ -440,10 +450,23 @@ def evaluate_chain(chain: ComposedChain) -> MetricsResult:
         if rname not in chain.rewards:
             raise ValidationError(f"chain lacks the {rname!r} reward structure")
     dist = steady_state(chain.generator, chain.initial)
-    availability = steady_state_probability(dist, connected_predicate(chain))
-    power = expected_reward(dist, RewardVector(chain.rewards["energy"], units="W"))
-    throughput = expected_reward(dist, RewardVector(chain.rewards["throughput"], units="Mbps"))
+    vectors = [_state_table(chain.var_names, chain.states, state_available)]
+    vectors += [RewardVector(chain.rewards[rname]).values for rname in ("energy", "throughput")]
+    [(availability, power, throughput)] = _metrics(dist.probabilities[np.newaxis], vectors)
     return MetricsResult(availability, power, throughput, dist)
+
+
+def _metrics(probabilities: np.ndarray, vectors) -> list[tuple[float, float, float]]:
+    """Availability, power and throughput of each row of stacked stationary
+    distributions, given the availability, energy and throughput vectors.
+    Each is a row-wise sum of products, so a row reads the same alone as in
+    any stack."""
+    available, energy, throughput = vectors
+    return list(zip(
+        np.clip((probabilities * available).sum(axis=1), 0.0, 1.0).tolist(),
+        (probabilities * energy).sum(axis=1).tolist(),
+        (probabilities * throughput).sum(axis=1).tolist(),
+    ))
 
 
 def evaluate(model: AbpsModel) -> MetricsResult:
@@ -520,16 +543,59 @@ def sweep(
     variants: Iterable[str] = VARIANTS,
     mode: str = "text",
 ) -> SweepTable:
-    """Solve every variant over the window grid; per-point errors recorded."""
+    """Solve every variant over the window grid; per-point errors recorded.
+
+    A variant's grid is one batch (:meth:`modlang.Program.evaluate_many`),
+    read with the metric rules of :func:`evaluate_chain`. A point the batch
+    leaves out is evaluated alone, as ``evaluate(build(variant,
+    params.with_windows(t_minus, t_plus), mode))``, which also gives the
+    error text of a point that fails.
+    """
+    points = [(t_minus, t_plus) for t_minus in t_minus_values for t_plus in t_plus_values]
     rows: list[SweepRow] = []
     for variant in variants:
         _check_variant_mode(variant, mode)
-        for t_minus in t_minus_values:
-            for t_plus in t_plus_values:
+        for (t_minus, t_plus), metrics in zip(points, _sweep_batch(params, points, variant, mode)):
+            error = None
+            if metrics is None:
                 try:
-                    point = params.with_windows(t_minus, t_plus)
-                    metrics = evaluate(_build(point, variant, mode))
-                    rows.append(SweepRow(variant, t_minus, t_plus, metrics))
+                    metrics = evaluate(_build(params.with_windows(t_minus, t_plus), variant, mode))
                 except (ValidationError, StructureError, modlang.ModelError) as err:
-                    rows.append(SweepRow(variant, t_minus, t_plus, None, str(err)))
+                    error = str(err)
+            rows.append(SweepRow(variant, t_minus, t_plus, metrics, error))
     return SweepTable(tuple(rows), mode)
+
+
+def _sweep_batch(params: AbpsParams, points, variant: str, mode: str) -> list:
+    """The metrics at each window pair from one stacked solve, or None for a
+    point to evaluate alone: one whose windows are not floats or fail the
+    checks of :meth:`AbpsParams.with_windows`, or that the batch leaves out."""
+    found: list[MetricsResult | None] = [None] * len(points)
+    try:  # params.e is a dict, so an edit after construction can break a check
+        params.with_windows(params.T_W_minus, params.T_W_plus)
+    except ValidationError:
+        return found
+    if not all(isinstance(t, float) for point in points for t in point):
+        return found
+    t_minus, t_plus = np.array(points, dtype=float).reshape(-1, 2).T
+    with np.errstate(divide="ignore", over="ignore"):
+        windows = _window_rates(t_minus, t_plus)
+    valid = (t_minus > 0.0) & (t_plus >= t_minus)
+    for name in ("lambda_UW_U", "lambda_UW_W", "lambda_W_UW"):
+        valid &= (windows[name] > 0.0) & np.isfinite(windows[name])
+    picked = np.flatnonzero(valid)
+    rates = resolved_rates(params, mode)
+    rates.update((name, rate[picked]) for name, rate in windows.items())
+    program = _PROGRAMS[variant]
+    batch = program.evaluate_many(rates)
+    available = _state_table(program.var_names, batch.states, state_available)
+    energy, throughput = _rewards(program.var_names, batch.states, params, mode, variant)
+    try:
+        vectors = (available, RewardVector(energy).values, RewardVector(throughput).values)
+    except ValidationError:
+        return found
+    solved = batch.probabilities[batch.ok]
+    dists = StationaryDistribution.rows(solved)
+    for k, dist, metrics in zip(picked[batch.ok], dists, _metrics(solved, vectors)):
+        found[k] = MetricsResult(*metrics, dist)
+    return found

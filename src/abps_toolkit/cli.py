@@ -49,8 +49,10 @@ def _parse_grid(tokens) -> tuple[list[float], list[float]]:
         name, values = token.split(":", 1)
         if name not in ("tmin", "tplus"):
             raise _InputError(f"grid axis must be tmin or tplus, got {name!r}")
+        if "" in values.split(","):
+            raise _InputError(f"empty grid entry in {token!r}")
         try:
-            grid[name] = [float(v) for v in values.split(",") if v]
+            grid[name] = [float(v) for v in values.split(",")]
         except ValueError:
             raise _InputError(f"non-numeric grid value in {token!r}")
     if set(grid) != {"tmin", "tplus"} or not all(grid.values()):
@@ -158,10 +160,11 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     params = _assemble_params(args)
     config = _sim_config(args)
+    variants = _variants(args.variant)
     failed = False
     print(f"{'variant':8} {'metric':16} {'analytic':>12} {'simulated':>24} "
           f"{'z':>6}  verdict")
-    for variant in _variants(args.variant):
+    for variant in variants:
         analytic = abps.evaluate(abps.build(variant, params, args.mode))
         references = {
             "availability": analytic.availability,
@@ -169,9 +172,11 @@ def cmd_compare(args) -> int:
             "throughput_mbps": analytic.throughput_mbps,
         }
         result = packetsim.replicate(params, config, variant, args.mode)
+        # one false-fail chance, packetsim.ALPHA, for every metric of the run
+        bound = packetsim.verdict_bound(result.n, len(references) * len(variants))
         for metric, reference in references.items():
             s = result.stats[metric]
-            ok = result.within(metric, reference)
+            ok = result.within(metric, reference, bound)
             z = result.z(metric, reference)
             failed = failed or not ok
             print(

@@ -9,7 +9,8 @@ recurrent class, which is both fast and deterministic (Stewart,
 *Introduction to the Numerical Solution of Markov Chains*, 1994, ch. 2).
 The closed class is found once per pattern: a small bounded memo keyed by
 ``Q > 0`` and the initial state serves every chain that differs only in its
-rates, such as the points of a parameter sweep.
+rates, such as the points of a parameter sweep, and :func:`steady_states`
+solves a stack of such chains in one call.
 
 All values are immutable after construction and can be shared freely across
 threads; a single solve is single-threaded.
@@ -95,6 +96,27 @@ class StationaryDistribution:
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
+
+    @classmethod
+    def rows(cls, probabilities: np.ndarray) -> list[StationaryDistribution]:
+        """One distribution per row of a ``(P, n)`` array, each checked as
+        the constructor checks one; the rows share one read-only copy."""
+        block = np.array(probabilities, dtype=float)
+        if block.ndim != 2:
+            raise ValidationError("a stack of distributions must be 2-d")
+        if block.min(initial=0.0) < 0.0:
+            raise ValidationError("probabilities must be nonnegative")
+        sums = block.sum(axis=1)
+        off = np.abs(sums - 1.0) > PROB_SUM_TOL
+        if off.any():
+            raise ValidationError(f"probabilities sum to {sums[off.argmax()]!r}, not 1")
+        block.flags.writeable = False
+        found = []
+        for row in block:
+            dist = object.__new__(cls)  # checked above, as a block
+            object.__setattr__(dist, "probabilities", row)
+            found.append(dist)
+        return found
 
     @property
     def n_states(self) -> int:
@@ -200,33 +222,78 @@ def steady_state(
     _check_state(generator, initial)
     support = np.packbits(generator.q > 0.0).tobytes()
     recurrent = _recurrent_class(generator.n_states, initial, support)
+    pi, negative, residual = _solve(generator.q[np.newaxis], recurrent)
+    if negative[0]:
+        raise StructureError("stationary solve produced a negative probability")
+    if not residual[0] <= residual_tol:  # a NaN residual fails too
+        raise StructureError(
+            f"relative stationary residual {residual[0]:.3e} exceeds tolerance "
+            f"{residual_tol:.1e}"
+        )
+    return StationaryDistribution(probabilities=pi[0])
 
-    a = generator.q.T[np.ix_(recurrent, recurrent)]  # a fresh, writable copy
-    a[0, :] = 1.0
-    b = np.zeros(len(recurrent))
-    b[0] = 1.0
-    x = np.linalg.solve(a, b)
+
+def steady_states(
+    q: np.ndarray,
+    initial: int,
+    *,
+    residual_tol: float = RESIDUAL_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stationary distributions of a stack of generators in one solve.
+
+    ``q`` is a ``(P, n, n)`` stack of valid generators that share the
+    pattern ``Q > 0`` of ``q[0]``. Returns the ``(P, n)`` probabilities and
+    the mask of the rows that :func:`steady_state` accepts, each row bit for
+    bit what it returns for that generator alone. A row of another pattern
+    is not accepted, and a singular system fails the whole stack. Raises
+    :class:`StructureError`, as :func:`steady_state` does, when the pattern
+    has more than one closed class.
+    """
+    if not len(q):
+        return np.empty(q.shape[:2]), np.zeros(0, dtype=bool)
+    support = q[0] > 0.0
+    recurrent = _recurrent_class(q.shape[1], initial, np.packbits(support).tobytes())
+    same = ((q > 0.0) == support).all(axis=(1, 2))
+    try:
+        pi, negative, residual = _solve(q, recurrent)
+    except np.linalg.LinAlgError:
+        return np.full(q.shape[:2], np.nan), np.zeros(len(q), dtype=bool)
+    # the checks of steady_state and of StationaryDistribution
+    summed = np.abs(pi.sum(axis=1) - 1.0) <= PROB_SUM_TOL
+    return pi, same & ~negative & (residual <= residual_tol) & summed
+
+
+def _solve(
+    q: np.ndarray, recurrent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve each generator of the stack ``q`` on the closed class
+    ``recurrent``: the probabilities, the rows whose solve went negative and
+    each row's relative residual. A row is computed the same way alone or in
+    any stack, so it comes out bit for bit the same."""
+    everywhere = len(recurrent) == q.shape[1]
+    a = q.copy() if everywhere else q[:, recurrent[:, np.newaxis], recurrent]
+    a[:, :, 0] = 1.0  # one balance equation becomes the normalization
+    b = np.zeros((len(q), len(recurrent), 1))
+    b[:, 0] = 1.0
+    # pi Q = 0 is Q^T pi = 0; the transposed view is already in the
+    # column-major order the solver copies its input into
+    x = np.linalg.solve(a.transpose(0, 2, 1), b)[..., 0]
 
     # Direct solves can leave harmless signed zeros / tiny negatives.
     x[np.abs(x) < 1e-15] = 0.0
-    if x.min(initial=0.0) < -1e-9:
-        raise StructureError("stationary solve produced a negative probability")
+    negative = x.min(axis=1, initial=0.0) < -1e-9
     x = np.clip(x, 0.0, None)
-    x /= x.sum()
+    x /= x.sum(axis=1, keepdims=True)
 
-    pi = np.zeros(generator.n_states)
-    pi[recurrent] = x
+    if everywhere:
+        pi = x
+    else:
+        pi = np.zeros(q.shape[:2])
+        pi[:, recurrent] = x
 
-    residual = np.abs(pi @ generator.q).max()
-    max_exit = -generator.q.diagonal().min()
-    if max_exit > 0.0:
-        residual /= max_exit
-    if not residual <= residual_tol:  # a NaN residual fails too
-        raise StructureError(
-            f"relative stationary residual {residual:.3e} exceeds tolerance "
-            f"{residual_tol:.1e}"
-        )
-    return StationaryDistribution(probabilities=pi)
+    residual = np.abs(pi[:, np.newaxis, :] @ q)[:, 0].max(axis=1)
+    max_exit = -q.diagonal(axis1=1, axis2=2).min(axis=1)
+    return pi, negative, residual / np.where(max_exit > 0.0, max_exit, 1.0)
 
 
 def steady_state_probability(

@@ -21,6 +21,10 @@ deliberately minimal:
 Constants declared without a value are external parameters and must be
 bound before composition. ``formula`` definitions are inlined where they
 are referenced. ``//`` starts a line comment.
+
+:func:`compile` turns a parsed spec into a :class:`Program`, which composes
+the chain at one set of bindings (``evaluate``, what :func:`compose` does)
+or composes and solves it at many points at once (``evaluate_many``).
 """
 
 from __future__ import annotations
@@ -28,13 +32,18 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
-from abps_toolkit.ctmc import GeneratorMatrix, build_generator
+from abps_toolkit.ctmc import (
+    GeneratorMatrix,
+    StructureError,
+    ValidationError,
+    build_generator,
+    steady_states,
+)
 
 RATE_EQUALITY_TOL = 1e-12
 
@@ -130,9 +139,7 @@ Expr = Union[Num, Bool, Ident, Unary, Binary, Cond]
 
 def eval_expr(expr: Expr, env: Mapping[str, float]) -> float | bool:
     """Evaluate ``expr`` under ``env`` (constants plus variable values)."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Bool):
+    if isinstance(expr, (Num, Bool)):
         return expr.value
     if isinstance(expr, Ident):
         try:
@@ -144,32 +151,27 @@ def eval_expr(expr: Expr, env: Mapping[str, float]) -> float | bool:
     if isinstance(expr, Binary):
         lhs = eval_expr(expr.left, env)
         rhs = eval_expr(expr.right, env)
-        op = expr.op
-        if op == "+":
-            return _num(lhs, expr) + _num(rhs, expr)
-        if op == "-":
-            return _num(lhs, expr) - _num(rhs, expr)
-        if op == "*":
-            return _num(lhs, expr) * _num(rhs, expr)
-        if op == "/":
-            try:
-                return _num(lhs, expr) / _num(rhs, expr)
-            except ZeroDivisionError:
-                raise CompositionError(f"division by zero in {format_expr(expr)}")
-        if op == "=":
-            return _num(lhs, expr) == _num(rhs, expr)
-        if op == "!=":
-            return _num(lhs, expr) != _num(rhs, expr)
-        if op == "&":
+        if expr.op == "&":
             return _bool(lhs, expr) and _bool(rhs, expr)
-        if op == "|":
+        if expr.op == "|":
             return _bool(lhs, expr) or _bool(rhs, expr)
-        raise CompositionError(f"unknown operator {op!r}")
+        if expr.op not in _NUMBER_OPS:
+            raise CompositionError(f"unknown operator {expr.op!r}")
+        try:
+            return _NUMBER_OPS[expr.op](_num(lhs, expr), _num(rhs, expr))
+        except ZeroDivisionError:
+            raise CompositionError(f"division by zero in {format_expr(expr)}")
     if isinstance(expr, Cond):
         return eval_expr(
             expr.then if _bool(eval_expr(expr.test, env), expr) else expr.orelse, env
         )
     raise CompositionError(f"cannot evaluate {expr!r}")
+
+
+_NUMBER_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "=": operator.eq, "!=": operator.ne,
+}
 
 
 def eval_number(expr: Expr, env: Mapping[str, float]) -> float:
@@ -829,6 +831,25 @@ class ComposedChain:
         return [i for i in range(self.n_states) if predicate(self.assignment(i))]
 
 
+@dataclass(frozen=True)
+class ChainBatch:
+    """A program's chains at P points, solved in one stack, over the states
+    of one walk. Where ``ok[p]`` holds, row ``p`` of ``probabilities`` and
+    of each reward array is bit for bit what :meth:`Program.evaluate` and
+    ``ctmc.steady_state`` give at point ``p``; elsewhere, evaluate it alone.
+    """
+
+    states: tuple[tuple[int, ...], ...]
+    ok: np.ndarray
+    probabilities: np.ndarray
+    rewards: Mapping[str, np.ndarray]
+
+
+def compile(spec: ModelSpec) -> "Program":
+    """Compile ``spec`` once, to evaluate it at many bindings."""
+    return Program(spec)
+
+
 def compose(
     spec: ModelSpec, bindings: Mapping[str, float] | None = None
 ) -> ComposedChain:
@@ -848,39 +869,17 @@ def compose(
     state, then a rate or sum ``build_generator`` rejects, then a reward
     guard or value that fails, then a reward sum that is not finite.
 
-    The last walk of a spec is remembered while the spec lives. A later call
-    replays it, evaluating only the rate and reward expressions, while the
-    constants that guards and updates read and the rewards are unchanged
-    and the same candidate transitions are live (nonzero); otherwise it
-    walks again.
+    This is ``compile(spec).evaluate(bindings)``.
     """
-    bindings = dict(bindings or {})
-    for name in bindings:
-        if name not in spec.constants:
-            raise CompositionError(f"binding for undeclared constant {name!r}")
-    consts = _resolve_constants(spec, bindings)
-    key = id(spec)
-    walk = _WALKS.get(key)
-    if walk is not None and walk.spec() is spec:
-        chain = walk.replay(spec, consts)
-        if chain is not None:
-            return chain
-    walk = _Walk(spec, consts)
-    walk.spec = weakref.ref(spec, lambda _: _WALKS.pop(key, None))
-    _WALKS[key] = walk
-    chain = walk.chain
-    del walk.chain  # a replay builds its own chain; keep no copy of this one
-    return chain
+    return compile(spec).evaluate(bindings)
 
 
 # Value slots every walk shares: an omitted rate, and a reward item whose
 # guard is false.
 _ONE, _ZERO = 0, 1
 
-# Keyed by id(spec). An entry leaves when its spec is freed, so a spec
-# composed once (a listing parsed for one solve) does not outlive its use and
-# no id is reused while its entry lives.
-_WALKS: dict[int, "_Walk"] = {}
+# The largest generator stack evaluate_many assembles at once, in bytes.
+_STACK_BYTES = 10_000_000
 
 
 class _Term:
@@ -906,26 +905,24 @@ def _no_key(state: tuple[int, ...]) -> tuple:
     return ()
 
 
-class _Walk:
-    """One breadth-first walk of a spec at some bindings, kept for replay.
+class Program:
+    """A spec compiled for evaluation at many bindings.
 
-    The walk meets states, guards, updates and values in the order of a full
-    walk and raises the first error where it meets it. It records each value
-    slot it evaluates (one rate or reward expression, in one source state
-    only where the expression reads a state variable), every candidate
-    transition with the slots whose product is its rate, which candidates
-    were live (nonzero), each state's reward slots, and the constants that
-    guards and updates read. Bindings that leave those constants alone and
-    every candidate as live as before walk the same states, so a replay
-    evaluates the slots only.
+    Compiling reads the spec's constants, commands and rewards; later edits
+    to the spec are not seen. The program keeps the walk of its latest
+    evaluation and replays it, evaluating only the rate and reward
+    expressions, while the constants that guards and updates read are
+    unchanged and the same candidate transitions are live (nonzero);
+    otherwise it walks again.
     """
 
-    def __init__(self, spec: ModelSpec, consts: Mapping[str, float]):
-        variables = spec.variables()
-        var_names = self.var_names = tuple(v.name for v in variables)
-        var_pos = {v.name: k for k, v in enumerate(variables)}
-        ranges = {v.name: (v.low, v.high) for v in variables}
-        self.rewards = dict(spec.rewards)
+    def __init__(self, spec: ModelSpec):
+        self.spec = spec
+        self.constants = dict(spec.constants)
+        self.variables = spec.variables()
+        var_names = self.var_names = tuple(v.name for v in self.variables)
+        var_pos = {v.name: k for k, v in enumerate(self.variables)}
+        ranges = {v.name: (v.low, v.high) for v in self.variables}
 
         # Names read by guards and updates: the constants among them decide
         # the state space.
@@ -959,11 +956,11 @@ class _Walk:
                         mods.append(mi)
 
         # A label used by one module only synchronizes with nothing.
-        plain = []
-        synced = []
+        self.plain = []
+        self.synced = []
         for label, mods in label_modules.items():
             if len(mods) >= 2:
-                synced.append([
+                self.synced.append([
                     (
                         spec.modules[mi].name,
                         [command(c) for c in spec.modules[mi].commands if c.label == label],
@@ -973,15 +970,114 @@ class _Walk:
         for mod in spec.modules:
             for cmd in mod.commands:
                 if cmd.label is None or len(label_modules[cmd.label]) < 2:
-                    plain.append((mod.name, *command(cmd)))
-        reward_terms = {
+                    self.plain.append((mod.name, *command(cmd)))
+        self.reward_terms = {
             rname: [(term(i.guard, True), term(i.value)) for i in items]
-            for rname, items in self.rewards.items()
+            for rname, items in spec.rewards.items()
         }
+        self.guard_names = tuple(structural - set(var_names))
+        self._walk: _Walk | None = None
+
+    def evaluate(self, bindings: Mapping[str, float] | None = None) -> ComposedChain:
+        """The chain at ``bindings``, as :func:`compose` builds it."""
+        bindings = self._declared(bindings or {})
+        consts = _resolve_constants(self.constants, bindings)
+        walk = self._walk
+        if walk is not None:
+            fits, q, rewards = walk.replay(consts, _Points(1))
+            if fits[0]:
+                return walk.make_chain(GeneratorMatrix(len(walk.states), q[0]),
+                                       {rname: vec[0] for rname, vec in rewards.items()})
+        walk = self._walk = _Walk(self, consts)
+        chain = walk.chain
+        del walk.chain  # a replay builds its own chain; keep no copy of this one
+        return chain
+
+    def evaluate_many(self, bindings: Mapping[str, object]) -> ChainBatch:
+        """The chains at P points and their stationary distributions, at once.
+
+        ``bindings`` maps each constant to an array over the points or to
+        one value for all. The batch follows the walk of its first point
+        that composes. A point whose guard constants or live pattern differ
+        from that walk's, whose values raise or are rejected, or whose solve
+        ``ctmc.steady_state`` rejects gets no row. Each chunk of at most
+        ``_STACK_BYTES`` of generators goes through one stacked solve.
+        """
+        columns = {name: np.asarray(value, dtype=float)
+                   for name, value in self._declared(bindings).items()}
+        shape = np.broadcast_shapes(*(c.shape for c in columns.values()))
+        if len(shape) > 1:
+            raise ValueError(f"bindings must be scalars or 1-d arrays, got shape {shape}")
+        size = shape[0] if shape else 1
+        for first in range(size):
+            try:
+                self.evaluate({name: c[first] if c.ndim else c for name, c in columns.items()})
+                break
+            except (ModelError, ValidationError):
+                continue
+        else:
+            return ChainBatch((), np.zeros(size, dtype=bool), np.empty((size, 0)), {})
+        walk = self._walk
+        n = len(walk.states)
+        ok = np.zeros(size, dtype=bool)
+        probabilities = np.full((size, n), np.nan)
+        rewards = {rname: np.full((size, n), np.nan) for rname in walk.reward_slots}
+        step = max(1, _STACK_BYTES // (8 * n * n))
+        for start in range(first, size, step):
+            rows = slice(start, min(start + step, size))
+            points = _Points(rows.stop - rows.start)
+            try:
+                with np.errstate(all="ignore"):  # as Python floats: inf or NaN, no warning
+                    consts = _resolve_constants(
+                        self.constants,
+                        {name: c[rows] if c.ndim else c for name, c in columns.items()},
+                        points.number, points.column)
+            except (_Irregular, ModelError):  # every point fails alike
+                continue
+            fits, q, vectors = walk.replay(consts, points)
+            for rname, vec in vectors.items():
+                rewards[rname][rows] = vec
+            picked = np.flatnonzero(fits)
+            if len(picked):
+                try:
+                    pi, solved = steady_states(q if fits.all() else q[picked], 0)
+                except StructureError:
+                    continue  # every point fails alike; alone, each says why
+                probabilities[start + picked], ok[start + picked] = pi, solved
+        for array in (probabilities, *rewards.values()):
+            array[~ok] = np.nan  # no result
+            array.flags.writeable = False
+        ok.flags.writeable = False
+        return ChainBatch(walk.states, ok, probabilities, rewards)
+
+    def _declared(self, bindings: Mapping[str, object]) -> dict[str, object]:
+        for name in bindings:
+            if name not in self.constants:
+                raise CompositionError(f"binding for undeclared constant {name!r}")
+        return dict(bindings)
+
+
+class _Walk:
+    """One breadth-first walk of a program at some bindings, kept for replay.
+
+    The walk meets states, guards, updates and values in the order of a full
+    walk and raises the first error where it meets it. It records each value
+    slot it evaluates (one rate or reward expression, in one source state
+    only where the expression reads a state variable), every candidate
+    transition with the slots whose product is its rate, which candidates
+    were live (nonzero), each state's reward slots, and the constants that
+    guards and updates read. Bindings that leave those constants alone and
+    every candidate as live as before walk the same states, so a replay
+    evaluates the slots only.
+    """
+
+    def __init__(self, program: Program, consts: Mapping[str, float]):
+        var_names = self.var_names = program.var_names
         # Guards and updates see only the constants they read; an undeclared
         # name stays out, so a guard reading it fails as in a full walk.
-        self.guard_names = tuple(structural - set(var_names))
-        guard_env = self.guard_env = {n: consts[n] for n in self.guard_names if n in consts}
+        guard_env = self.guard_env = {
+            n: consts[n] for n in program.guard_names if n in consts
+        }
 
         self.slots: list[tuple[str | None, Expr, dict[str, int]]] = []
         values = [1.0, 0.0]
@@ -1024,12 +1120,11 @@ class _Walk:
                 new[pos] = value
             return tuple(new)
 
-        initial = tuple(v.init for v in variables)
+        initial = tuple(v.init for v in program.variables)
         index = {initial: 0}
         states = [initial]
         edge_factors: list[tuple[int, ...]] = []
         live: list[bool] = []
-        rates: list[float] = []
         edge_pair: list[int] = []
         pairs: dict[tuple[int, int], int] = {}
 
@@ -1048,17 +1143,16 @@ class _Walk:
                     if ti is None:
                         ti = index[target] = len(states)
                         states.append(target)
-                    rates.append(rate)
                     edge_pair.append(pairs.setdefault((si, ti), len(pairs)))
 
-            for mod_name, guard, branches in plain:
+            for mod_name, guard, branches in program.plain:
                 if not _bool(value_of(guard, state), guard.expr):
                     continue
                 for rate, updates in branches:
                     k = slot(mod_name, rate, state)
                     record(apply_branch(state, state, mod_name, updates), (k,))
 
-            for participants in synced:
+            for participants in program.synced:
                 # Every participating module needs an enabled command, else
                 # the label is blocked in this state.
                 options: list[list[tuple[int, str, list]]] = []
@@ -1082,59 +1176,94 @@ class _Walk:
                     record(target, tuple(k for k, _, _ in combo))
 
         self.states = tuple(states)
+        self.rate_slots = np.array([k for k, (module, _, _) in enumerate(self.slots, start=2)
+                                    if module is not None], dtype=np.intp)
         width = max((len(f) for f in edge_factors), default=1)
         self.edge_slots = np.full((len(edge_factors), width), _ONE, dtype=np.intp)
         for e, factors in enumerate(edge_factors):
             self.edge_slots[e, : len(factors)] = factors
-        self.live = np.array(live, dtype=bool).tobytes()  # packed: compared per replay
+        self.live = np.array(live, dtype=bool)
         self.edge_pair = np.array(edge_pair, dtype=np.intp)
-        self.pairs = np.array(list(pairs), dtype=float).reshape(-1, 2)
-        generator = self._generator(np.array(rates))
+        self.pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+        n = len(states)
+        self.cells = (self.pairs[:, 0] * n + self.pairs[:, 1])[self.edge_pair]  # of Q, flat
+        generator = self.generator(self.rates(np.array(values)))  # its errors come first
 
-        # Rewards are read after the generator is built, so its errors come
-        # first. A false guard points at the zero slot.
+        # A false reward guard points at the zero slot.
         self.reward_slots: dict[str, np.ndarray] = {}
-        for rname, items in reward_terms.items():
+        for rname, items in program.reward_terms.items():
             table = np.full((len(states), len(items)), _ZERO, dtype=np.intp)
             for si, state in enumerate(states):
                 for k, (guard, value) in enumerate(items):
                     if _bool(value_of(guard, state), guard.expr):
                         table[si, k] = slot(None, value, state)
             self.reward_slots[rname] = table
-        self.chain = self._chain(generator, np.array(values))
+        self.chain = self.make_chain(generator, self.rewards(np.array(values)))
 
-    def replay(self, spec: ModelSpec, consts: Mapping[str, float]) -> ComposedChain | None:
-        """The chain at ``consts`` if a walk would retrace this one, else None."""
-        guard_env = {n: consts[n] for n in self.guard_names if n in consts}
-        if self.rewards != spec.rewards or guard_env != self.guard_env:
-            return None
-        try:
-            values = np.array([1.0, 0.0] + [
-                _slot_value(consts, module, expr, extra) for module, expr, extra in self.slots
-            ])
-        except ModelError:  # a walk finds whether, and where, it is met
-            return None
-        rates = values[self.edge_slots[:, 0]]
-        with np.errstate(all="ignore"):  # as Python floats: inf, NaN or 0, no warning
-            for k in range(1, self.edge_slots.shape[1]):
-                rates = rates * values[self.edge_slots[:, k]]
-        live = rates != 0.0
-        if live.tobytes() != self.live:
-            return None
-        return self._chain(self._generator(rates[live]), values)
-
-    def _generator(self, rates: np.ndarray) -> GeneratorMatrix:
-        """The generator of the live candidates' ``rates``, in walk order."""
+    def generator(self, rates: np.ndarray) -> GeneratorMatrix:
+        """The generator at one point's candidate ``rates``, through ``build_generator``."""
+        rates = rates[self.live]
         pair_rates = np.bincount(self.edge_pair, weights=rates, minlength=len(self.pairs))
         return build_generator(len(self.states), np.column_stack((self.pairs, pair_rates)))
 
-    def _chain(self, generator: GeneratorMatrix, values: np.ndarray) -> ComposedChain:
-        rewards: dict[str, np.ndarray] = {}
+    def rates(self, values: np.ndarray) -> np.ndarray:
+        """Each candidate's rate, its slots multiplied in factor order, from
+        one point's slot values or a row of them per point."""
+        rates = values[..., self.edge_slots[:, 0]]
+        with np.errstate(all="ignore"):  # as Python floats: inf, NaN or 0, no warning
+            for k in range(1, self.edge_slots.shape[1]):
+                rates = rates * values[..., self.edge_slots[:, k]]
+        return rates
+
+    def rewards(self, values: np.ndarray) -> dict[str, np.ndarray]:
+        """Each reward vector, its items summed in order; as for rates()."""
+        rewards = {}
         for rname, table in self.reward_slots.items():
-            vec = np.zeros(len(self.states))
-            with np.errstate(all="ignore"):  # an overflow is rejected below
-                for column in table.T:  # summed in item order
-                    vec += values[column]
+            vec = np.zeros(values.shape[:-1] + (len(self.states),))
+            with np.errstate(all="ignore"):  # callers reject a non-finite sum
+                for column in table.T:
+                    vec += values[..., column]
+            rewards[rname] = vec
+        return rewards
+
+    def replay(
+        self, consts: Mapping[str, object], points: "_Points"
+    ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """The walk replayed at ``points`` at once: the mask of the points it
+        fits, with no value that raises or that the walk would reject, and
+        each point's generator matrix and reward vectors."""
+        n = len(self.states)
+        values = np.empty((points.size, 2 + len(self.slots)))
+        values[:, _ONE], values[:, _ZERO] = 1.0, 0.0
+        with np.errstate(all="ignore"):  # as Python floats: inf or NaN, no warning
+            try:
+                for k, (_, expr, extra) in enumerate(self.slots, start=2):
+                    values[:, k] = points.number(expr, {**consts, **extra} if extra else consts)
+            except _Irregular:
+                return np.zeros(points.size, dtype=bool), None, {}
+            fits = ~points.bad & ~(values[:, self.rate_slots] < 0.0).any(axis=1)
+            for name, value in self.guard_env.items():
+                fits &= consts[name] == value
+            rates = self.rates(values)
+            fits &= ((rates != 0.0) == self.live).all(axis=1)
+            rates = rates[:, self.live]
+            # One flat bincount over point, source and target sums parallel
+            # transitions in walk order, as generator() does for one point.
+            flat = (np.arange(points.size)[:, np.newaxis] * (n * n) + self.cells).ravel()
+            q = np.bincount(flat, weights=rates.ravel(), minlength=points.size * n * n)
+            q = q.astype(float, copy=False).reshape(-1, n * n)  # empty input counts in ints
+            exit_rates = q.reshape(-1, n, n).sum(axis=2)
+            q[:, :: n + 1] = -exit_rates  # the diagonal
+            q = q.reshape(-1, n, n)
+        # rates are not negative, so a finite exit rate bounds every sum in its row
+        fits &= np.isfinite(rates).all(axis=1) & np.isfinite(exit_rates).all(axis=1)
+        rewards = self.rewards(values)
+        for vec in rewards.values():
+            fits &= np.isfinite(vec).all(axis=1)
+        return fits, q, rewards
+
+    def make_chain(self, generator: GeneratorMatrix, rewards: dict) -> ComposedChain:
+        for rname, vec in rewards.items():
             finite = np.isfinite(vec)
             if not finite.all():
                 si = int(finite.argmin())  # the first state that is not finite
@@ -1143,14 +1272,7 @@ class _Walk:
                     f"got {float(vec[si])!r} in state {si}"
                 )
             vec.flags.writeable = False
-            rewards[rname] = vec
-        return ComposedChain(
-            generator=generator,
-            var_names=self.var_names,
-            states=self.states,
-            initial=0,
-            rewards=rewards,
-        )
+        return ComposedChain(generator, self.var_names, self.states, 0, rewards)
 
 
 def _slot_value(
@@ -1165,54 +1287,107 @@ def _slot_value(
     return value
 
 
-def _resolve_constants(
-    spec: ModelSpec, bindings: Mapping[str, float]
-) -> dict[str, float]:
-    env = _ConstantEnv(spec, bindings)
-    for name in spec.constants:
-        env[name]
-    return env.resolved
+class _Irregular(Exception):
+    """No point of the batch can be evaluated at once (a type that varies
+    by point, or an expression that fails everywhere)."""
 
 
-class _ConstantEnv(Mapping):
-    """Constants resolved on demand, so a definition may name a later one.
+class _Points:
+    """:func:`eval_expr` at many points at once. A value is a float or bool
+    array over the points, or a 0-d one where it is the same at every
+    point; ``bad`` collects the points at which :func:`eval_expr` raises.
+    Callers silence numpy's floating-point warnings, as Python floats give
+    inf or NaN without one."""
 
-    The environment evaluates definitions itself and holds no reference to
-    itself, so the spec it reads is freed by reference counting alone; a
-    resolver closure that names itself would keep the spec alive until the
-    cyclic collector ran.
-    """
+    def __init__(self, size: int):
+        self.size = size
+        self.bad = np.zeros(size, dtype=bool)
 
-    def __init__(self, spec: ModelSpec, bindings: Mapping[str, float]):
-        self._spec = spec
-        self._bindings = bindings
-        self._resolving: set[str] = set()
-        self.resolved: dict[str, float] = {}
+    def column(self, value) -> np.ndarray:
+        return np.asarray(value, dtype=float)
 
-    def __getitem__(self, name: str) -> float:
-        if name in self.resolved:
-            return self.resolved[name]
-        if name not in self._spec.constants:
-            raise KeyError(name)
-        if name in self._resolving:
-            raise CompositionError(f"circular constant definition involving {name!r}")
-        if name in self._bindings:
-            value = float(self._bindings[name])
-        else:
-            expr = self._spec.constants[name]
-            if expr is None:
-                raise UnboundParameterError(name)
-            self._resolving.add(name)
-            value = eval_number(expr, self)
-            self._resolving.discard(name)
-        self.resolved[name] = value
+    def number(self, expr: Expr, env: Mapping[str, object]) -> np.ndarray:
+        value, bad = self.value(expr, env)
+        if value.dtype == bool:
+            raise _Irregular
+        if bad is not False:
+            self.bad |= bad
         return value
 
-    def __iter__(self):
-        return iter(self._spec.constants)
+    def value(self, expr: Expr, env: Mapping[str, object]) -> tuple[np.ndarray, object]:
+        """The values of ``expr`` and the points where evaluating it raises."""
+        if isinstance(expr, (Num, Bool)):
+            return np.asarray(expr.value, dtype=bool if isinstance(expr.value, bool) else float), False
+        if isinstance(expr, Ident):
+            try:
+                return np.asarray(env[expr.name], dtype=float), False
+            except KeyError:
+                raise _Irregular
+        if isinstance(expr, Unary):
+            value, bad = self.value(expr.operand, env)
+            if value.dtype != bool:
+                return -value, bad
+        if isinstance(expr, Binary) and expr.op in _POINT_OPS:
+            (lhs, lhs_bad), (rhs, rhs_bad) = self.value(expr.left, env), self.value(expr.right, env)
+            if lhs.dtype == rhs.dtype == (bool if expr.op in ("&", "|") else float):
+                zero = rhs == 0.0 if expr.op == "/" else False
+                return _POINT_OPS[expr.op](lhs, rhs), lhs_bad | rhs_bad | zero
+        if isinstance(expr, Cond):
+            (test, test_bad), (then, then_bad), (orelse, orelse_bad) = (
+                self.value(e, env) for e in (expr.test, expr.then, expr.orelse))
+            if test.dtype == bool and then.dtype == orelse.dtype:
+                # eval_expr evaluates only the branch the test picks
+                return np.where(test, then, orelse), test_bad | np.where(test, then_bad, orelse_bad)
+        raise _Irregular
 
-    def __len__(self):
-        return len(self._spec.constants)
+
+_POINT_OPS = {**_NUMBER_OPS, "&": operator.and_, "|": operator.or_}
+
+
+def _resolve_constants(
+    constants: Mapping[str, Expr | None],
+    bindings: Mapping[str, object],
+    evaluate: Callable[[Expr, Mapping], object] = eval_number,
+    convert: Callable[[object], object] = float,
+) -> dict:
+    """Every constant's value: bound ones through ``convert``, defined ones
+    through ``evaluate`` (``float`` and ``eval_number`` at one point, or
+    their :class:`_Points` forms)."""
+    env = _ConstantEnv(constants, bindings, evaluate, convert)
+    for name in constants:
+        env[name]
+    return dict(env)
+
+
+class _ConstantEnv(dict):
+    """Constants resolved on demand, so a definition may name a later one.
+
+    It holds no reference to itself, so the spec it reads is freed by
+    reference counting alone.
+    """
+
+    def __init__(self, constants, bindings, evaluate, convert):
+        super().__init__()
+        self.constants, self.bindings = constants, bindings
+        self.evaluate, self.convert = evaluate, convert
+        self.resolving: set[str] = set()
+
+    def __missing__(self, name: str):
+        if name not in self.constants:
+            raise KeyError(name)
+        if name in self.resolving:
+            raise CompositionError(f"circular constant definition involving {name!r}")
+        if name in self.bindings:
+            value = self.convert(self.bindings[name])
+        else:
+            expr = self.constants[name]
+            if expr is None:
+                raise UnboundParameterError(name)
+            self.resolving.add(name)
+            value = self.evaluate(expr, self)
+            self.resolving.discard(name)
+        self[name] = value
+        return value
 
 
 # --------------------------------------------------------------------------

@@ -543,6 +543,52 @@ class ReplicationResult:
         return self.z(metric, reference) <= k
 
 
+#: Chance that one verdict fails a correct simulator: the family-wise rate
+#: over all the metrics the verdict compares.
+ALPHA = 0.01
+
+
+def verdict_bound(n: int, m: int, alpha: float = ALPHA) -> float:
+    """The bound on |z| for a verdict over ``m`` metrics, each a mean of
+    ``n`` replications, that fails a correct simulator with chance
+    ``alpha``. Each metric gets the two-sided Sidak level
+    ``1 - (1 - alpha) ** (1 / m)`` of Student's t with ``n - 1`` degrees of
+    freedom: 5.24 for n = 6 and m = 3, 3.46 for n = 30 and m = 6.
+    """
+    return student_t_quantile((1.0 - alpha) ** (1.0 / m), n - 1)
+
+
+def student_t_quantile(coverage: float, df: int) -> float:
+    """The t with P(|T| <= t) = ``coverage`` for Student's T with integer
+    ``df`` >= 1 degrees of freedom, by bisection on theta = arctan(t /
+    sqrt(df)) of the finite sums of Abramowitz and Stegun, *Handbook of
+    Mathematical Functions*, 26.7.3 (odd df) and 26.7.4 (even df)."""
+    if not (isinstance(df, int) and df >= 1 and 0.0 < coverage < 1.0):
+        raise ValidationError(f"need integer df >= 1 and coverage in (0, 1), got {df!r}, "
+                              f"{coverage!r}")
+    odd = df % 2
+    coefficients = [1.0]  # of the sum in powers of cos(theta)^2
+    for k in range(1, df // 2):
+        coefficients.append(coefficients[-1] * (2 * k - 1 + odd) / (2 * k + odd))
+    coefficients = coefficients[: df // 2][::-1]  # highest power first
+
+    def covered(theta: float) -> float:
+        cos2, total = math.cos(theta) ** 2, 0.0
+        for c in coefficients:  # Horner's rule
+            total = total * cos2 + c
+        if odd:
+            return 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * total)
+        return math.sin(theta) * total
+
+    low, high = 0.0, math.pi / 2
+    while low < (mid := 0.5 * (low + high)) < high:
+        if covered(mid) < coverage:
+            low = mid
+        else:
+            high = mid
+    return math.sqrt(df) * math.tan(mid)
+
+
 def derive_seeds(root_seed: int, n: int) -> list[int]:
     """Deterministic, well-separated per-replication seeds from one root."""
     return [int(x) for x in np.random.SeedSequence(root_seed).generate_state(n, dtype=np.uint64)]

@@ -16,7 +16,7 @@ from abps_toolkit.abps import (
     resolved_rates,
     sweep,
 )
-from abps_toolkit.ctmc import ValidationError
+from abps_toolkit.ctmc import StructureError, ValidationError
 
 BINDINGS = {"T_W_minus": 20.0, "T_W_plus": 80.0}
 
@@ -339,3 +339,56 @@ class TestSweep:
         lines = table.to_csv().strip().split("\n")
         assert lines[0].endswith(",error")
         assert "T_W_plus" in lines[1]  # the validation message names the window
+
+
+class TestSweepBatch:
+    """A sweep solves each variant's grid in one batch and evaluates the
+    points the batch leaves out one by one; every row must equal the point
+    evaluated alone, metrics bit for bit and errors word for word."""
+
+    SPECIAL = [0.0, -0.0, float("nan"), float("inf"), 1e-320, 20.0]
+
+    @staticmethod
+    def alone(params, variant, mode, t_minus, t_plus):
+        try:
+            point = params.with_windows(t_minus, t_plus)
+            m = evaluate(abps.build(variant, point, mode))
+        except (ValidationError, StructureError, modlang.ModelError) as err:
+            return None, str(err)
+        return (repr((m.availability, m.power_w, m.throughput_mbps)),
+                m.distribution.probabilities.tobytes()), None
+
+    @pytest.mark.parametrize("mode", ["text", "appendix"])
+    @pytest.mark.parametrize("overrides", [{}, {"p_U": 1.0}])  # p_U = 1 zeroes a rate
+    def test_random_grid_equals_points_alone(self, mode, overrides):
+        rng = np.random.default_rng(2011)
+        params = default_params(**overrides)
+        # the special values come first, so (inf, inf), whose oracle rates
+        # are 0, is the first point that passes the window-order check
+        t_minus = self.SPECIAL + [float(t) for t in rng.uniform(0.5, 120.0, 7).round(2)]
+        t_plus = self.SPECIAL + [float(t) for t in rng.uniform(0.5, 300.0, 7).round(2)]
+        table = sweep(params, t_minus, t_plus, mode=mode)
+        assert len(table.rows) == 2 * len(t_minus) * len(t_plus)
+        solved = 0
+        for row in table.rows:
+            metrics, error = self.alone(params, row.variant, mode, row.T_W_minus, row.T_W_plus)
+            if row.metrics is None:
+                assert (metrics, row.error) == (None, error)
+            else:
+                m = row.metrics
+                got = (repr((m.availability, m.power_w, m.throughput_mbps)),
+                       m.distribution.probabilities.tobytes())
+                assert (got, row.error) == (metrics, None)
+                solved += 1
+        assert 0 < solved < len(table.rows)
+
+    def test_energy_table_edited_after_construction(self):
+        params = default_params()
+        params.e["UMTS"]["off"] = 0.5  # the table is a dict the frozen params hold
+        rows = sweep(params, (5.0, 20.0), (80.0,)).rows
+        assert {row.error for row in rows} == {"energy of the off phase must be 0, got 0.5"}
+
+    def test_windows_that_are_not_floats_go_point_by_point(self):
+        floats = sweep(default_params(), (5.0, 20.0), (80.0,))
+        ints = sweep(default_params(), (5, 20), (80,))
+        assert ints.to_csv() == floats.to_csv()

@@ -160,6 +160,13 @@ class TestSweep:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.parametrize("token", ["tmin:5,,10", "tmin:5,10,", "tmin:,5", "tmin:"])
+    def test_empty_grid_entry_rejected(self, capsys, token):
+        # an empty entry used to drop a grid point silently
+        code, out, err = run(capsys, "sweep", "--grid", token, "tplus:40,80")
+        assert (code, out) == (2, "")
+        assert f"empty grid entry in {token!r}" in err
+
 
 class TestSimulate:
     def test_single_run_csv(self, capsys):

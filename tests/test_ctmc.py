@@ -19,6 +19,7 @@ from abps_toolkit.ctmc import (
     reachable_states,
     steady_state,
     steady_state_probability,
+    steady_states,
 )
 
 rates = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -230,6 +231,44 @@ class TestSteadyState:
             assert abs(pi.sum() - 1.0) <= 1e-12
             assert pi.min() >= 0.0
             assert np.abs(pi @ q.to_dense()).max() < 1e-10
+
+
+class TestSteadyStates:
+    """One stacked solve of generators that share a pattern gives each row
+    bit for bit what steady_state gives it alone."""
+
+    # 0 is transient and leads into the closed ring {1, 2, 3}
+    PAIRS = [(0, 1), (1, 2), (2, 3), (3, 1), (2, 1)]
+
+    def stack(self, rates):
+        return np.stack([build_generator(4, [(i, j, r) for (i, j), r in zip(self.PAIRS, row)]).q
+                         for row in rates])
+
+    def test_rows_equal_single_solves(self):
+        rates = np.random.default_rng(31).uniform(0.01, 100.0, (40, len(self.PAIRS)))
+        q = self.stack(rates)
+        pi, ok = steady_states(q, 0)
+        assert ok.all()
+        for row, matrix in zip(pi, q):
+            alone = steady_state(GeneratorMatrix(4, matrix), 0).probabilities
+            assert row.tobytes() == alone.tobytes()
+
+    def test_other_pattern_and_singular_stack_rejected(self):
+        q = self.stack([[1.0, 1.0, 1.0, 1.0, 1.0]] * 3)
+        q[2, 2, 1] = 0.0  # a transition of the shared pattern is missing
+        q[2, 2, 2] = -1.0
+        assert steady_states(q, 0)[1].tolist() == [True, True, False]
+        q[1] = 0.0  # a singular system fails the whole stack
+        assert steady_states(q, 0)[1].tolist() == [False, False, False]
+
+    def test_empty_stack(self):
+        pi, ok = steady_states(np.zeros((0, 3, 3)), 0)
+        assert pi.shape == (0, 3) and ok.shape == (0,)
+
+    def test_two_closed_classes_raise(self):
+        q = build_generator(3, [(0, 1, 1.0), (0, 2, 1.0)]).q
+        with pytest.raises(StructureError, match="closed classes"):
+            steady_states(np.stack([q, 2.0 * q]), 0)
 
 
 class TestMetrics:

@@ -32,7 +32,7 @@ from abps_toolkit.modlang import (
     parse,
 )
 from abps_toolkit.abps import default_params, reference_model_path, resolved_rates
-from abps_toolkit.ctmc import ValidationError
+from abps_toolkit.ctmc import StructureError, ValidationError, steady_state
 
 BINDINGS = {"T_W_minus": 20.0, "T_W_plus": 80.0}
 
@@ -324,18 +324,19 @@ class TestCompose:
             compose(spec)
 
     def test_composed_spec_freed_without_cyclic_collector(self):
-        # a spec is released by reference counting alone, and its remembered
-        # walk with it
+        # a spec and its compiled program, with the walk the program keeps,
+        # are released by reference counting alone
         gc.collect()
         gc.disable()
         try:
             spec = parse_reference("oracle")
             compose(spec, BINDINGS)
-            alive = weakref.ref(spec)
-            walks = len(modlang._WALKS)
-            del spec
-            assert alive() is None
-            assert len(modlang._WALKS) == walks - 1
+            program = modlang.compile(spec)
+            program.evaluate(BINDINGS)
+            program.evaluate_many({"T_W_minus": [20.0, 40.0], "T_W_plus": 80.0})
+            alive = [weakref.ref(spec), weakref.ref(program), weakref.ref(program._walk)]
+            del spec, program
+            assert [ref() for ref in alive] == [None, None, None]
         finally:
             gc.enable()
 
@@ -435,11 +436,39 @@ def snapshot(chain):
             {name: vec.tobytes() for name, vec in chain.rewards.items()})
 
 
-def outcome(spec, bindings):
+def outcome(evaluate, bindings):
+    """What ``evaluate(bindings)`` gives: a chain snapshot or an error."""
     try:
-        return snapshot(compose(spec, bindings))
+        return snapshot(evaluate(bindings))
     except (modlang.ModelError, ValidationError) as err:
         return type(err), str(err)
+
+
+def fresh(spec):
+    """compose on a copy of ``spec``, a spec no program has seen."""
+    return lambda bindings: compose(copy.deepcopy(spec), bindings)
+
+
+def solved(spec, bindings):
+    """A fresh compose and steady_state at ``bindings``: states, stationary
+    probabilities and rewards, bit for bit, or None where either raises."""
+    try:
+        chain = compose(copy.deepcopy(spec), bindings)
+        dist = steady_state(chain.generator, chain.initial)
+    except (modlang.ModelError, ValidationError, StructureError):
+        return None
+    return (chain.states, dist.probabilities.tobytes(),
+            {name: vec.tobytes() for name, vec in chain.rewards.items()})
+
+
+def batch_rows(batch):
+    """The rows of a ChainBatch in the form of :func:`solved`."""
+    return [
+        (batch.states, batch.probabilities[i].tobytes(),
+         {name: vec[i].tobytes() for name, vec in batch.rewards.items()})
+        if batch.ok[i] else None
+        for i in range(len(batch.ok))
+    ]
 
 
 @st.composite
@@ -469,14 +498,15 @@ BINDING_VALUES = st.sampled_from([0.0, 1.0, 2.0, 0.5, -1.0, 1e308])
 
 
 class TestCompiledCompose:
-    """compose replays a spec's remembered walk; every call must still
-    equal a compose from scratch (a deep copy is a spec never seen before)."""
+    """A compiled program replays its kept walk; every evaluation must still
+    equal a compose from scratch."""
 
     def warm_then_fresh(self, spec, *bindings_seq):
+        program = modlang.compile(spec)
         outcomes = []
         for bindings in bindings_seq:
-            warm = outcome(spec, bindings)
-            assert warm == outcome(copy.deepcopy(spec), bindings)
+            warm = outcome(program.evaluate, bindings)
+            assert warm == outcome(fresh(spec), bindings)
             outcomes.append(warm)
         return outcomes
 
@@ -607,8 +637,13 @@ class TestCompiledCompose:
     @given(small_specs(), st.lists(st.fixed_dictionaries({n: BINDING_VALUES for n in "abck"}),
                                    min_size=2, max_size=5))
     def test_every_call_equals_a_fresh_compose(self, spec, bindings_seq):
+        program = modlang.compile(spec)
         for bindings in bindings_seq:
-            assert outcome(spec, bindings) == outcome(copy.deepcopy(spec), bindings)
+            assert outcome(program.evaluate, bindings) == outcome(fresh(spec), bindings)
+        # each row of a batch is a fresh compose and steady_state at its point
+        batch = program.evaluate_many({n: [b[n] for b in bindings_seq] for n in "abck"})
+        for row, bindings in zip(batch_rows(batch), bindings_seq):
+            assert row is None or row == solved(spec, bindings)
 
     def test_rewards_changed_in_place_are_read(self):
         spec = parse("""ctmc
@@ -623,6 +658,79 @@ class TestCompiledCompose:
         assert list(compose(spec).rewards["r"]) == [0.0, 2.0]
         spec.rewards["r"] = (modlang.RewardItem(modlang.Bool(True), Num(3.0)),)
         assert list(compose(spec).rewards["r"]) == [3.0, 3.0]
+
+
+class TestEvaluateMany:
+    """A grid of points in one batch: each row it gives is a fresh compose
+    and steady_state at its point, and the points it leaves out are the ones
+    that fail or need another walk."""
+
+    def test_listing_grid(self):
+        spec = parse_reference("oracle")
+        minus = [20.0, 0.0, 5.0, 40.0, -1.0, 7.5]  # 1/0, and a negative rate
+        batch = modlang.compile(spec).evaluate_many({"T_W_minus": minus, "T_W_plus": 80.0})
+        rows = batch_rows(batch)
+        assert [row is not None for row in rows] == [True, False, True, True, False, True]
+        for row, t in zip(rows, minus):
+            assert row is None or row == solved(spec, {"T_W_minus": t, "T_W_plus": 80.0})
+
+    def test_points_off_the_walk_left_out(self):
+        spec = abps.build("oracle", default_params()).spec
+        program = modlang.compile(spec)
+        usual = resolved_rates(default_params(), "text")
+        fail = usual["umts_setup_fail"]
+        # a zero rate drops transitions: that point needs a walk of its own
+        batch = program.evaluate_many({**usual, "umts_setup_fail": [fail, 0.0, fail]})
+        assert batch.ok.tolist() == [True, False, True]
+        # the batch follows the walk of its first point
+        points = [{**usual, "umts_setup_fail": 0.0, "mu_U": mu} for mu in (1.0, 2.0)]
+        batch = program.evaluate_many({**usual, "umts_setup_fail": 0.0, "mu_U": [1.0, 2.0]})
+        assert batch_rows(batch) == [solved(spec, point) for point in points]
+        assert all(batch.ok)
+
+    def test_errors_only_where_eval_expr_meets_them(self):
+        # 1/c = 0 is finite at c = 0 in numpy, but eval_expr raises there,
+        # and only when the conditional picks that branch
+        spec = parse("""ctmc
+        const double c;
+        const double s;
+        module m x : [0..1] init 0;
+          [] x=0 -> (s = 1 ? (1/c = 0 ? 1.0 : 2.0) : 3.0):(x'=1);
+          [] x=1 -> 1.0:(x'=0);
+        endmodule
+        """)
+        points = [{"c": 1.0, "s": 1.0}, {"c": 0.0, "s": 1.0}, {"c": 0.0, "s": 0.0}]
+        batch = modlang.compile(spec).evaluate_many({"c": [1.0, 0.0, 0.0], "s": [1.0, 1.0, 0.0]})
+        assert batch_rows(batch) == [solved(spec, point) for point in points]
+        assert batch.ok.tolist() == [True, False, True]
+        assert outcome(fresh(spec), points[1]) == (CompositionError,
+                                                   "division by zero in (1.0 / c)")
+
+    def test_chunks_give_the_same_rows(self, monkeypatch):
+        spec = parse_reference("plain")
+        grid = {"T_W_minus": np.linspace(5.0, 60.0, 7), "T_W_plus": np.linspace(60.0, 300.0, 7)}
+        whole = batch_rows(modlang.compile(spec).evaluate_many(grid))
+        monkeypatch.setattr(modlang, "_STACK_BYTES", 1)  # one point per stacked solve
+        assert batch_rows(modlang.compile(spec).evaluate_many(grid)) == whole
+        assert all(whole)
+
+    def test_no_point_composes(self):
+        batch = modlang.compile(parse_reference("plain")).evaluate_many(
+            {"T_W_minus": [0.0, 0.0], "T_W_plus": 80.0})
+        assert batch.states == () and batch.ok.tolist() == [False, False]
+
+    def test_bindings_checked_as_for_one_point(self):
+        program = modlang.compile(parse_reference("plain"))
+        program.evaluate(BINDINGS)
+        with pytest.raises(CompositionError, match="undeclared constant 'nope'"):
+            program.evaluate_many({**BINDINGS, "nope": [1.0, 2.0]})
+        # an unbound parameter fails every point
+        assert not program.evaluate_many({"T_W_minus": [20.0, 30.0]}).ok.any()
+
+    def test_bindings_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-d"):
+            modlang.compile(parse_reference("plain")).evaluate_many(
+                {"T_W_minus": [[20.0]], "T_W_plus": 80.0})
 
 
 class TestEquivalence:

@@ -255,6 +255,33 @@ class TestReplicate:
         assert rep.z("exact", 2.0 + 1e-15) == float("inf")
         assert not rep.within("exact", 2.0 + 1e-15, k=1e300)
 
+    def test_verdict_bound_values(self):
+        # two-sided Student's t, Sidak-corrected over the metrics of a run
+        bounds = [packetsim.verdict_bound(n, m) for n, m in ((6, 3), (30, 3), (30, 6))]
+        assert [round(k, 2) for k in bounds] == [5.24, 3.2, 3.46]
+        assert packetsim.ALPHA == 0.01
+        with pytest.raises(ValidationError):
+            packetsim.verdict_bound(1, 3)  # one replication has no t
+
+    def test_student_t_quantile_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        coverages = [0.5, 0.999] + [0.99 ** (1 / m) for m in (1, 3, 6)]  # m = 3, 6: compare
+        for df in range(1, 201):
+            for coverage in coverages:
+                ours = packetsim.student_t_quantile(coverage, df)
+                theirs = stats.t.ppf(0.5 + coverage / 2, df)
+                assert ours == pytest.approx(theirs, rel=1e-10, abs=0.0), (df, coverage)
+
+    def test_wrong_reference_fails_the_verdict(self):
+        # 6 replications of 2e4 s, as the CLI's moderate compare run: the
+        # analytic power passes, and a reference 5% too high fails
+        params = default_params()
+        rep = replicate(params, quiet(duration=2e4, seed=17, replications=6), "oracle")
+        bound = packetsim.verdict_bound(rep.n, 3)
+        power = abps.evaluate(abps.build_oracle(params)).power_w
+        assert rep.within("power_w", power, bound)
+        assert not rep.within("power_w", power * 1.05, bound)
+
     def test_power_tracks_mode(self):
         params = default_params()
         cfg = quiet(duration=2e4, seed=31, replications=4)
