@@ -20,13 +20,13 @@ Two builder modes exist:
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -64,11 +64,13 @@ ORACLE_U, ORACLE_UW, ORACLE_W = 1, 2, 3
 VARIANTS = ("plain", "oracle")
 MODES = ("text", "appendix")
 
-#: Per-state power draw in Watts (row: interface, column: phase).
-DEFAULT_ENERGY: dict[str, dict[str, float]] = {
-    "UMTS": {"off": 0.0, "disconnected": 0.12, "setup": 0.31, "connected": 0.62, "failed": 0.25},
-    "WiFi": {"off": 0.0, "disconnected": 0.08, "setup": 0.19, "connected": 0.38, "failed": 0.15},
-}
+#: Per-state power draw in Watts (row: interface, column: phase); read-only.
+DEFAULT_ENERGY: Mapping[str, Mapping[str, float]] = MappingProxyType({
+    "UMTS": MappingProxyType(
+        {"off": 0.0, "disconnected": 0.12, "setup": 0.31, "connected": 0.62, "failed": 0.25}),
+    "WiFi": MappingProxyType(
+        {"off": 0.0, "disconnected": 0.08, "setup": 0.19, "connected": 0.38, "failed": 0.15}),
+})
 
 #: The reference listings hardcode the oracle reactivation rate as a bare 30
 #: (a rate, i.e. 33 ms mean dwell); the corrected default is 1/30 (30 s dwell).
@@ -101,9 +103,7 @@ class AbpsParams:
     lambda_UW_U: float | None = None
     lambda_UW_W: float | None = None
     lambda_W_UW: float | None = None
-    e: Mapping[str, Mapping[str, float]] = field(
-        default_factory=lambda: copy.deepcopy(DEFAULT_ENERGY)
-    )
+    e: Mapping[str, Mapping[str, float]] = field(default_factory=lambda: DEFAULT_ENERGY)
     tput_U: float = 0.2
     tput_W: float = 26.0
     oracle_baseline_power: float = 0.1
@@ -133,6 +133,9 @@ class AbpsParams:
             raise ValidationError("idle_connected_fraction must be in [0, 1]")
         if self.oracle_baseline_power < 0.0 or self.tput_U < 0.0 or self.tput_W < 0.0:
             raise ValidationError("powers and throughputs must be nonnegative")
+        # read-only copies of the rows, so the table checked here stays as it is
+        object.__setattr__(self, "e", MappingProxyType(
+            {nic: MappingProxyType(dict(row)) for nic, row in self.e.items()}))
         if set(self.e) != {"UMTS", "WiFi"}:
             raise ValidationError("energy table needs exactly the UMTS and WiFi rows")
         for nic, row in self.e.items():
@@ -186,8 +189,7 @@ def params_from_mapping(entries: Mapping[str, float], base: AbpsParams | None = 
     """Apply flat ``key=value`` overrides (``e.<NIC>.<phase>`` for energy)."""
     base = base or default_params()
     scalars: dict[str, float] = {}
-    energy = copy.deepcopy({k: dict(v) for k, v in base.e.items()})
-    touched_energy = False
+    energy = {k: dict(v) for k, v in base.e.items()}
     for key, value in entries.items():
         if key in _SCALAR_FIELDS:
             scalars[key] = float(value)
@@ -198,7 +200,6 @@ def params_from_mapping(entries: Mapping[str, float], base: AbpsParams | None = 
             except (ValueError, KeyError):
                 raise ValidationError(f"unknown energy entry {key!r}")
             energy[nic][phase] = float(value)
-            touched_energy = True
         else:
             raise ValidationError(f"unknown parameter {key!r}")
     kwargs = {f: getattr(base, f) for f in _SCALAR_FIELDS}
@@ -208,7 +209,7 @@ def params_from_mapping(entries: Mapping[str, float], base: AbpsParams | None = 
         for lam in ("lambda_UW_U", "lambda_UW_W", "lambda_W_UW"):
             if lam not in scalars:
                 kwargs[lam] = None
-    return AbpsParams(e=energy if touched_energy else base.e, **kwargs)
+    return AbpsParams(e=energy, **kwargs)
 
 
 def load_params(path, base: AbpsParams | None = None) -> AbpsParams:
@@ -571,10 +572,6 @@ def _sweep_batch(params: AbpsParams, points, variant: str, mode: str) -> list:
     point to evaluate alone: one whose windows are not floats or fail the
     checks of :meth:`AbpsParams.with_windows`, or that the batch leaves out."""
     found: list[MetricsResult | None] = [None] * len(points)
-    try:  # params.e is a dict, so an edit after construction can break a check
-        params.with_windows(params.T_W_minus, params.T_W_plus)
-    except ValidationError:
-        return found
     if not all(isinstance(t, float) for point in points for t in point):
         return found
     t_minus, t_plus = np.array(points, dtype=float).reshape(-1, 2).T

@@ -22,23 +22,25 @@ Mechanics worth knowing:
   a configurable fixed delay (0 = instantaneous). With a delay larger than
   the ACK timeout every datagram is retransmitted at least once, which is
   the easiest way to exercise duplicate suppression.
-- Interface and oracle transitions are the only entries of the event
-  heap. Traffic comes from three other sources: the time of the next
-  datagram, which advances by the fixed period, and two FIFOs of pending
-  ACKs and timeouts. Each FIFO entry lies a fixed delay after its send and
-  simulated time never runs backwards, so each FIFO is already in time and
-  scheduling order. The loop takes the earliest of the heap top, the next
-  datagram, the ACK head and the timeout head, in that order, and a later
-  source wins only when it is strictly earlier. Ties therefore break by
-  event class (oracle, interface, datagram, ACK, timeout), then by
-  scheduling order, so runs are reproducible bit for bit.
+- Each interface and the oracle hold at most one pending transition, so
+  each has a clock: the time it next moves, ``inf`` when it has none. A
+  transition is cancelled or redrawn by overwriting its clock. Traffic
+  comes from three other sources: the time of the next datagram, which
+  advances by the fixed period, and two FIFOs of pending ACKs and
+  timeouts. Each FIFO entry lies a fixed delay after its send and simulated
+  time never runs backwards, so each FIFO is already in time and
+  scheduling order. Only a state event moves a clock, so the loop finds the
+  earliest clock once per state event and serves the traffic due strictly
+  before it. Ties break by event class (oracle, interface, datagram, ACK,
+  timeout); two interfaces due at the same time fire in the order their
+  clocks were set, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -69,8 +71,11 @@ ORACLE_STATE_NAMES = {ORACLE_U: "O_U", ORACLE_UW: "O_UW", ORACLE_W: "O_W"}
 # Trace event of an oracle move, by the state it enters.
 _ORACLE_EVENTS = {ORACLE_U: "EV_NO_WIFI", ORACLE_UW: "EV_SHORT_WIFI", ORACLE_W: "EV_LONG_WIFI"}
 
-# Event classes in tie-breaking order; only the first two go on the heap.
-_EV_ORACLE, _EV_NIC, _EV_DATA, _EV_ACK, _EV_TIMEOUT = range(5)
+# Traffic sources in tie-breaking order; state events go before all three.
+_EV_DATA, _EV_ACK, _EV_TIMEOUT = range(3)
+# The phase an interface's transition enters; a failed setup returns to
+# disconnected, and an off interface has no clock.
+_NEXT_PHASE = (PHASE_OFF, PHASE_SETUP, PHASE_CONNECTED, PHASE_FAILED, PHASE_DISCONNECTED)
 
 TraceFn = Callable[[float, str, str, str], None]
 
@@ -100,6 +105,8 @@ class SimConfig:
             )
         if not (0.0 <= self.ack_delay < math.inf):
             raise ValidationError(f"ack_delay must be nonnegative and finite, got {self.ack_delay}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.datagram_bytes <= 0:
             raise ValidationError("datagram_bytes must be positive")
         if self.replications < 1:
@@ -117,14 +124,14 @@ class Datagram:
     attempts: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class NicState:
     technology: str
     scales: list[float]   # mean sojourn 1/rate per phase; 0 = the phase never ends (off)
     p_setup_ok: float     # chance that a finished setup connects
     phase: int = PHASE_DISCONNECTED
     active: bool = True
-    generation: int = 0   # bumping it cancels the scheduled transition
+    due: float = math.inf  # time of the pending transition; inf = none
 
 
 def _nic_state(technology: str, alpha: float, success: float, fail: float,
@@ -172,9 +179,7 @@ class _Simulation:
         self.uniform = rng.random
 
         self.now = 0.0
-        self.last_accrual = 0.0
-        self.serial = itertools.count()
-        self.heap: list[tuple] = []   # interface and oracle transitions only
+        self.last_accrual = 0.0   # time of the last state event
         # (when, seq) of pending ACKs and timeouts, each in time order
         self.acks: deque[tuple[float, int]] = deque()
         self.timeouts: deque[tuple[float, int]] = deque()
@@ -190,8 +195,11 @@ class _Simulation:
         self.nics = {"UMTS": self.umts, "WiFi": self.wifi}
         self.available: set[str] = set()
         self.oracle_state = ORACLE_UW
-        self.oracle_gen = 0
+        self.oracle_due = math.inf
         self.oracle_entered = 0.0
+        # the interface whose clock was set last fires second on a tie;
+        # run() sets UMTS's clock first, then WiFi's
+        self.last_scheduled = self.wifi
         # WiFi's connected sojourn ends at a rate set by the oracle state
         self.wifi_hold_scale = {ORACLE_U: 1.0 / r["gamma_W_minus"],
                                 ORACLE_UW: 1.0 / r["gamma_W_minus"],
@@ -220,46 +228,23 @@ class _Simulation:
         self.next_expected = 0
         self.reorder: set[int] = set()
 
-    # -- scheduling ---------------------------------------------------------
+    # -- interface state machine --------------------------------------------
 
-    def _schedule_nic(self, nic: NicState) -> None:
-        scale = nic.scales[nic.phase]
-        if scale:
-            heapq.heappush(self.heap, (self.now + scale * self.draw(), _EV_NIC,
-                                       next(self.serial), nic, nic.generation))
-
-    def _schedule_oracle(self) -> None:
-        scale = self.oracle_scale[self.oracle_state]
-        heapq.heappush(self.heap, (self.now + scale * self.draw(), _EV_ORACLE,
-                                   next(self.serial), self.oracle_gen))
-
-    def _accrue(self) -> None:
+    def _nic_fire(self, nic: NicState) -> None:
         now = self.now
+        phase = nic.phase
         cell = (self.umts.phase * 5 + self.wifi.phase) * 4 + self.oracle_state
         self.occupancy[cell] += now - self.last_accrual
         self.last_accrual = now
-
-    # -- interface state machine --------------------------------------------
-
-    def _nic_fire(self, nic: NicState, generation: int) -> None:
-        if generation != nic.generation:
-            return
-        self._accrue()
-        phase = nic.phase
-        if phase == PHASE_DISCONNECTED:
-            new = PHASE_SETUP
-        elif phase == PHASE_SETUP:
-            new = PHASE_CONNECTED if self.uniform() < nic.p_setup_ok else PHASE_DISCONNECTED
-        elif phase == PHASE_CONNECTED:
-            new = PHASE_FAILED
-        else:  # failed; an off interface has no clock
+        new = _NEXT_PHASE[phase]
+        if phase == PHASE_SETUP and not self.uniform() < nic.p_setup_ok:
             new = PHASE_DISCONNECTED
         if self.trace is not None:
-            self.trace(self.now, f"nic:{nic.technology}", "phase",
+            self.trace(now, f"nic:{nic.technology}", "phase",
                        f"{NIC_PHASES[phase]}->{NIC_PHASES[new]}")
         nic.phase = new
-        nic.generation += 1
-        self._schedule_nic(nic)
+        nic.due = now + nic.scales[new] * self.draw()
+        self.last_scheduled = nic
         if new == PHASE_CONNECTED:
             self.available.add(nic.technology)
             self._flush_parked()
@@ -276,7 +261,7 @@ class _Simulation:
             self.trace(self.now, f"nic:{nic.technology}", "phase",
                        f"{NIC_PHASES[nic.phase]}->off (forced)")
         nic.phase = PHASE_OFF
-        nic.generation += 1  # cancels any scheduled transition
+        nic.due = math.inf  # cancels any scheduled transition
 
     def _force_on(self, nic: NicState) -> None:
         nic.active = True
@@ -285,45 +270,45 @@ class _Simulation:
         if self.trace is not None:
             self.trace(self.now, f"nic:{nic.technology}", "phase", "off->disconnected (forced)")
         nic.phase = PHASE_DISCONNECTED
-        nic.generation += 1
-        self._schedule_nic(nic)
+        nic.due = self.now + nic.scales[PHASE_DISCONNECTED] * self.draw()
+        self.last_scheduled = nic
 
     # -- oracle process -------------------------------------------------------
 
-    def _oracle_fire(self, generation: int) -> None:
-        if generation != self.oracle_gen:
-            return
-        self._accrue()
+    def _oracle_fire(self) -> None:
+        now = self.now
         state = self.oracle_state
+        wifi = self.wifi
+        cell = (self.umts.phase * 5 + wifi.phase) * 4 + state
+        self.occupancy[cell] += now - self.last_accrual
+        self.last_accrual = now
         if state != ORACLE_UW:
             target = ORACLE_UW
         elif self.uniform() * self.lambda_uw < self.lambda_uw_u:
             target = ORACLE_U
         else:
             target = ORACLE_W
-        self.oracle_sojourn_sum[state] += self.now - self.oracle_entered
+        self.oracle_sojourn_sum[state] += now - self.oracle_entered
         self.oracle_sojourn_cnt[state] += 1
         self.oracle_state = target
-        self.oracle_entered = self.now
-        self.oracle_gen += 1
+        self.oracle_entered = now
         if self.trace is not None:
-            self.trace(self.now, "oracle", _ORACLE_EVENTS[target],
+            self.trace(now, "oracle", _ORACLE_EVENTS[target],
                        f"{ORACLE_STATE_NAMES[state]}->{ORACLE_STATE_NAMES[target]}")
         if self.variant == "oracle":
             # U rules WiFi out and W rules UMTS out; back in UW both are on
             if target == ORACLE_U:
-                self._force_off(self.wifi)
+                self._force_off(wifi)
             elif target == ORACLE_W:
                 self._force_off(self.umts)
             else:
-                self._force_on(self.wifi if state == ORACLE_U else self.umts)
-        wifi = self.wifi
-        wifi.scales[PHASE_CONNECTED] = self.wifi_hold_scale[target]
+                self._force_on(wifi if state == ORACLE_U else self.umts)
+        wifi.scales[PHASE_CONNECTED] = hold = self.wifi_hold_scale[target]
         if wifi.phase == PHASE_CONNECTED:
             # holding rate changed with the oracle state; redraw (memoryless)
-            wifi.generation += 1
-            self._schedule_nic(wifi)
-        self._schedule_oracle()
+            wifi.due = now + hold * self.draw()
+            self.last_scheduled = wifi
+        self.oracle_due = now + self.oracle_scale[target] * self.draw()
 
     # -- traffic ---------------------------------------------------------------
 
@@ -420,49 +405,55 @@ class _Simulation:
 
     def run(self) -> SimMetrics:
         cfg = self.config
-        self._schedule_nic(self.umts)
-        self._schedule_nic(self.wifi)
-        self._schedule_oracle()
+        umts, wifi, draw = self.umts, self.wifi, self.draw
+        umts.due = umts.scales[umts.phase] * draw()
+        wifi.due = wifi.scales[wifi.phase] * draw()
+        self.oracle_due = self.oracle_scale[self.oracle_state] * draw()
         period = next_data = math.inf
         if cfg.data_rate > 0.0:
             period = next_data = 1.0 / cfg.data_rate
 
-        heap, pop, duration = self.heap, heapq.heappop, cfg.duration
+        duration = cfg.duration
+        past_end = math.nextafter(duration, math.inf)  # t < past_end: t <= duration
         acks, timeouts = self.acks, self.timeouts
         nic_fire, oracle_fire = self._nic_fire, self._oracle_fire
         generate, ack, timeout = self._generate, self._ack, self._timeout
         while True:
-            # the oracle's next move is always on the heap; a traffic source
-            # is taken only when strictly earlier than every one before it
-            when = heap[0][0]
-            kind = _EV_ORACLE  # a heap entry: oracle or interface
-            if next_data < when:
-                when = next_data
-                kind = _EV_DATA
-            if acks and acks[0][0] < when:
-                when = acks[0][0]
-                kind = _EV_ACK
-            if timeouts and timeouts[0][0] < when:
-                when = timeouts[0][0]
-                kind = _EV_TIMEOUT
+            # the next state event: the oracle wins a tie, then the
+            # interface whose clock was set first
+            nic, when = umts, umts.due
+            if wifi.due < when or (wifi.due == when and self.last_scheduled is umts):
+                nic, when = wifi, wifi.due
+            if self.oracle_due <= when:
+                nic, when = None, self.oracle_due
+            # traffic goes first only when strictly earlier, and each source
+            # only when strictly earlier than the ones before it
+            stop = when if when < past_end else past_end
+            while True:
+                t, kind = next_data, _EV_DATA
+                if acks and acks[0][0] < t:
+                    t, kind = acks[0][0], _EV_ACK
+                if timeouts and timeouts[0][0] < t:
+                    t, kind = timeouts[0][0], _EV_TIMEOUT
+                if t >= stop:
+                    break
+                self.now = t
+                if kind == _EV_DATA:
+                    next_data = t + period
+                    generate()
+                elif kind == _EV_ACK:
+                    ack(acks.popleft()[1])
+                else:
+                    timeout(timeouts.popleft()[1])
             if when > duration:
                 break
             self.now = when
-            if kind == _EV_ORACLE:
-                entry = pop(heap)
-                if entry[1] == _EV_NIC:
-                    nic_fire(entry[3], entry[4])
-                else:
-                    oracle_fire(entry[3])
-            elif kind == _EV_DATA:
-                next_data = when + period
-                generate()
-            elif kind == _EV_ACK:
-                ack(acks.popleft()[1])
+            if nic is None:
+                oracle_fire()
             else:
-                timeout(timeouts.popleft()[1])
-        self.now = duration
-        self._accrue()
+                nic_fire(nic)
+        cell = (umts.phase * 5 + wifi.phase) * 4 + self.oracle_state
+        self.occupancy[cell] += duration - self.last_accrual
 
         occupancy = {}
         available = power = throughput = 0.0

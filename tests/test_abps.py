@@ -383,10 +383,20 @@ class TestSweepBatch:
         assert 0 < solved < len(table.rows)
 
     def test_energy_table_edited_after_construction(self):
-        params = default_params()
-        params.e["UMTS"]["off"] = 0.5  # the table is a dict the frozen params hold
-        rows = sweep(params, (5.0, 20.0), (80.0,)).rows
-        assert {row.error for row in rows} == {"energy of the off phase must be 0, got 0.5"}
+        # the params keep read-only copies of the table they checked
+        source = {nic: dict(row) for nic, row in abps.DEFAULT_ENERGY.items()}
+        params = default_params(e=source)
+        with pytest.raises(TypeError):
+            params.e["UMTS"]["off"] = 0.5
+        with pytest.raises(TypeError):
+            params.e["UMTS"] = {}
+        with pytest.raises(TypeError):
+            abps.DEFAULT_ENERGY["UMTS"]["connected"] = 5.0
+        source["UMTS"]["off"] = 0.5
+        assert params.e["UMTS"]["off"] == 0.0
+        table = sweep(params, (5.0, 20.0), (80.0,))
+        assert all(row.error is None for row in table.rows)
+        assert table.to_csv() == sweep(default_params(), (5.0, 20.0), (80.0,)).to_csv()
 
     def test_windows_that_are_not_floats_go_point_by_point(self):
         floats = sweep(default_params(), (5.0, 20.0), (80.0,))

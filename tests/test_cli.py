@@ -208,7 +208,19 @@ class TestSimulate:
             assert "finite" in err and value in err
 
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--duration", "100", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "seed must be a nonnegative integer, got -1" in err
+
+
 class TestCompare:
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run(capsys, "compare", "--reps", "2", "--duration", "100",
+                             "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert "seed must be a nonnegative integer, got -1" in err
+
     def test_degenerate_single_replication(self, capsys):
         # one replication has no standard error, so no verdict can be reached
         code, _, err = run(capsys, "compare", "--reps", "1", "--duration", "100",

@@ -1,5 +1,7 @@
 """Event-simulator tests: determinism, delivery integrity, convergence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,10 @@ class TestConfig:
             SimConfig(data_rate=-1.0)
         with pytest.raises(ValidationError):
             SimConfig(replications=0)
+        for seed in (-1, 1.5, "7", None):
+            with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+                SimConfig(seed=seed)
+        assert SimConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
     def test_rejects_non_finite_duration_and_rate(self):
         # an infinite run never ends; an infinite rate makes every datagram due at once
@@ -290,3 +296,106 @@ class TestReplicate:
         # full per-state charges always cost at least as much as the
         # idle-interface discount
         assert compat.stats["power_w"].mean > text.stats["power_w"].mean
+
+
+def scripted(values, then=1e9):
+    """A draw function that returns ``values`` in order, then ``then`` for ever."""
+    values = iter(values)
+    return lambda: next(values, then)
+
+
+def scripted_run(draws, uniforms=(), variant="plain", duration=10.0, data_rate=0.0):
+    """Run a simulation whose sojourn scales are all 1 and whose draws are
+    fixed, so chosen transitions fall due at exactly the same float."""
+    trace = Trace()
+    cfg = SimConfig(duration=duration, seed=1, data_rate=data_rate)
+    sim = packetsim._Simulation(default_params(), cfg, variant, "text", trace)
+    for nic in (sim.umts, sim.wifi):
+        nic.scales[1:] = [1.0] * 4
+    for table in (sim.oracle_scale, sim.wifi_hold_scale):
+        for state in table:
+            table[state] = 1.0
+    sim.draw = scripted(draws)
+    sim.uniform = scripted(uniforms, then=0.0)
+    sim.run()
+    return [(t, entity, detail) for t, entity, _, detail in trace.records]
+
+
+class TestTieOrder:
+    # the first three draws schedule UMTS, WiFi and the oracle, in that order
+
+    def test_oracle_fires_before_an_interface_due_at_the_same_time(self):
+        records = scripted_run([5.0, 1e9, 5.0])
+        assert records[:2] == [(5.0, "oracle", "O_UW->O_U"),
+                               (5.0, "nic:UMTS", "disconnected->setup")]
+
+    def test_interfaces_due_together_fire_in_scheduling_order(self):
+        # UMTS was scheduled first, so it fires first
+        assert scripted_run([2.0, 2.0])[:2] == [(2.0, "nic:UMTS", "disconnected->setup"),
+                                                (2.0, "nic:WiFi", "disconnected->setup")]
+        # UMTS fires at 1 and reschedules to 3, where WiFi has been due since 0
+        assert scripted_run([1.0, 3.0, 1e9, 2.0])[:3] == [
+            (1.0, "nic:UMTS", "disconnected->setup"),
+            (3.0, "nic:WiFi", "disconnected->setup"),
+            (3.0, "nic:UMTS", "setup->connected"),
+        ]
+
+    def test_a_redrawn_or_restarted_clock_counts_as_set_then(self):
+        # WiFi connects at 2 and UMTS is scheduled for 7 at 2.5; the oracle's
+        # move at 3 redraws WiFi's holding time to end at 7 too
+        assert scripted_run([2.5, 1.0, 3.0, 1.0, 100.0, 4.5, 4.0])[3:] == [
+            (3.0, "oracle", "O_UW->O_U"),
+            (7.0, "nic:UMTS", "setup->connected"),
+            (7.0, "nic:WiFi", "connected->failed"),
+        ]
+        # UMTS is forced off at 1 and back on at 2, due at 5 with WiFi,
+        # whose clock was set at 0
+        records = scripted_run([100.0, 5.0, 1.0, 1.0, 3.0], uniforms=[0.99], variant="oracle")
+        assert records[:6] == [
+            (1.0, "oracle", "O_UW->O_W"),
+            (1.0, "nic:UMTS", "disconnected->off (forced)"),
+            (2.0, "oracle", "O_W->O_UW"),
+            (2.0, "nic:UMTS", "off->disconnected (forced)"),
+            (5.0, "nic:WiFi", "disconnected->setup"),
+            (5.0, "nic:UMTS", "disconnected->setup"),
+        ]
+
+    def test_interface_fires_before_a_datagram_due_at_the_same_time(self):
+        # datagrams fall due at 1, 2, 3, ...; UMTS connects at exactly 2,
+        # so the parked datagram 0 and the new datagram 1 both go out at 2
+        records = scripted_run([1.0, 1e9, 1e9, 1.0], data_rate=1.0, duration=2.5)
+        assert records == [
+            (1.0, "nic:UMTS", "disconnected->setup"),
+            (1.0, "proxy", "seq=0"),
+            (2.0, "nic:UMTS", "setup->connected"),
+            (2.0, "nic:UMTS", "seq=0 attempt=1 active=True"),
+            (2.0, "app", "seq=0"),
+            (2.0, "nic:UMTS", "seq=1 attempt=1 active=True"),
+            (2.0, "app", "seq=1"),
+        ]
+
+
+def trace_digest(config, variant, mode="text"):
+    digest = hashlib.sha256()
+    simulate(default_params(), config, variant, mode,
+             trace=lambda *record: digest.update(f"{record!r}\n".encode()))
+    return digest.hexdigest()
+
+
+class TestStream:
+    # sha256 of repr of every trace record; any change to the draw order,
+    # the tie rule or the event bookkeeping moves these
+    @pytest.mark.parametrize("config, variant, mode, want", [
+        (quiet(duration=2e4, seed=3), "plain", "text",
+         "5ea4bfd700f00af7e32638a587cc84648075b0e36f5630071d29f3363eba2f81"),
+        (quiet(duration=2e4, seed=4), "oracle", "appendix",
+         "2d604c71bd44ebbf36db533a2dd27cad969e0612e23e3415f1dc5fbea10512f1"),
+        (SimConfig(duration=500.0, seed=5, data_rate=20.0, ack_delay=2.0, ack_timeout=0.5),
+         "oracle", "text",
+         "40beca59d1df2aefbc35611fe624e58260fb3b7ae1e1bfdb9480d089df8a6cca"),
+        (SimConfig(duration=400.0, seed=6, data_rate=50.0, ack_delay=0.2),
+         "oracle", "text",
+         "63e2b6c6423f339be47cc8fac9a146e82dd8bf583e1628644d6b677ff2bd073a"),
+    ], ids=["plain-idle", "oracle-idle-appendix", "oracle-duplicates", "oracle-traffic"])
+    def test_trace_digest(self, config, variant, mode, want):
+        assert trace_digest(config, variant, mode) == want
