@@ -4,12 +4,11 @@ Independent of the analytic chains in every respect except two shared
 definitions: the parameter set (with its resolved rates) and the per-state
 metric functions ``abps.state_available``/``state_power``/``state_throughput``,
 which the chain builders and metrics also read. Interface lifecycles and the
-coverage oracle advance through exponential sojourns drawn event by event,
-datagrams carry sequence numbers and are acknowledged end to end, timeouts
-retransmit over an alternative interface, and the receiving side
-restores order and discards duplicates. Simulated time integrals of the
-shared state functions provide the empirical metrics the analytic model is
-checked against.
+coverage oracle advance through exponential sojourns, datagrams carry
+sequence numbers and are acknowledged end to end, timeouts retransmit over
+an alternative interface, and the receiving side restores order and
+discards duplicates. Simulated time integrals of the shared state functions
+provide the empirical metrics the analytic model is checked against.
 
 Mechanics worth knowing:
 
@@ -34,6 +33,11 @@ Mechanics worth knowing:
   before it. Ties break by event class (oracle, interface, datagram, ACK,
   timeout); two interfaces due at the same time fire in the order their
   clocks were set, so runs are reproducible bit for bit.
+- Random numbers come from one generator per run, seeded by the run's seed,
+  in blocks of ``BLOCK_SIZE``: one block stream of unit exponentials (each
+  sojourn is one of them times its mean) and one of uniforms (the setup
+  outcome and the oracle's branch). Each block is one numpy call, and each
+  stream is read in order, so a run is a function of its seed alone.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -79,6 +83,16 @@ _NEXT_PHASE = (PHASE_OFF, PHASE_SETUP, PHASE_CONNECTED, PHASE_FAILED, PHASE_DISC
 
 TraceFn = Callable[[float, str, str, str], None]
 
+# Draws per numpy call: one call per block replaces one call per draw.
+BLOCK_SIZE = 256
+
+
+def _blocks(fill: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The values of ``fill(BLOCK_SIZE)``, ``fill(BLOCK_SIZE)``, ... one
+    Python float at a time."""
+    while True:
+        yield from fill(BLOCK_SIZE).tolist()
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -107,10 +121,10 @@ class SimConfig:
             raise ValidationError(f"ack_delay must be nonnegative and finite, got {self.ack_delay}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.datagram_bytes <= 0:
-            raise ValidationError("datagram_bytes must be positive")
-        if self.replications < 1:
-            raise ValidationError("replications must be at least 1")
+        for name in ("datagram_bytes", "replications"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValidationError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -174,9 +188,10 @@ class _Simulation:
         self.mode = mode
         self.trace = trace
         rng = np.random.default_rng(config.seed)
-        # scale * standard_exponential() is bit for bit rng.exponential(scale)
-        self.draw = rng.standard_exponential
-        self.uniform = rng.random
+        # unit exponentials (times a scale they give a sojourn) and branch
+        # uniforms, each read in order from its own block stream
+        self.draw = _blocks(rng.standard_exponential).__next__
+        self.uniform = _blocks(rng.random).__next__
 
         self.now = 0.0
         self.last_accrual = 0.0   # time of the last state event

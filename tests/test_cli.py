@@ -213,6 +213,11 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "seed must be a nonnegative integer, got -1" in err
 
+    def test_no_replications_exit_2(self, capsys):
+        code, out, err = run(capsys, "simulate", "--duration", "100", "--reps", "0")
+        assert (code, out) == (2, "")
+        assert "replications must be a positive integer, got 0" in err
+
 
 class TestCompare:
     def test_negative_seed_exit_2(self, capsys):
@@ -352,11 +357,12 @@ class TestSweepGolden:
 
 
 class TestSimulatorGolden:
-    """``abps compare`` and ``abps simulate`` reproduce the outputs recorded
-    with the earlier event loop, which drew every sojourn through
-    ``rng.exponential`` and kept six running time integrals. The random
-    stream is the same; summing occupancy per state instead of per event
-    moves the float metrics by a few ulps, below the CSV tolerance."""
+    """``abps compare`` and ``abps simulate`` reproduce their recorded
+    outputs. These move with the random stream: the order in which the
+    simulator reads its exponentials and uniforms from the generator. They
+    were recorded when both came from 256-draw blocks. The CSV floats are
+    compared to a relative 1e-11, so a change to how the loop sums its time
+    integrals may move them by a few ulps without a re-recording."""
 
     @pytest.mark.parametrize("mode", ["text", "appendix"])
     def test_compare_report_unchanged(self, capsys, mode):
