@@ -217,12 +217,16 @@ def steady_state(
     ``residual_tol``, so the check is invariant under rescaling time. Raises
     :class:`StructureError` when the reachable subchain contains more than
     one closed class, since then the long-run behavior would depend on the
-    start state. The class search is remembered per pattern ``Q > 0``.
+    start state, or when the solve is numerically singular. The class
+    search is remembered per pattern ``Q > 0``.
     """
     _check_state(generator, initial)
     support = np.packbits(generator.q > 0.0).tobytes()
     recurrent = _recurrent_class(generator.n_states, initial, support)
-    pi, negative, residual = _solve(generator.q[np.newaxis], recurrent)
+    try:
+        pi, negative, residual = _solve(generator.q[np.newaxis], recurrent)
+    except np.linalg.LinAlgError:
+        raise StructureError("stationary solve is singular") from None
     if negative[0]:
         raise StructureError("stationary solve produced a negative probability")
     if not residual[0] <= residual_tol:  # a NaN residual fails too

@@ -17,10 +17,24 @@ deliberately minimal:
     formula     : 'formula' NAME '=' expr ';'
     rewards     : 'rewards' STRING (expr ':' expr ';')* 'endrewards'
     expr        : ternary conditional over | & = != + - * / and parentheses
+    INT         : '-'? NUMBER, of integral value
+
+Tokens: NAME is a letter or '_' and then letters, digits or '_' (Unicode
+letters count); NUMBER is ASCII digits with an optional fraction and
+exponent (``2``, ``2.5``, ``1e-3``); STRING is ``"..."`` on one line. ``//``
+starts a comment to the end of the line; blanks, tabs and carriage returns
+separate tokens; any other character is a :class:`ParseError`.
+
+Types: constants and variables are numbers. Guards, reward guards, the
+operands of ``&`` and ``|`` and a conditional's test are booleans; rates,
+update values, reward values, constant definitions and the operands of
+arithmetic, unary minus, ``=`` and ``!=`` are numbers, and ``=`` and ``!=``
+give booleans. Both branches of a conditional have the type its context
+wants. :func:`compile` checks every expression once, reached or not.
 
 Constants declared without a value are external parameters and must be
 bound before composition. ``formula`` definitions are inlined where they
-are referenced. ``//`` starts a line comment.
+are referenced.
 
 :func:`compile` turns a parsed spec into a :class:`Program`, which composes
 the chain at one set of bindings (``evaluate``, what :func:`compose` does)
@@ -32,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Union
 
@@ -137,57 +152,72 @@ class Cond:
 Expr = Union[Num, Bool, Ident, Unary, Binary, Cond]
 
 
-def eval_expr(expr: Expr, env: Mapping[str, float]) -> float | bool:
-    """Evaluate ``expr`` under ``env`` (constants plus variable values)."""
-    if isinstance(expr, (Num, Bool)):
-        return expr.value
-    if isinstance(expr, Ident):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UndeclaredIdentifierError(f"undeclared identifier: {expr.name}")
-    if isinstance(expr, Unary):
-        return -_num(eval_expr(expr.operand, env), expr)
-    if isinstance(expr, Binary):
-        lhs = eval_expr(expr.left, env)
-        rhs = eval_expr(expr.right, env)
-        if expr.op == "&":
-            return _bool(lhs, expr) and _bool(rhs, expr)
-        if expr.op == "|":
-            return _bool(lhs, expr) or _bool(rhs, expr)
-        if expr.op not in _NUMBER_OPS:
-            raise CompositionError(f"unknown operator {expr.op!r}")
-        try:
-            return _NUMBER_OPS[expr.op](_num(lhs, expr), _num(rhs, expr))
-        except ZeroDivisionError:
-            raise CompositionError(f"division by zero in {format_expr(expr)}")
-    if isinstance(expr, Cond):
-        return eval_expr(
-            expr.then if _bool(eval_expr(expr.test, env), expr) else expr.orelse, env
-        )
-    raise CompositionError(f"cannot evaluate {expr!r}")
+_NUMBER, _BOOLEAN = "number", "boolean"
 
-
-_NUMBER_OPS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-    "=": operator.eq, "!=": operator.ne,
+# Each binary operator: its function, on Python floats and bools or on numpy
+# arrays of them, the type of both operands and the type of its value.
+_OPERATORS: dict[str, tuple[Callable, str, str]] = {
+    "+": (operator.add, _NUMBER, _NUMBER),
+    "-": (operator.sub, _NUMBER, _NUMBER),
+    "*": (operator.mul, _NUMBER, _NUMBER),
+    "/": (operator.truediv, _NUMBER, _NUMBER),
+    "=": (operator.eq, _NUMBER, _BOOLEAN),
+    "!=": (operator.ne, _NUMBER, _BOOLEAN),
+    "&": (operator.and_, _BOOLEAN, _BOOLEAN),
+    "|": (operator.or_, _BOOLEAN, _BOOLEAN),
 }
 
 
-def eval_number(expr: Expr, env: Mapping[str, float]) -> float:
-    return _num(eval_expr(expr, env), expr)
+def _check_type(expr: Expr, want: str) -> None:
+    """Raise :class:`CompositionError` unless ``expr`` is well typed and of
+    type ``want``. Constants and variables are numbers; both branches of a
+    conditional have the type its context wants."""
+    if isinstance(expr, Cond):
+        _check_type(expr.test, _BOOLEAN)
+        _check_type(expr.then, want)
+        _check_type(expr.orelse, want)
+        return
+    if isinstance(expr, Binary):
+        if expr.op not in _OPERATORS:
+            raise CompositionError(f"unknown operator {expr.op!r}")
+        _, takes, got = _OPERATORS[expr.op]
+        operands = (expr.left, expr.right)
+    elif isinstance(expr, Unary):
+        takes, got, operands = _NUMBER, _NUMBER, (expr.operand,)
+    elif isinstance(expr, (Num, Bool, Ident)):
+        takes, got, operands = None, _BOOLEAN if isinstance(expr, Bool) else _NUMBER, ()
+    else:
+        raise CompositionError(f"cannot evaluate {expr!r}")
+    if got != want:
+        raise CompositionError(f"expected a {want}, got a {got} in {format_expr(expr)}")
+    for operand in operands:
+        _check_type(operand, takes)
 
 
-def _num(value, where) -> float:
-    if isinstance(value, bool):
-        raise CompositionError(f"expected a number, got a boolean in {format_expr(where)}")
-    return float(value)
+def eval_expr(expr: Expr, env: Mapping[str, float]) -> float | bool:
+    """Evaluate the checked expression ``expr`` (every spec is checked as
+    :func:`compile` reads it) under ``env``: constants plus variable values,
+    all floats."""
+    if isinstance(expr, (Num, Bool)):
+        return expr.value
+    if isinstance(expr, Ident):
+        return _lookup(env, expr.name)
+    if isinstance(expr, Cond):
+        return eval_expr(expr.then if eval_expr(expr.test, env) else expr.orelse, env)
+    if isinstance(expr, Unary):
+        return -eval_expr(expr.operand, env)
+    lhs, rhs = eval_expr(expr.left, env), eval_expr(expr.right, env)
+    try:
+        return _OPERATORS[expr.op][0](lhs, rhs)
+    except ZeroDivisionError:
+        raise CompositionError(f"division by zero in {format_expr(expr)}")
 
 
-def _bool(value, where) -> bool:
-    if not isinstance(value, bool):
-        raise CompositionError(f"expected a boolean, got {value!r} in {format_expr(where)}")
-    return value
+def _lookup(env: Mapping[str, object], name: str):
+    try:
+        return env[name]
+    except KeyError:
+        raise UndeclaredIdentifierError(f"undeclared identifier: {name}")
 
 
 def _substitute(expr: Expr, table: Mapping[str, Expr]) -> Expr:
@@ -291,81 +321,45 @@ class _Token:
     column: int
 
 
-_PUNCT2 = ("!=", "..", "->")
-_PUNCT1 = "[](){};:'=?+-*/&|"
+# One alternative per token class, tried in this order at each position.
+_TOKENS = re.compile(
+    r"""
+      (?P<NEWLINE> \n )
+    | (?P<SKIP> [ \t\r]+ | //[^\n]* )
+    | (?P<NUMBER> [0-9]+ (?: \.(?!\.) [0-9]* )? (?: [eE][+-]?[0-9]+ )? )
+    | (?P<IDENT> [^\W\d]\w* )
+    | (?P<STRING> "[^"\n]*" )
+    | (?P<PUNCT> != | \.\. | -> | [][(){};:'=?+*/&|-] )
+    | (?P<OTHER> . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0  # the line number and the offset it starts at
+    for match in _TOKENS.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SKIP":
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(_Token(two, two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and not text.startswith("..", j):
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
+        column = match.start() - line_start + 1
+        # [^\W\d] also admits numerals such as '²'; an identifier starts
+        # with a letter or '_'.
+        if kind == "IDENT" and (word[0].isalpha() or word[0] == "_"):
             kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(_Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated string", line, start_col)
-            tokens.append(_Token("STRING", text[i + 1 : j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch in _PUNCT1:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
+        elif kind == "STRING":
+            word = word[1:-1]
+        elif kind == "PUNCT":
+            kind = word
+        elif kind != "NUMBER":
+            message = "unterminated string" if word == '"' else f"unexpected character {word[0]!r}"
+            raise ParseError(message, line, column)
+        tokens.append(_Token(kind, word, line, column))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -389,11 +383,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
+            raise self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
     def error(self, message: str) -> ParseError:
@@ -433,9 +423,7 @@ class _Parser:
                     raise DuplicateDeclarationError(f"duplicate rewards block {name!r}")
                 rewards[name] = items
             else:
-                raise self.error(
-                    "expected 'const', 'module', 'formula' or 'rewards'"
-                )
+                raise self.error("expected 'const', 'module', 'formula' or 'rewards'")
         spec = ModelSpec("ctmc", constants, formulas, tuple(modules), rewards)
         _validate(spec)
         return _inline_formulas(spec)
@@ -501,7 +489,7 @@ class _Parser:
             sign = -1
         tok = self.expect("NUMBER")
         value = float(tok.text)
-        if value != int(value):
+        if not value.is_integer():  # False for inf too
             raise ParseError("expected an integer", tok.line, tok.column)
         return sign * int(value)
 
@@ -629,12 +617,9 @@ class _Parser:
         if tok.kind == "NUMBER":
             self.advance()
             return Num(float(tok.text))
-        if tok.kind == "true":
+        if tok.kind in ("true", "false"):
             self.advance()
-            return Bool(True)
-        if tok.kind == "false":
-            self.advance()
-            return Bool(False)
+            return Bool(tok.kind == "true")
         if tok.kind == "IDENT":
             self.advance()
             return Ident(tok.text)
@@ -846,7 +831,8 @@ class ChainBatch:
 
 
 def compile(spec: ModelSpec) -> "Program":
-    """Compile ``spec`` once, to evaluate it at many bindings."""
+    """Check ``spec``'s types and compile it once, to evaluate it at many
+    bindings."""
     return Program(spec)
 
 
@@ -865,9 +851,10 @@ def compose(
     Per-structure reward vectors sum all matching reward items per state.
 
     States are numbered breadth-first from the initial state. Errors are
-    raised in that order: a guard, update or rate that fails in a reached
-    state, then a rate or sum ``build_generator`` rejects, then a reward
-    guard or value that fails, then a reward sum that is not finite.
+    raised in that order: an ill-typed expression anywhere in the spec, a
+    guard, update or rate that fails in a reached state, then a rate or sum
+    ``build_generator`` rejects, then a reward guard or value that fails,
+    then a reward sum that is not finite.
 
     This is ``compile(spec).evaluate(bindings)``.
     """
@@ -898,7 +885,7 @@ class _Term:
         self.key = operator.itemgetter(*self.positions) if self.positions else _no_key
 
     def env(self, consts: Mapping[str, float], state: tuple[int, ...], var_names):
-        return {**consts, **{var_names[p]: state[p] for p in self.positions}}
+        return {**consts, **{var_names[p]: float(state[p]) for p in self.positions}}
 
 
 def _no_key(state: tuple[int, ...]) -> tuple:
@@ -908,8 +895,10 @@ def _no_key(state: tuple[int, ...]) -> tuple:
 class Program:
     """A spec compiled for evaluation at many bindings.
 
-    Compiling reads the spec's constants, commands and rewards; later edits
-    to the spec are not seen. The program keeps the walk of its latest
+    Compiling reads the spec's constants, commands and rewards and checks
+    their types, raising :class:`CompositionError` for an ill-typed
+    expression whether or not a walk would reach it; later edits to the
+    spec are not seen. The program keeps the walk of its latest
     evaluation and replays it, evaluating only the rate and reward
     expressions, while the constants that guards and updates read are
     unchanged and the same candidate transitions are live (nonzero);
@@ -919,6 +908,9 @@ class Program:
     def __init__(self, spec: ModelSpec):
         self.spec = spec
         self.constants = dict(spec.constants)
+        for expr in self.constants.values():
+            if expr is not None:
+                _check_type(expr, _NUMBER)
         self.variables = spec.variables()
         var_names = self.var_names = tuple(v.name for v in self.variables)
         var_pos = {v.name: k for k, v in enumerate(self.variables)}
@@ -928,9 +920,10 @@ class Program:
         # the state space.
         structural: set[str] = set()
 
-        def term(expr: Expr | None, decides_states: bool = False) -> _Term | None:
+        def term(expr: Expr | None, want: str, decides_states: bool = False) -> _Term | None:
             if expr is None:
                 return None
+            _check_type(expr, want)
             found = _Term(expr, var_names)
             if decides_states:
                 structural.update(found.names)
@@ -938,10 +931,10 @@ class Program:
 
         def command(cmd: Command):
             """A guard term and, per branch, its rate term and updates."""
-            return term(cmd.guard, True), [
+            return term(cmd.guard, _BOOLEAN, True), [
                 (
-                    term(b.rate),
-                    [(u.var, var_pos[u.var], ranges[u.var], term(u.value, True))
+                    term(b.rate, _NUMBER),
+                    [(u.var, var_pos[u.var], ranges[u.var], term(u.value, _NUMBER, True))
                      for u in b.updates],
                 )
                 for b in cmd.branches
@@ -972,7 +965,7 @@ class Program:
                 if cmd.label is None or len(label_modules[cmd.label]) < 2:
                     self.plain.append((mod.name, *command(cmd)))
         self.reward_terms = {
-            rname: [(term(i.guard, True), term(i.value)) for i in items]
+            rname: [(term(i.guard, _BOOLEAN, True), term(i.value, _NUMBER)) for i in items]
             for rname, items in spec.rewards.items()
         }
         self.guard_names = tuple(structural - set(var_names))
@@ -1032,7 +1025,7 @@ class Program:
                         self.constants,
                         {name: c[rows] if c.ndim else c for name, c in columns.items()},
                         points.number, points.column)
-            except (_Irregular, ModelError):  # every point fails alike
+            except ModelError:  # every point fails alike
                 continue
             fits, q, vectors = walk.replay(consts, points)
             for rname, vec in vectors.items():
@@ -1097,7 +1090,7 @@ class _Walk:
             key = (module, term, term.key(state))
             k = slot_index.get(key)
             if k is None:
-                extra = {var_names[p]: state[p] for p in term.positions}
+                extra = {var_names[p]: float(state[p]) for p in term.positions}
                 values.append(_slot_value(consts, module, term.expr, extra))
                 self.slots.append((module, term.expr, extra))
                 k = slot_index[key] = len(values) - 1
@@ -1106,7 +1099,7 @@ class _Walk:
         def apply_branch(target, source, mod_name, updates) -> tuple[int, ...]:
             new = list(target)
             for var, pos, (low, high), term in updates:
-                value = _num(value_of(term, source), term.expr)
+                value = value_of(term, source)
                 if not math.isfinite(value) or value != int(value):
                     raise CompositionError(
                         f"update of {var!r} in module {mod_name!r} "
@@ -1146,7 +1139,7 @@ class _Walk:
                     edge_pair.append(pairs.setdefault((si, ti), len(pairs)))
 
             for mod_name, guard, branches in program.plain:
-                if not _bool(value_of(guard, state), guard.expr):
+                if not value_of(guard, state):
                     continue
                 for rate, updates in branches:
                     k = slot(mod_name, rate, state)
@@ -1159,7 +1152,7 @@ class _Walk:
                 for mod_name, commands in participants:
                     opts = []
                     for guard, branches in commands:
-                        if _bool(value_of(guard, state), guard.expr):
+                        if value_of(guard, state):
                             for rate, updates in branches:
                                 opts.append((slot(mod_name, rate, state), mod_name, updates))
                     if not opts:
@@ -1195,7 +1188,7 @@ class _Walk:
             table = np.full((len(states), len(items)), _ZERO, dtype=np.intp)
             for si, state in enumerate(states):
                 for k, (guard, value) in enumerate(items):
-                    if _bool(value_of(guard, state), guard.expr):
+                    if value_of(guard, state):
                         table[si, k] = slot(None, value, state)
             self.reward_slots[rname] = table
         self.chain = self.make_chain(generator, self.rewards(np.array(values)))
@@ -1236,11 +1229,8 @@ class _Walk:
         values = np.empty((points.size, 2 + len(self.slots)))
         values[:, _ONE], values[:, _ZERO] = 1.0, 0.0
         with np.errstate(all="ignore"):  # as Python floats: inf or NaN, no warning
-            try:
-                for k, (_, expr, extra) in enumerate(self.slots, start=2):
-                    values[:, k] = points.number(expr, {**consts, **extra} if extra else consts)
-            except _Irregular:
-                return np.zeros(points.size, dtype=bool), None, {}
+            for k, (_, expr, extra) in enumerate(self.slots, start=2):
+                values[:, k] = points.number(expr, {**consts, **extra} if extra else consts)
             fits = ~points.bad & ~(values[:, self.rate_slots] < 0.0).any(axis=1)
             for name, value in self.guard_env.items():
                 fits &= consts[name] == value
@@ -1279,17 +1269,12 @@ def _slot_value(
     consts: Mapping[str, float], module: str | None, expr: Expr, extra: dict[str, int]
 ) -> float:
     """A rate (``module`` set, checked non-negative) or reward value."""
-    value = eval_number(expr, {**consts, **extra} if extra else consts)
+    value = eval_expr(expr, {**consts, **extra} if extra else consts)
     if module is not None and value < 0.0:
         raise CompositionError(
             f"negative rate {value!r} in module {module!r} (rate {format_expr(expr)})"
         )
     return value
-
-
-class _Irregular(Exception):
-    """No point of the batch can be evaluated at once (a type that varies
-    by point, or an expression that fails everywhere)."""
 
 
 class _Points:
@@ -1308,50 +1293,37 @@ class _Points:
 
     def number(self, expr: Expr, env: Mapping[str, object]) -> np.ndarray:
         value, bad = self.value(expr, env)
-        if value.dtype == bool:
-            raise _Irregular
-        if bad is not False:
+        if bad is not False:  # an expression that cannot fail leaves bad alone
             self.bad |= bad
         return value
 
     def value(self, expr: Expr, env: Mapping[str, object]) -> tuple[np.ndarray, object]:
         """The values of ``expr`` and the points where evaluating it raises."""
         if isinstance(expr, (Num, Bool)):
-            return np.asarray(expr.value, dtype=bool if isinstance(expr.value, bool) else float), False
+            return np.asarray(expr.value), False
         if isinstance(expr, Ident):
-            try:
-                return np.asarray(env[expr.name], dtype=float), False
-            except KeyError:
-                raise _Irregular
-        if isinstance(expr, Unary):
-            value, bad = self.value(expr.operand, env)
-            if value.dtype != bool:
-                return -value, bad
-        if isinstance(expr, Binary) and expr.op in _POINT_OPS:
-            (lhs, lhs_bad), (rhs, rhs_bad) = self.value(expr.left, env), self.value(expr.right, env)
-            if lhs.dtype == rhs.dtype == (bool if expr.op in ("&", "|") else float):
-                zero = rhs == 0.0 if expr.op == "/" else False
-                return _POINT_OPS[expr.op](lhs, rhs), lhs_bad | rhs_bad | zero
+            return np.asarray(_lookup(env, expr.name), dtype=float), False
         if isinstance(expr, Cond):
             (test, test_bad), (then, then_bad), (orelse, orelse_bad) = (
                 self.value(e, env) for e in (expr.test, expr.then, expr.orelse))
-            if test.dtype == bool and then.dtype == orelse.dtype:
-                # eval_expr evaluates only the branch the test picks
-                return np.where(test, then, orelse), test_bad | np.where(test, then_bad, orelse_bad)
-        raise _Irregular
-
-
-_POINT_OPS = {**_NUMBER_OPS, "&": operator.and_, "|": operator.or_}
+            # eval_expr evaluates only the branch the test picks
+            return np.where(test, then, orelse), test_bad | np.where(test, then_bad, orelse_bad)
+        if isinstance(expr, Unary):
+            value, bad = self.value(expr.operand, env)
+            return -value, bad
+        (lhs, lhs_bad), (rhs, rhs_bad) = self.value(expr.left, env), self.value(expr.right, env)
+        zero = rhs == 0.0 if expr.op == "/" else False
+        return _OPERATORS[expr.op][0](lhs, rhs), lhs_bad | rhs_bad | zero
 
 
 def _resolve_constants(
     constants: Mapping[str, Expr | None],
     bindings: Mapping[str, object],
-    evaluate: Callable[[Expr, Mapping], object] = eval_number,
+    evaluate: Callable[[Expr, Mapping], object] = eval_expr,
     convert: Callable[[object], object] = float,
 ) -> dict:
     """Every constant's value: bound ones through ``convert``, defined ones
-    through ``evaluate`` (``float`` and ``eval_number`` at one point, or
+    through ``evaluate`` (``float`` and ``eval_expr`` at one point, or
     their :class:`_Points` forms)."""
     env = _ConstantEnv(constants, bindings, evaluate, convert)
     for name in constants:

@@ -53,7 +53,6 @@ import numpy as np
 
 from abps_toolkit.abps import (
     AbpsParams,
-    MODES,
     NIC_PHASES,
     ORACLE_U,
     ORACLE_UW,
@@ -63,7 +62,7 @@ from abps_toolkit.abps import (
     PHASE_FAILED,
     PHASE_OFF,
     PHASE_SETUP,
-    VARIANTS,
+    _check_variant_mode,
     resolved_rates,
     state_available,
     state_power,
@@ -512,10 +511,7 @@ def simulate(
     trace: TraceFn | None = None,
 ) -> SimMetrics:
     """Run one replication; identical inputs give bit-identical metrics."""
-    if variant not in VARIANTS:
-        raise ValidationError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_variant_mode(variant, mode)
     return _Simulation(params, config, variant, mode, trace).run()
 
 

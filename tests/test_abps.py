@@ -323,6 +323,16 @@ class TestSweep:
         assert len(table.rows) == 2
         assert all(row.metrics is None and row.error for row in table.rows)
 
+    def test_singular_solve_recorded_as_error_row(self, monkeypatch):
+        # the stacked solve fails as a whole, then each point alone
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        table = sweep(default_params(), t_minus_values=(20.0,), t_plus_values=(80.0,))
+        assert [(row.metrics, row.error) for row in table.rows] == [
+            (None, "stationary solve is singular")] * 2
+
     def test_csv_shape_and_determinism(self, tmp_path):
         table = sweep(default_params())
         text = table.to_csv()

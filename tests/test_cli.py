@@ -78,6 +78,17 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "division by zero" in err and "T_W_minus" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("x : [0..1e400] init 0;", "line 3, column 11: expected an integer"),
+        ("x : [0..2²] init 0;", "line 3, column 12: unexpected character '²'"),
+        ("x : [0..1] init 0; [] x -> (x'=1);", "expected a boolean, got a number in x"),
+    ])
+    def test_malformed_listing_exit_2(self, capsys, tmp_path, line, message):
+        listing = tmp_path / "bad.sm"
+        listing.write_text(f"ctmc\nmodule m\n  {line}\nendmodule\n", encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(listing))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_unknown_parameter(self, capsys):
         code, _, err = run(capsys, "solve", "plain", "--params", "warp_speed=9")
         assert code == 2
@@ -154,6 +165,18 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("plain,10,80,")
+
+    def test_singular_solve_rows_carry_an_error(self, capsys):
+        # rates this far apart round a stationary system to singular at
+        # some grid points; which ones may vary with the LAPACK build
+        code, out, _ = run(capsys, "sweep", "--params", "beta_U=1e-300",
+                           "--params", "mu_U=1e-310")
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert len(rows) == 24
+        for row in rows:
+            metrics, error = row[3:6], row[6:]
+            assert (all(metrics) and not any(error)) or (error[0] and not any(metrics))
 
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "sweep", "--grid", "tmin:5", "tmax:40")

@@ -175,6 +175,14 @@ class TestSteadyState:
         with pytest.raises(StructureError):
             steady_state(q, 0)
 
+    def test_singular_solve_is_a_structure_error(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(StructureError, match="stationary solve is singular"):
+            steady_state(build_generator(2, [(0, 1, 1.0), (1, 0, 1.0)]), 0)
+
     def test_class_search_shared_by_rates_not_by_pattern(self):
         # same pattern Q > 0 at other rates, then a pattern that differs
         for scale in (1.0, 7.0):

@@ -107,6 +107,33 @@ class TestParse:
         spec = parse("ctmc // a model\n// nothing else\n")
         assert spec.kind == "ctmc"
 
+    @staticmethod
+    def error_at(text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        return err.value.line, err.value.column, str(err.value).split(": ", 1)[1]
+
+    def test_numbers_are_ascii_digits(self):
+        # '²' once crashed float() and '٣' read as 3.0; identifiers keep
+        # their Unicode letters
+        assert self.error_at("ctmc\nconst double a = 2²;") == (
+            2, 19, "unexpected character '²'")
+        assert self.error_at("ctmc\nconst double a = ٣;") == (
+            2, 18, "unexpected character '٣'")
+        assert parse("ctmc const double é = 1;").constants == {"é": Num(1.0)}
+
+    def test_string_ends_on_its_line(self):
+        text = 'ctmc\nrewards "a\nb" true : 1; endrewards'
+        assert self.error_at(text) == (2, 9, "unterminated string")
+
+    def test_end_of_input_after_a_comment_has_its_true_column(self):
+        assert self.error_at("ctmc\nmodule // unfinished") == (
+            2, 21, "expected 'IDENT', found 'end of input'")
+
+    def test_non_finite_bound_is_not_an_integer(self):
+        assert self.error_at("ctmc module m x : [0..1e400] init 0; endmodule") == (
+            1, 23, "expected an integer")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("variant", ["plain", "oracle"])
@@ -413,6 +440,44 @@ class TestCompose:
         assert chain.generator.rate(idx[(0, 1)], idx[(1, 1)]) == 9.0
         assert chain.generator.rate(idx[(0, 0)], idx[(1, 0)]) == 1.0
 
+    def test_ill_typed_expression_rejected_where_no_walk_reaches_it(self):
+        # x=1 never holds in the one state that reads the rate
+        spec = parse("""ctmc
+        module m x : [0..1] init 0;
+          [] x=0 -> (x=1 ? true : 2.0):(x'=1);
+        endmodule
+        """)
+        for route in (modlang.compile, compose):
+            with pytest.raises(CompositionError) as err:
+                route(spec)
+            assert str(err.value) == "expected a number, got a boolean in true"
+
+    @pytest.mark.parametrize("command, reward, message", [
+        ("[] x -> (x'=1);", "true : 1;", "expected a boolean, got a number in x"),
+        ("[] x=0 & 1 -> (x'=1);", "true : 1;", "expected a boolean, got a number in 1.0"),
+        ("[] (x=0) = true -> (x'=1);", "true : 1;",
+         "expected a number, got a boolean in (x = 0.0)"),
+        ("[] x=0 -> -(x=0):(x'=1);", "true : 1;",
+         "expected a number, got a boolean in (x = 0.0)"),
+        ("[] (x ? true : false) -> (x'=1);", "true : 1;",
+         "expected a boolean, got a number in x"),
+        ("[] x=0 -> (x'=false);", "true : 1;", "expected a number, got a boolean in false"),
+        ("[] x=0 -> (x'=1);", "1 : 2;", "expected a boolean, got a number in 1.0"),
+        ("[] x=0 -> (x'=1);", "true : x=1;", "expected a number, got a boolean in (x = 1.0)"),
+    ])
+    def test_type_rule(self, command, reward, message):
+        spec = parse(f'ctmc module m x : [0..1] init 0; {command} endmodule '
+                     f'rewards "r" {reward} endrewards')
+        with pytest.raises(CompositionError) as err:
+            modlang.compile(spec)
+        assert str(err.value) == message
+
+    def test_constant_definitions_are_numbers(self):
+        spec = parse("ctmc const double c = 1 = 1; module m x : [0..1] init 0; endmodule")
+        with pytest.raises(CompositionError) as err:
+            modlang.compile(spec)
+        assert str(err.value) == "expected a number, got a boolean in (1.0 = 1.0)"
+
     def test_rewards_accumulate_additively(self):
         text = """ctmc
         module m x : [0..1] init 0;
@@ -475,7 +540,7 @@ def batch_rows(batch):
 def small_specs(draw):
     """Listings of one or two modules over a, b, c (rates and rewards) and
     k (a guard and update constant), with shared labels, self-loops,
-    out-of-range and non-integer updates, and divisions."""
+    out-of-range and non-integer updates, divisions, and every operator."""
     lines = ["ctmc"] + [f"const double {n};" for n in "abck"]
     names = [f"v{i}" for i in range(draw(st.integers(1, 2)))]
     for i, var in enumerate(names):
@@ -484,8 +549,11 @@ def small_specs(draw):
             j = draw(st.integers(0, 2))
             label = draw(st.sampled_from(["", "", "s"]))
             guard = draw(st.sampled_from(
-                [f"{var}={j}", f"{var}!={j}", "true", f"{var}=k", f"{names[0]}=1 | {var}={j}"]))
-            rate = draw(st.sampled_from(["a", "b", "a*b", "1/c", f"({names[-1]}=1 ? a : 2.0)"]))
+                [f"{var}={j}", f"{var}!={j}", "true", "false", f"{var}=k",
+                 f"{names[0]}=1 | {var}={j}", f"{var}!={j} & k-{var}!=1",
+                 f"({names[-1]}=1 ? {var}={j} : false)"]))
+            rate = draw(st.sampled_from(["a", "b", "a*b", "1/c", f"({names[-1]}=1 ? a : 2.0)",
+                                         "a+b", f"b-{var}", "-a"]))
             value = draw(st.sampled_from([str(j), str(j), "k", f"{var}+1", f"{j}/2"]))
             lines.append(f"  [{label}] {guard} -> {rate}:({var}'={value});")
         lines.append("endmodule")
