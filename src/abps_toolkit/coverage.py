@@ -15,6 +15,13 @@ and coverage with no persisting network splits at the handover point.
 Interval edges are located by bisecting the interpolated position between
 trajectory samples, so sub-sample precision comes for free; blips smaller
 than the sample spacing are invisible by construction.
+
+Whether an edge lies between two samples depends only on the disc matrix,
+so every edge of a walk is found first and all of them are bisected in
+lockstep: one (edges x APs) distance matrix per step. A step is a function
+of each edge's bracket alone, so the search stops at the first step that
+narrows no bracket, at most 60 steps in, on the very floats that 60 scalar
+steps per edge would give.
 """
 
 from __future__ import annotations
@@ -339,29 +346,37 @@ def load_trajectory(path) -> list[TrajectorySample]:
                 continue
             try:
                 t, lat, lon = (float(row[k]) for k in range(3))
+                speed = float(row[3]) if len(row) > 3 and row[3].strip() else None
             except (ValueError, IndexError):
                 if lineno == 1:
                     continue  # header
                 raise ValidationError(f"{path}:{lineno}: malformed trajectory row {row!r}")
-            speed = float(row[3]) if len(row) > 3 and row[3].strip() else None
             samples.append(TrajectorySample(t, lat, lon, speed))
     _check_trajectory(samples)
     return samples
 
 
-def _check_trajectory(samples: Sequence[TrajectorySample]) -> None:
-    for k, s in enumerate(samples):
-        if not np.isfinite(s.t):
+def _check_trajectory(samples: Sequence[TrajectorySample]) -> np.ndarray:
+    """The t, lat and lon columns of a valid trajectory, as a (3 x samples)
+    array; an error names the first offending sample."""
+    columns = np.array([(s.t, s.lat, s.lon) for s in samples], dtype=float)
+    columns = columns.reshape(-1, 3).T.copy()
+    t, lat, lon = columns
+    valid = np.isfinite(t) & (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
+    if not valid.all():
+        k = int(valid.argmin())
+        s = samples[k]
+        if not math.isfinite(s.t):
             raise ValidationError(f"trajectory sample {k} has a non-finite timestamp t={s.t}")
-        if not (-90.0 <= s.lat <= 90.0 and -180.0 <= s.lon <= 180.0):
-            raise ValidationError(
-                f"trajectory sample {k} (t={s.t}) has invalid coordinates ({s.lat}, {s.lon})"
-            )
-    for a, b in zip(samples, samples[1:]):
-        if not (b.t > a.t):
-            raise ValidationError(
-                f"trajectory timestamps must strictly increase ({a.t} then {b.t})"
-            )
+        raise ValidationError(
+            f"trajectory sample {k} (t={s.t}) has invalid coordinates ({s.lat}, {s.lon})"
+        )
+    rising = t[1:] > t[:-1]
+    if not rising.all():
+        k = int(rising.argmin())
+        raise ValidationError(f"trajectory timestamps must strictly increase "
+                              f"({samples[k].t} then {samples[k + 1].t})")
+    return columns
 
 
 def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
@@ -369,8 +384,9 @@ def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
     """Extend a trajectory by dead reckoning from its last two samples."""
     if len(samples) < 2:
         raise ValidationError("extrapolation needs at least 2 samples")
-    if horizon_s <= 0.0 or step_s <= 0.0:
-        raise ValidationError("horizon and step must be positive")
+    for name, value in (("horizon_s", horizon_s), ("step_s", step_s)):
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValidationError(f"{name} must be positive and finite, got {value}")
     a, b = samples[-2], samples[-1]
     dt = b.t - a.t
     vlat = (b.lat - a.lat) / dt
@@ -389,21 +405,6 @@ def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
 # Coverage prediction
 
 
-def _cross_time(a: TrajectorySample, b: TrajectorySample, lat: np.ndarray,
-                lon: np.ndarray, radius: np.ndarray, inside_at_a: bool) -> float:
-    """Bisect for the instant the covered-by-these-discs predicate flips in (a, b)."""
-    lo, hi = a.t, b.t
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        f = (mid - a.t) / (b.t - a.t)
-        here = haversine_m(a.lat + f * (b.lat - a.lat), a.lon + f * (b.lon - a.lon), lat, lon)
-        if bool((here <= radius).any()) == inside_at_a:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def predict_coverage(
     trajectory: Sequence[TrajectorySample], aps: Sequence[AccessPoint]
 ) -> list[CoverageInterval]:
@@ -416,45 +417,58 @@ def predict_coverage(
     """
     if len(trajectory) < 2:
         raise ValidationError("coverage prediction needs at least 2 samples")
-    _check_trajectory(trajectory)
+    t, s_lat, s_lon = _check_trajectory(trajectory)
 
     lat = np.array([ap.lat for ap in aps])
     lon = np.array([ap.lon for ap in aps])
     radius = np.array([ap.radius_m for ap in aps])
-    # network key of each AP: its own index, or the index of its group's first AP
+    # network of each AP, numbered from 0: its own, or its group's (keyed by
+    # the group's first AP, so that a group name is an opaque string)
     first: dict[str, int] = {}
-    network = np.array([first.setdefault(ap.group, j) if ap.group else j
-                        for j, ap in enumerate(aps)], dtype=np.intp)
-    # covering[i, j]: sample i lies within AP j's disc
-    covering = haversine_m(np.array([s.lat for s in trajectory])[:, None],
-                           np.array([s.lon for s in trajectory])[:, None], lat, lon) <= radius
-    keys = [set(network[row].tolist()) for row in covering]
+    network = np.unique([first.setdefault(ap.group, j) if ap.group else j
+                         for j, ap in enumerate(aps)], return_inverse=True)[1]
+    # covering[i, j]: sample i lies within AP j's disc; by_net[i, n]: within
+    # a disc of network n
+    covering = haversine_m(s_lat[:, None], s_lon[:, None], lat, lon) <= radius
+    order = np.argsort(network)
+    by_net = np.logical_or.reduceat(covering[:, order], np.flatnonzero(
+        np.diff(network[order], prepend=-1)), axis=1)
+    covered = by_net.any(axis=1)
+    # coverage flips, or no network persists across a handover
+    flip = np.flatnonzero((covered[:-1] | covered[1:]) & ~(by_net[:-1] & by_net[1:]).any(axis=1))
 
-    intervals: list[CoverageInterval] = []
-    start, since = trajectory[0].t, 0
+    # Bisect every crossing at once. The probe is every AP when entering
+    # coverage, else the APs of the networks covering sample i. A step is a
+    # function of (lo, hi) alone, so the first step that moves no bracket
+    # leaves them where 60 steps would.
+    inside = covered[flip]
+    probe = by_net[flip][:, network] | ~inside[:, None]
+    t0, dt = t[flip], t[flip + 1] - t[flip]
+    lat0, dlat = s_lat[flip, None], (s_lat[flip + 1] - s_lat[flip])[:, None]
+    lon0, dlon = s_lon[flip, None], (s_lon[flip + 1] - s_lon[flip])[:, None]
+    lo, hi = t0, t[flip + 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f = ((mid - t0) / dt)[:, None]
+        here = haversine_m(lat0 + f * dlat, lon0 + f * dlon, lat, lon)
+        same = ((here <= radius) & probe).any(axis=1) == inside
+        new_lo, new_hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
 
-    def close(end: float, until: int) -> None:
-        seen = [aps[j] for j in np.flatnonzero(covering[since:until].any(axis=0))]
+    cuts = [trajectory[0].t, *(0.5 * (lo + hi)).tolist(), trajectory[-1].t]
+    rows = [0, *(flip + 1).tolist(), len(trajectory)]
+    intervals = []
+    for k in range(len(rows) - 1):
+        seen = [aps[j] for j in np.flatnonzero(covering[rows[k]:rows[k + 1]].any(axis=0))]
         intervals.append(
             CoverageInterval(
-                start, end, bool(keys[since]),
+                cuts[k], cuts[k + 1], bool(covered[rows[k]]),
                 tuple(sorted({ap.essid for ap in seen})),
                 tuple(sorted({ap.group for ap in seen if ap.group})),
             )
         )
-
-    for i in range(len(trajectory) - 1):
-        now, nxt = keys[i], keys[i + 1]
-        if (now or nxt) and not (now & nxt):
-            # coverage flips, or no network persists across a handover; the
-            # probe is every AP when entering coverage, else the APs of the
-            # networks covering sample i
-            probe = np.isin(network, network[covering[i]]) if now else slice(None)
-            t_cross = _cross_time(trajectory[i], trajectory[i + 1], lat[probe],
-                                  lon[probe], radius[probe], inside_at_a=bool(now))
-            close(t_cross, i + 1)
-            start, since = t_cross, i + 1
-    close(trajectory[-1].t, len(trajectory))
     return [iv for iv in intervals if iv.duration > 0.0]
 
 

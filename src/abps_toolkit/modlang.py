@@ -398,6 +398,7 @@ class _Parser:
         self.advance()
         constants: dict[str, Expr | None] = {}
         formulas: dict[str, Expr] = {}
+        formula_at: dict[str, _Token] = {}
         modules: list[ModuleSpec] = []
         rewards: dict[str, tuple[RewardItem, ...]] = {}
         while self.peek().kind != "EOF":
@@ -414,9 +415,11 @@ class _Parser:
                     self._declare(var.name, constants, formulas, modules, "variable")
                 modules.append(mod)
             elif kind == "formula":
+                tok = self.peek()
                 name, expr = self.parse_formula()
                 self._declare(name, constants, formulas, modules, "formula")
                 formulas[name] = expr
+                formula_at[name] = tok
             elif kind == "rewards":
                 name, items = self.parse_rewards()
                 if name in rewards:
@@ -424,6 +427,7 @@ class _Parser:
                 rewards[name] = items
             else:
                 raise self.error("expected 'const', 'module', 'formula' or 'rewards'")
+        _check_formula_order(formulas, formula_at)
         spec = ModelSpec("ctmc", constants, formulas, tuple(modules), rewards)
         _validate(spec)
         return _inline_formulas(spec)
@@ -639,6 +643,19 @@ def parse(text: str) -> ModelSpec:
 def parse_file(path) -> ModelSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return parse(fh.read())
+
+
+def _check_formula_order(formulas: dict[str, Expr], at: dict[str, _Token]) -> None:
+    """Formulas are inlined in declaration order, so each may name only the
+    formulas declared before it."""
+    rank = {name: k for k, name in enumerate(formulas)}
+    for k, (name, expr) in enumerate(formulas.items()):
+        later = sorted((n for n in _idents(expr) if rank.get(n, -1) >= k), key=rank.get)
+        if later:
+            what = "itself" if later[0] == name else (
+                f"formula {later[0]!r}, which is declared after it")
+            raise ParseError(f"formula {name!r} refers to {what}",
+                             at[name].line, at[name].column)
 
 
 def _validate(spec: ModelSpec) -> None:

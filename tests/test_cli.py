@@ -89,6 +89,16 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(listing))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_formula_forward_reference_exit_2(self, capsys, tmp_path):
+        listing = tmp_path / "forward.sm"
+        listing.write_text("ctmc\nformula a = b + 1;\nformula b = 1;\nmodule m\n"
+                           "  x : [0..1] init 0; [] x=0 -> a:(x'=1);\nendmodule\n",
+                           encoding="utf-8")
+        code, out, err = run(capsys, "solve", str(listing))
+        assert (code, out) == (2, "")
+        assert err == ("error: line 2, column 1: formula 'a' refers to formula 'b',"
+                       " which is declared after it\n")
+
     def test_unknown_parameter(self, capsys):
         code, _, err = run(capsys, "solve", "plain", "--params", "warp_speed=9")
         assert code == 2
@@ -306,6 +316,15 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", str(walk), str(catalog))
         assert code == 2
         assert "walk.csv:2" in err
+
+    def test_malformed_speed_cell_exit_2(self, capsys, tmp_path):
+        walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"
+        walk.write_text("t,lat,lon,speed\n0,45.07,7.68,1.2\n2,45.07,7.68,abc\n")
+        write_corridor_catalog(catalog)
+        code, out, err = run(capsys, "oracle", str(walk), str(catalog))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {walk}:3: malformed trajectory row"
+                       " ['2', '45.07', '7.68', 'abc']\n")
 
     def test_invalid_coordinates_exit_2(self, capsys, tmp_path):
         walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"

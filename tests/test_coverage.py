@@ -215,6 +215,154 @@ class TestPredictCoverage:
         with pytest.raises(ValidationError, match=f"sample {k}"):
             predict_coverage(track, [ap("mid", 5, 30)])
 
+    def test_first_offending_sample_is_named(self):
+        # one pass over the whole walk still reports the first bad sample,
+        # its timestamp before its coordinates, and the time order last
+        track = walk(10)
+        track[6] = TrajectorySample(float("nan"), 0.0, 6 * M)
+        track[4] = TrajectorySample(4.0, 91.0, 4 * M)
+        track[2] = TrajectorySample(1.0, 0.0, 2 * M)
+        with pytest.raises(ValidationError) as err:
+            predict_coverage(track, [])
+        assert str(err.value) == (f"trajectory sample 4 (t=4.0) has invalid coordinates"
+                                  f" (91.0, {4 * M})")
+        track[4] = TrajectorySample(float("inf"), 91.0, 4 * M)
+        with pytest.raises(ValidationError, match="^trajectory sample 4 has a non-finite"):
+            predict_coverage(track, [])
+        track[4] = TrajectorySample(4.0, 0.0, 4 * M)
+        with pytest.raises(ValidationError, match="^trajectory sample 6 has a non-finite"):
+            predict_coverage(track, [])
+        track[6] = TrajectorySample(6.0, 0.0, 6 * M)
+        with pytest.raises(ValidationError) as err:
+            predict_coverage(track, [])
+        assert str(err.value) == "trajectory timestamps must strictly increase (1.0 then 1.0)"
+
+
+def reference_predict_coverage(trajectory, aps):
+    """The scalar prediction: per-sample sets of network keys, and one
+    60-step bisection per crossing over the APs that crossing probes."""
+    lat = np.array([a.lat for a in aps])
+    lon = np.array([a.lon for a in aps])
+    radius = np.array([a.radius_m for a in aps])
+    first = {}
+    network = np.array([first.setdefault(a.group, j) if a.group else j
+                        for j, a in enumerate(aps)], dtype=np.intp)
+    covering = haversine_m(np.array([s.lat for s in trajectory])[:, None],
+                           np.array([s.lon for s in trajectory])[:, None], lat, lon) <= radius
+    keys = [set(network[row].tolist()) for row in covering]
+
+    def cross_time(a, b, probe, inside_at_a):
+        lo, hi = a.t, b.t
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            f = (mid - a.t) / (b.t - a.t)
+            here = haversine_m(a.lat + f * (b.lat - a.lat), a.lon + f * (b.lon - a.lon),
+                               lat[probe], lon[probe])
+            if bool((here <= radius[probe]).any()) == inside_at_a:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    intervals, start, since = [], trajectory[0].t, 0
+
+    def close(end, until):
+        seen = [aps[j] for j in np.flatnonzero(covering[since:until].any(axis=0))]
+        intervals.append(coverage.CoverageInterval(
+            start, end, bool(keys[since]), tuple(sorted({a.essid for a in seen})),
+            tuple(sorted({a.group for a in seen if a.group}))))
+
+    for i in range(len(trajectory) - 1):
+        now, nxt = keys[i], keys[i + 1]
+        if (now or nxt) and not (now & nxt):
+            probe = np.isin(network, network[covering[i]]) if now else slice(None)
+            t_cross = cross_time(trajectory[i], trajectory[i + 1], probe, bool(now))
+            close(t_cross, i + 1)
+            start, since = t_cross, i + 1
+    close(trajectory[-1].t, len(trajectory))
+    return [iv for iv in intervals if iv.duration > 0.0]
+
+
+def random_case(rng, t0, n=60, dt=(0.5, 4.0), speed=1.4):
+    """A seeded walk and catalog in a local metric frame: APs near the walk,
+    grouped or not, some that the walk grazes at a sample, and handover
+    pairs of ungrouped APs centred on consecutive samples."""
+    lat0, lon0 = rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0)
+    m_lat = 180.0 / (math.pi * coverage.EARTH_RADIUS_M)
+    m_lon = m_lat / math.cos(math.radians(lat0))
+    t = t0 + np.concatenate([[0.0], np.cumsum(rng.uniform(*dt, n - 1))])
+    heading = np.cumsum(rng.normal(0.0, 0.3, n))
+    step = speed * np.diff(t, prepend=t[0])
+    x, y = np.cumsum(step * np.cos(heading)), np.cumsum(step * np.sin(heading))
+
+    def at(px, py, radius, name, group=None):
+        return AccessPoint(name, lat0 + py * m_lat, lon0 + px * m_lon, radius, group or None)
+
+    aps = []
+    for k in range(int(rng.integers(0, 25))):
+        i = int(rng.integers(n))
+        aps.append(at(x[i] + rng.normal(0, 20), y[i] + rng.normal(0, 20),
+                      rng.uniform(5.0, 40.0), f"ap{k}", rng.choice(["", "", "g1", "g2"])))
+    for k in range(int(rng.integers(0, 5))):
+        i = int(rng.integers(n - 1))
+        ux, uy = x[i + 1] - x[i], y[i + 1] - y[i]
+        norm = math.hypot(ux, uy)
+        radius = rng.uniform(5.0, 40.0)
+        # sample i lies just inside the rim, so the walk grazes the disc
+        offset = radius * (1.0 - rng.uniform(1e-6, 1e-4))
+        aps.append(at(x[i] - uy / norm * offset, y[i] + ux / norm * offset, radius,
+                      f"tangent{k}"))
+    for k in range(int(rng.integers(0, 3))):
+        i = int(rng.integers(n - 1))
+        reach = 0.6 * math.hypot(x[i + 1] - x[i], y[i + 1] - y[i])
+        aps += [at(x[i], y[i], reach, f"hand{k}a"), at(x[i + 1], y[i + 1], reach, f"hand{k}b")]
+    walk = [TrajectorySample(float(ti), lat0 + yi * m_lat, lon0 + xi * m_lon)
+            for ti, xi, yi in zip(t, x, y)]
+    return walk, aps
+
+
+class TestLockstepBisection:
+    """``predict_coverage`` gives the reference's intervals, float for float."""
+
+    def test_equals_scalar_reference_on_random_walks(self):
+        rng = np.random.default_rng(20121015)
+        crossings = grazes = handovers = 0
+        for case in range(90):
+            # timestamps near the end of a day put the fixed point late
+            t0 = rng.uniform(86_300.0, 86_390.0) if case % 3 == 0 else rng.uniform(0.0, 1e4)
+            walk, aps = random_case(rng, t0)
+            if case % 5 == 0:
+                aps.append(AccessPoint("start", walk[0].lat, walk[0].lon, 30.0, "g1"))
+            expected = reference_predict_coverage(walk, aps)
+            assert predict_coverage(walk, aps) == expected
+            assert expected[0].covered or case % 5
+            crossings += len(expected) - 1
+            grazes += sum(iv.covered and iv.duration < 0.5 for iv in expected)
+            handovers += sum(a.covered and b.covered for a, b in zip(expected, expected[1:]))
+        assert crossings > 200 and grazes > 5 and handovers > 10
+
+    def test_equals_scalar_reference_on_sparse_and_empty_walks(self):
+        rng = np.random.default_rng(7)
+        for case in range(20):
+            # samples far apart from t = 0: a crossing early in the first
+            # step needs more than 60 steps to reach its fixed point
+            walk, aps = random_case(rng, 0.0, n=12, dt=(500.0, 1500.0), speed=0.05)
+            a, b = walk[0], walk[1]
+            rim = 0.8 + 1e-3  # the disc's rim, as a fraction of the first step
+            aps.append(AccessPoint("rim", a.lat + rim * (b.lat - a.lat),
+                                   a.lon + rim * (b.lon - a.lon),
+                                   0.8 * haversine_m(a.lat, a.lon, b.lat, b.lon)))
+            assert predict_coverage(walk, aps) == reference_predict_coverage(walk, aps)
+            assert predict_coverage(walk, []) == reference_predict_coverage(walk, [])
+
+    def test_equals_scalar_reference_on_fixtures(self):
+        split = [ap("alpha", 40, 50.3), ap("beta", 141, 50.3)]
+        grouped = [ap("alpha", 40, 50.3, "net"), ap("beta", 141, 50.3, "net")]
+        for track, aps in ((walk(500), corridor_catalog() + endpoints_catalog()),
+                           (walk(200), split), (walk(200), grouped),
+                           (walk(100), [ap("mid", 50, 30)]), (walk(100), [])):
+            assert predict_coverage(track, aps) == reference_predict_coverage(track, aps)
+
 
 class TestClassify:
     def test_long_short_no_wifi(self):
@@ -326,6 +474,14 @@ class TestCatalogFiles:
         assert len(track) == 3
         assert track[0].speed == 1.5
         assert track[1].speed is None
+
+    def test_trajectory_malformed_speed_cell(self, tmp_path):
+        path = tmp_path / "walk.csv"
+        path.write_text("t,lat,lon,speed\n0,45.07,7.68,1.4\n2,45.07,7.68,abc\n")
+        with pytest.raises(ValidationError) as err:
+            load_trajectory(path)
+        assert str(err.value) == (f"{path}:3: malformed trajectory row"
+                                  " ['2', '45.07', '7.68', 'abc']")
 
     def test_trajectory_requires_increasing_time(self, tmp_path):
         path = tmp_path / "walk.csv"
@@ -577,3 +733,9 @@ class TestExtrapolate:
     def test_validation(self):
         with pytest.raises(ValidationError):
             extrapolate([TrajectorySample(0, 0, 0)], 10.0)
+        track = [TrajectorySample(0, 0.0, 0.0), TrajectorySample(10, 0.0, 10 * M)]
+        for horizon_s, step_s, name in ((math.inf, 1.0, "horizon_s"), (math.nan, 1.0, "horizon_s"),
+                                        (0.0, 1.0, "horizon_s"), (10.0, math.nan, "step_s"),
+                                        (10.0, math.inf, "step_s"), (10.0, -1.0, "step_s")):
+            with pytest.raises(ValidationError, match=f"^{name} must be positive and finite"):
+                extrapolate(track, horizon_s, step_s)

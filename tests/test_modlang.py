@@ -103,6 +103,33 @@ class TestParse:
         item = spec.rewards["load"][0]
         assert modlang._idents(item.guard) == {"x"}
 
+    @pytest.mark.parametrize("formulas, message", [
+        pytest.param("formula a = b + 1; formula b = 1;",
+                     "line 1, column 6: formula 'a' refers to formula 'b', "
+                     "which is declared after it", id="forward"),
+        pytest.param("formula b = 1; formula a = b; formula c = a * d; formula d = 2;",
+                     "line 1, column 36: formula 'c' refers to formula 'd', "
+                     "which is declared after it", id="forward-after-earlier"),
+        pytest.param("formula a = 1; formula b = b + a;",
+                     "line 1, column 21: formula 'b' refers to itself", id="self"),
+        pytest.param("formula a = b; formula b = a;",
+                     "line 1, column 6: formula 'a' refers to formula 'b', "
+                     "which is declared after it", id="cycle"),
+    ])
+    def test_formula_names_only_earlier_formulas(self, formulas, message):
+        # formulas are inlined in declaration order, so a self or forward
+        # reference would stay an identifier that compose cannot bind
+        text = f"ctmc {formulas} module m x : [0..1] init 0; [] x=0 -> a:(x'=0); endmodule"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
+
+    def test_formula_may_name_earlier_formulas(self):
+        spec = parse("ctmc formula b = 2; formula a = b + 1;"
+                     " module m x : [0..1] init 0; [] x=0 -> a:(x'=1); endmodule")
+        chain = modlang.compose(spec, {})
+        assert chain.generator.rate(0, 1) == 3.0
+
     def test_line_comments_ignored(self):
         spec = parse("ctmc // a model\n// nothing else\n")
         assert spec.kind == "ctmc"
