@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 import os
 import threading
@@ -136,8 +137,7 @@ class LocalCatalog:
     def __init__(self, source) -> None:
         self.skipped_records = 0
         if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8", newline="") as fh:
-                self.access_points = self._parse(fh)
+            self.access_points = self._parse(_csv_lines(source))
         else:
             self.access_points = tuple(source)
         aps = self.access_points
@@ -340,20 +340,33 @@ def query_aps(catalog, lat: float, lon: float, radius: float) -> list[AccessPoin
 def load_trajectory(path) -> list[TrajectorySample]:
     """Read a ``t,lat,lon[,speed]`` CSV; a non-numeric first row is a header."""
     samples: list[TrajectorySample] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                t, lat, lon = (float(row[k]) for k in range(3))
-                speed = float(row[3]) if len(row) > 3 and row[3].strip() else None
-            except (ValueError, IndexError):
-                if lineno == 1:
-                    continue  # header
-                raise ValidationError(f"{path}:{lineno}: malformed trajectory row {row!r}")
-            samples.append(TrajectorySample(t, lat, lon, speed))
+    for lineno, row in enumerate(csv.reader(_csv_lines(path)), start=1):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        try:
+            t, lat, lon = (float(row[k]) for k in range(3))
+            speed = float(row[3]) if len(row) > 3 and row[3].strip() else None
+        except (ValueError, IndexError):
+            if lineno == 1:
+                continue  # header
+            raise ValidationError(f"{path}:{lineno}: malformed trajectory row {row!r}")
+        samples.append(TrajectorySample(t, lat, lon, speed))
     _check_trajectory(samples)
     return samples
+
+
+def _csv_lines(path) -> io.StringIO:
+    """A UTF-8 file's lines for ``csv.reader``, as ``open(path, newline="")``
+    gives them; a byte that is not UTF-8 is a :class:`ValidationError` that
+    names its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValidationError(
+            f"{path}:{line}: byte 0x{data[err.start]:02x} is not UTF-8") from None
 
 
 def _check_trajectory(samples: Sequence[TrajectorySample]) -> np.ndarray:
@@ -388,13 +401,23 @@ def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
         if not (value > 0.0 and math.isfinite(value)):
             raise ValidationError(f"{name} must be positive and finite, got {value}")
     a, b = samples[-2], samples[-1]
+    end = b.t + horizon_s + 1e-12
+    if b.t + step_s == b.t or not math.isfinite((end - b.t) / step_s):
+        raise ValidationError(f"step_s={step_s} is too small to step from t={b.t} "
+                              f"over a {horizon_s} s horizon")
+    # The k-th new sample lies at b.t + k * step_s, k = 1..n: the largest n
+    # whose time is within the horizon, from the quotient corrected for rounding.
+    n = int((end - b.t) / step_s)
+    while b.t + (n + 1) * step_s <= end:
+        n += 1
+    while n > 0 and b.t + n * step_s > end:
+        n -= 1
     dt = b.t - a.t
     vlat = (b.lat - a.lat) / dt
     vlon = (b.lon - a.lon) / dt
     extended = list(samples)
-    t = b.t
-    while t + step_s <= b.t + horizon_s + 1e-12:
-        t += step_s
+    for k in range(1, n + 1):
+        t = b.t + k * step_s
         extended.append(
             TrajectorySample(t, b.lat + vlat * (t - b.t), b.lon + vlon * (t - b.t), b.speed)
         )

@@ -16,8 +16,22 @@ deliberately minimal:
     update      : '(' NAME "'" '=' expr ')'
     formula     : 'formula' NAME '=' expr ';'
     rewards     : 'rewards' STRING (expr ':' expr ';')* 'endrewards'
-    expr        : ternary conditional over | & = != + - * / and parentheses
+    expr        : binary ('?' expr ':' expr)?
+    binary      : unary (OP unary)*, by the operator table below
+    unary       : '-' unary | NUMBER | NAME | 'true' | 'false' | '(' expr ')'
     INT         : '-'? NUMBER, of integral value
+
+Binary operators, loosest first, with their binding powers:
+
+    1  |          left-associative
+    2  &          left-associative
+    3  =  !=      do not chain: ``a = b = c`` and ``a = b != c`` are errors
+    4  +  -       left-associative
+    5  *  /       left-associative
+
+so ``x = 1 & y != 2 | z = 0`` reads ``((x = 1) & (y != 2)) | (z = 0)``. Unary
+minus binds tighter than every binary operator, and the conditional looser:
+``a | b ? c : d`` tests ``a | b``, and each branch is a whole ``expr``.
 
 Tokens: NAME is a letter or '_' and then letters, digits or '_' (Unicode
 letters count); NUMBER is ASCII digits with an optional fraction and
@@ -197,20 +211,20 @@ def _check_type(expr: Expr, want: str) -> None:
 def eval_expr(expr: Expr, env: Mapping[str, float]) -> float | bool:
     """Evaluate the checked expression ``expr`` (every spec is checked as
     :func:`compile` reads it) under ``env``: constants plus variable values,
-    all floats."""
-    if isinstance(expr, (Num, Bool)):
-        return expr.value
+    all floats. The most frequent node types are tested first."""
+    if isinstance(expr, Binary):
+        lhs, rhs = eval_expr(expr.left, env), eval_expr(expr.right, env)
+        try:
+            return _OPERATORS[expr.op][0](lhs, rhs)
+        except ZeroDivisionError:
+            raise CompositionError(f"division by zero in {format_expr(expr)}")
     if isinstance(expr, Ident):
         return _lookup(env, expr.name)
+    if isinstance(expr, (Num, Bool)):
+        return expr.value
     if isinstance(expr, Cond):
         return eval_expr(expr.then if eval_expr(expr.test, env) else expr.orelse, env)
-    if isinstance(expr, Unary):
-        return -eval_expr(expr.operand, env)
-    lhs, rhs = eval_expr(expr.left, env), eval_expr(expr.right, env)
-    try:
-        return _OPERATORS[expr.op][0](lhs, rhs)
-    except ZeroDivisionError:
-        raise CompositionError(f"division by zero in {format_expr(expr)}")
+    return -eval_expr(expr.operand, env)  # Unary
 
 
 def _lookup(env: Mapping[str, object], name: str):
@@ -221,13 +235,15 @@ def _lookup(env: Mapping[str, object], name: str):
 
 
 def _substitute(expr: Expr, table: Mapping[str, Expr]) -> Expr:
-    """Replace identifier references per ``table`` (used to inline formulas)."""
-    if isinstance(expr, Ident) and expr.name in table:
-        return table[expr.name]
+    """Replace identifier references per ``table`` (used to inline formulas).
+    A binary subtree that names none of them comes back as it is."""
+    if isinstance(expr, Ident):
+        return table.get(expr.name, expr)
     if isinstance(expr, Unary):
         return Unary(expr.op, _substitute(expr.operand, table))
     if isinstance(expr, Binary):
-        return Binary(expr.op, _substitute(expr.left, table), _substitute(expr.right, table))
+        left, right = _substitute(expr.left, table), _substitute(expr.right, table)
+        return expr if left is expr.left and right is expr.right else Binary(expr.op, left, right)
     if isinstance(expr, Cond):
         return Cond(
             _substitute(expr.test, table),
@@ -312,97 +328,110 @@ class ModelSpec:
 # --------------------------------------------------------------------------
 # Tokenizer
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT, NUMBER, STRING, a punctuation literal, or EOF
-    text: str
-    line: int
-    column: int
-
-
-# One alternative per token class, tried in this order at each position.
+# Each match is one token after any blanks and comments; the group that
+# matched names its class, and EOF matches once, at the end of the input.
 _TOKENS = re.compile(
     r"""
-      (?P<NEWLINE> \n )
-    | (?P<SKIP> [ \t\r]+ | //[^\n]* )
-    | (?P<NUMBER> [0-9]+ (?: \.(?!\.) [0-9]* )? (?: [eE][+-]?[0-9]+ )? )
-    | (?P<IDENT> [^\W\d]\w* )
-    | (?P<STRING> "[^"\n]*" )
-    | (?P<PUNCT> != | \.\. | -> | [][(){};:'=?+*/&|-] )
-    | (?P<OTHER> . )
+    (?: [ \t\r\n]+ | //[^\n]* )*
+    (?: (?P<NUMBER> [0-9]+ (?: \.(?!\.) [0-9]* )? (?: [eE][+-]?[0-9]+ )? )
+      | (?P<IDENT> [^\W\d]\w* )
+      | (?P<STRING> "[^"\n]*" )
+      | (?P<PUNCT> != | \.\. | -> | [][(){};:'=?+*/&|-] )
+      | (?P<EOF> \Z )
+      | (?P<OTHER> . ) )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
+# A token is (kind, text, offset): kind is IDENT, NUMBER, STRING, a keyword,
+# a punctuation literal or EOF, and offset is where it starts in the source.
+_Token = tuple[str, str, int]
+
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, line_start = 1, 0  # the line number and the offset it starts at
+    append = tokens.append
     for match in _TOKENS.finditer(text):
-        kind, word = match.lastgroup, match.group()
-        if kind == "NEWLINE":
-            line, line_start = line + 1, match.end()
-            continue
-        if kind == "SKIP":
-            continue
-        column = match.start() - line_start + 1
+        kind = match.lastgroup
+        start, end = match.span(kind)
+        word = text[start:end]
+        if kind == "PUNCT":
+            kind = word
         # [^\W\d] also admits numerals such as '²'; an identifier starts
         # with a letter or '_'.
-        if kind == "IDENT" and (word[0].isalpha() or word[0] == "_"):
-            kind = word if word in KEYWORDS else "IDENT"
+        elif kind == "IDENT" and (word[0].isalpha() or word[0] == "_"):
+            if word in KEYWORDS:
+                kind = word
         elif kind == "STRING":
             word = word[1:-1]
-        elif kind == "PUNCT":
-            kind = word
-        elif kind != "NUMBER":
+        elif kind == "OTHER" or kind == "IDENT":
             message = "unterminated string" if word == '"' else f"unexpected character {word[0]!r}"
-            raise ParseError(message, line, column)
-        tokens.append(_Token(kind, word, line, column))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+            raise _error_at(text, start, message)
+        append((kind, word, start))
+    return tokens + tokens[-1:] * 2  # the parser looks up to two tokens past EOF
+
+
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    """A :class:`ParseError` at ``offset`` in ``text``, with its 1-based line
+    and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 # --------------------------------------------------------------------------
 # Parser
 
+# Each binary operator's binding power, and the highest power that may follow
+# it at the same level: its own for the left-associative ones, one less for
+# the comparisons, which do not chain.
+_BINARY = {"|": (1, 1), "&": (2, 2), "=": (3, 2), "!=": (3, 2),
+           "+": (4, 4), "-": (4, 4), "*": (5, 5), "/": (5, 5)}
+_TIGHTEST = max(power for power, _ in _BINARY.values())
+
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self, ahead: int = 0) -> str:
+        """The kind of the token ``ahead`` places on."""
+        return self.tokens[self.pos + ahead][0]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> str:
+        """Step over the next token and give its text."""
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1][1]
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
-        return self.advance()
+    def expect(self, kind: str) -> str:
+        """Step over the next token, which must be a ``kind``, and give its text."""
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise self.error(f"expected {kind!r}, found {self.found()!r}")
+        self.pos += 1
+        return token[1]
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+    def found(self) -> str:
+        return self.tokens[self.pos][1] or "end of input"
+
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """A :class:`ParseError` at token ``at``, by default the next one."""
+        offset = self.tokens[self.pos if at is None else at][2]
+        return _error_at(self.text, offset, message)
 
     # -- model items ------------------------------------------------------
 
     def parse_model(self) -> ModelSpec:
-        if self.peek().kind != "ctmc":
+        if self.peek() != "ctmc":
             raise self.error("model must start with the continuous-time marker 'ctmc'")
         self.advance()
         constants: dict[str, Expr | None] = {}
         formulas: dict[str, Expr] = {}
-        formula_at: dict[str, _Token] = {}
+        formula_at: dict[str, int] = {}  # the index of each formula's token
         modules: list[ModuleSpec] = []
         rewards: dict[str, tuple[RewardItem, ...]] = {}
-        while self.peek().kind != "EOF":
-            kind = self.peek().kind
+        while (kind := self.peek()) != "EOF":
             if kind == "const":
                 name, value = self.parse_const()
                 self._declare(name, constants, formulas, modules, "constant")
@@ -415,11 +444,11 @@ class _Parser:
                     self._declare(var.name, constants, formulas, modules, "variable")
                 modules.append(mod)
             elif kind == "formula":
-                tok = self.peek()
+                at = self.pos
                 name, expr = self.parse_formula()
                 self._declare(name, constants, formulas, modules, "formula")
                 formulas[name] = expr
-                formula_at[name] = tok
+                formula_at[name] = at
             elif kind == "rewards":
                 name, items = self.parse_rewards()
                 if name in rewards:
@@ -427,7 +456,7 @@ class _Parser:
                 rewards[name] = items
             else:
                 raise self.error("expected 'const', 'module', 'formula' or 'rewards'")
-        _check_formula_order(formulas, formula_at)
+        self._check_formula_order(formulas, formula_at)
         spec = ModelSpec("ctmc", constants, formulas, tuple(modules), rewards)
         _validate(spec)
         return _inline_formulas(spec)
@@ -442,12 +471,23 @@ class _Parser:
         if taken:
             raise DuplicateDeclarationError(f"duplicate declaration of {name!r} ({what})")
 
+    def _check_formula_order(self, formulas: dict[str, Expr], at: dict[str, int]) -> None:
+        """Formulas are inlined in declaration order, so each may name only the
+        formulas declared before it."""
+        rank = {name: k for k, name in enumerate(formulas)}
+        for k, (name, expr) in enumerate(formulas.items()):
+            later = sorted((n for n in _idents(expr) if rank.get(n, -1) >= k), key=rank.get)
+            if later:
+                what = "itself" if later[0] == name else (
+                    f"formula {later[0]!r}, which is declared after it")
+                raise self.error(f"formula {name!r} refers to {what}", at[name])
+
     def parse_const(self) -> tuple[str, Expr | None]:
         self.expect("const")
         self.expect("double")
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         value: Expr | None = None
-        if self.peek().kind == "=":
+        if self.peek() == "=":
             self.advance()
             value = self.parse_expr()
         self.expect(";")
@@ -455,24 +495,21 @@ class _Parser:
 
     def parse_module(self) -> ModuleSpec:
         self.expect("module")
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         variables: list[Variable] = []
         commands: list[Command] = []
-        while True:
-            kind = self.peek().kind
-            if kind == "endmodule":
-                self.advance()
-                break
+        while (kind := self.peek()) != "endmodule":
             if kind == "[":
                 commands.append(self.parse_command())
             elif kind == "IDENT":
                 variables.append(self.parse_vardecl())
             else:
                 raise self.error("expected a variable declaration, command or 'endmodule'")
+        self.advance()
         return ModuleSpec(name, tuple(variables), tuple(commands))
 
     def parse_vardecl(self) -> Variable:
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         self.expect(":")
         self.expect("[")
         low = self.parse_int()
@@ -488,25 +525,25 @@ class _Parser:
 
     def parse_int(self) -> int:
         sign = 1
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.advance()
             sign = -1
-        tok = self.expect("NUMBER")
-        value = float(tok.text)
+        at = self.pos
+        value = float(self.expect("NUMBER"))
         if not value.is_integer():  # False for inf too
-            raise ParseError("expected an integer", tok.line, tok.column)
+            raise self.error("expected an integer", at)
         return sign * int(value)
 
     def parse_command(self) -> Command:
         self.expect("[")
         label = None
-        if self.peek().kind == "IDENT":
-            label = self.advance().text
+        if self.peek() == "IDENT":
+            label = self.advance()
         self.expect("]")
         guard = self.parse_expr()
         self.expect("->")
         branches = [self.parse_branch()]
-        while self.peek().kind == "+":
+        while self.peek() == "+":
             self.advance()
             branches.append(self.parse_branch())
         self.expect(";")
@@ -515,15 +552,11 @@ class _Parser:
     def parse_branch(self) -> Branch:
         # An update starts "( IDENT '"; anything else is a rate expression.
         rate: Expr | None = None
-        if not (
-            self.peek().kind == "("
-            and self.peek(1).kind == "IDENT"
-            and self.peek(2).kind == "'"
-        ):
+        if not (self.peek() == "(" and self.peek(1) == "IDENT" and self.peek(2) == "'"):
             rate = self.parse_expr()
             self.expect(":")
         updates = [self.parse_update()]
-        while self.peek().kind == "&":
+        while self.peek() == "&":
             self.advance()
             updates.append(self.parse_update())
         seen = set()
@@ -535,7 +568,7 @@ class _Parser:
 
     def parse_update(self) -> Update:
         self.expect("(")
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         self.expect("'")
         self.expect("=")
         value = self.parse_expr()
@@ -544,7 +577,7 @@ class _Parser:
 
     def parse_formula(self) -> tuple[str, Expr]:
         self.expect("formula")
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")
         self.expect("=")
         expr = self.parse_expr()
         self.expect(";")
@@ -552,9 +585,9 @@ class _Parser:
 
     def parse_rewards(self) -> tuple[str, tuple[RewardItem, ...]]:
         self.expect("rewards")
-        name = self.expect("STRING").text
+        name = self.expect("STRING")
         items: list[RewardItem] = []
-        while self.peek().kind != "endrewards":
+        while self.peek() != "endrewards":
             guard = self.parse_expr()
             self.expect(":")
             value = self.parse_expr()
@@ -563,11 +596,11 @@ class _Parser:
         self.advance()
         return name, tuple(items)
 
-    # -- expressions (ternary < or < and < comparison < additive < ...) ----
+    # -- expressions --------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        test = self.parse_or()
-        if self.peek().kind == "?":
+        test = self.parse_binary(1)
+        if self.peek() == "?":
             self.advance()
             then = self.parse_expr()
             self.expect(":")
@@ -575,87 +608,59 @@ class _Parser:
             return Cond(test, then, orelse)
         return test
 
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.peek().kind == "|":
-            self.advance()
-            left = Binary("|", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_comparison()
-        while self.peek().kind == "&":
-            self.advance()
-            left = Binary("&", left, self.parse_comparison())
-        return left
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_additive()
-        if self.peek().kind in ("=", "!="):
-            op = self.advance().kind
-            return Binary(op, left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> Expr:
-        left = self.parse_multiplicative()
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            left = Binary(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_binary(self, floor: int) -> Expr:
+        """Operands joined by binary operators of binding power ``floor`` or
+        more (precedence climbing). Each operator's right operand binds
+        tighter than it; after it, only operators up to its ceiling (see
+        ``_BINARY``) may follow on this level, so ``a = b = c`` stops after
+        ``a = b``, as does ``a & b = c = d`` after ``a & b = c``."""
         left = self.parse_unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            left = Binary(op, left, self.parse_unary())
-        return left
+        ceiling = _TIGHTEST
+        while True:
+            power, after = _BINARY.get(self.peek(), (0, 0))
+            if not floor <= power <= ceiling:
+                return left
+            op = self.advance()
+            left = Binary(op, left, self.parse_binary(power + 1))
+            ceiling = after
 
     def parse_unary(self) -> Expr:
-        if self.peek().kind == "-":
+        if self.peek() == "-":
             self.advance()
             return Unary("-", self.parse_unary())
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
+        kind = self.peek()
+        if kind == "NUMBER":
+            return Num(float(self.advance()))
+        if kind in ("true", "false"):
             self.advance()
-            return Num(float(tok.text))
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return Bool(tok.kind == "true")
-        if tok.kind == "IDENT":
-            self.advance()
-            return Ident(tok.text)
-        if tok.kind == "(":
+            return Bool(kind == "true")
+        if kind == "IDENT":
+            return Ident(self.advance())
+        if kind == "(":
             self.advance()
             inner = self.parse_expr()
             self.expect(")")
             return inner
-        raise self.error(f"unexpected token {tok.text or 'end of input'!r} in expression")
+        raise self.error(f"unexpected token {self.found()!r} in expression")
 
 
 def parse(text: str) -> ModelSpec:
     """Parse model source text into a validated :class:`ModelSpec`."""
-    return _Parser(_tokenize(text)).parse_model()
+    return _Parser(text).parse_model()
 
 
 def parse_file(path) -> ModelSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
-
-
-def _check_formula_order(formulas: dict[str, Expr], at: dict[str, _Token]) -> None:
-    """Formulas are inlined in declaration order, so each may name only the
-    formulas declared before it."""
-    rank = {name: k for k, name in enumerate(formulas)}
-    for k, (name, expr) in enumerate(formulas.items()):
-        later = sorted((n for n in _idents(expr) if rank.get(n, -1) >= k), key=rank.get)
-        if later:
-            what = "itself" if later[0] == name else (
-                f"formula {later[0]!r}, which is declared after it")
-            raise ParseError(f"formula {name!r} refers to {what}",
-                             at[name].line, at[name].column)
+    """Parse a UTF-8 listing; a byte that is not UTF-8 is a :class:`ParseError`."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    # Each byte that is not UTF-8 reads as a lone surrogate, which UTF-8 text lacks.
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad:
+        raise _error_at(text, bad.start(), f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
+    return parse(text)
 
 
 def _validate(spec: ModelSpec) -> None:
@@ -709,34 +714,18 @@ def _inline_formulas(spec: ModelSpec) -> ModelSpec:
     for name, expr in spec.formulas.items():
         table[name] = _substitute(expr, table)  # formulas may use earlier ones
 
-    def sub(expr: Expr) -> Expr:
-        return _substitute(expr, table)
+    def sub(expr: Expr | None) -> Expr | None:
+        return None if expr is None else _substitute(expr, table)
 
-    modules = tuple(
-        ModuleSpec(
-            m.name,
-            m.variables,
-            tuple(
-                Command(
-                    c.label,
-                    sub(c.guard),
-                    tuple(
-                        Branch(
-                            None if b.rate is None else sub(b.rate),
-                            tuple(Update(u.var, sub(u.value)) for u in b.updates),
-                        )
-                        for b in c.branches
-                    ),
-                )
-                for c in m.commands
-            ),
-        )
-        for m in spec.modules
-    )
-    rewards = {
-        name: tuple(RewardItem(sub(i.guard), sub(i.value)) for i in items)
-        for name, items in spec.rewards.items()
-    }
+    def command(c: Command) -> Command:
+        return Command(c.label, sub(c.guard), tuple(
+            Branch(sub(b.rate), tuple(Update(u.var, sub(u.value)) for u in b.updates))
+            for b in c.branches))
+
+    modules = tuple(ModuleSpec(m.name, m.variables, tuple(map(command, m.commands)))
+                    for m in spec.modules)
+    rewards = {name: tuple(RewardItem(sub(i.guard), sub(i.value)) for i in items)
+               for name, items in spec.rewards.items()}
     return ModelSpec(spec.kind, dict(spec.constants), dict(spec.formulas), modules, rewards)
 
 
@@ -900,9 +889,6 @@ class _Term:
         self.names = _idents(expr)
         self.positions = tuple(k for k, v in enumerate(var_names) if v in self.names)
         self.key = operator.itemgetter(*self.positions) if self.positions else _no_key
-
-    def env(self, consts: Mapping[str, float], state: tuple[int, ...], var_names):
-        return {**consts, **{var_names[p]: float(state[p]) for p in self.positions}}
 
 
 def _no_key(state: tuple[int, ...]) -> tuple:
@@ -1083,33 +1069,48 @@ class _Walk:
 
     def __init__(self, program: Program, consts: Mapping[str, float]):
         var_names = self.var_names = program.var_names
-        # Guards and updates see only the constants they read; an undeclared
-        # name stays out, so a guard reading it fails as in a full walk.
-        guard_env = self.guard_env = {
-            n: consts[n] for n in program.guard_names if n in consts
-        }
+        # The constants that guards and updates read (an undeclared name
+        # stays out): a replay needs them unchanged.
+        self.guard_env = {n: consts[n] for n in program.guard_names if n in consts}
 
         self.slots: list[tuple[str | None, Expr, dict[str, int]]] = []
         values = [1.0, 0.0]
         slot_index: dict[tuple, int] = {}
         known: dict[tuple, float | bool] = {}  # guard and update values
+        envs: dict[tuple[int, ...], dict[str, float]] = {}
+
+        def env_of(state) -> dict[str, float]:
+            """The constants and ``state``'s variables. A term reads only the
+            names in it, so its value is the same as under the constants and
+            the variables it reads alone."""
+            env = envs.get(state)
+            if env is None:
+                env = envs[state] = dict(consts)
+                env.update(zip(var_names, map(float, state)))
+            return env
 
         def value_of(term: _Term, state) -> float | bool:
             key = (term, term.key(state))
             value = known.get(key)
             if value is None:
-                value = known[key] = eval_expr(term.expr, term.env(guard_env, state, var_names))
+                value = known[key] = eval_expr(term.expr, env_of(state))
             return value
 
         def slot(module: str | None, term: _Term | None, state) -> int:
+            """The slot of a rate (``module`` set, checked non-negative) or
+            reward value."""
             if term is None:
                 return _ONE
             key = (module, term, term.key(state))
             k = slot_index.get(key)
             if k is None:
-                extra = {var_names[p]: float(state[p]) for p in term.positions}
-                values.append(_slot_value(consts, module, term.expr, extra))
-                self.slots.append((module, term.expr, extra))
+                value = eval_expr(term.expr, env_of(state))
+                if module is not None and value < 0.0:
+                    raise CompositionError(f"negative rate {value!r} in module {module!r} "
+                                           f"(rate {format_expr(term.expr)})")
+                values.append(value)
+                self.slots.append((module, term.expr,
+                                   {var_names[p]: float(state[p]) for p in term.positions}))
                 k = slot_index[key] = len(values) - 1
             return k
 
@@ -1280,18 +1281,6 @@ class _Walk:
                 )
             vec.flags.writeable = False
         return ComposedChain(generator, self.var_names, self.states, 0, rewards)
-
-
-def _slot_value(
-    consts: Mapping[str, float], module: str | None, expr: Expr, extra: dict[str, int]
-) -> float:
-    """A rate (``module`` set, checked non-negative) or reward value."""
-    value = eval_expr(expr, {**consts, **extra} if extra else consts)
-    if module is not None and value < 0.0:
-        raise CompositionError(
-            f"negative rate {value!r} in module {module!r} (rate {format_expr(expr)})"
-        )
-    return value
 
 
 class _Points:

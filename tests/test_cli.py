@@ -99,6 +99,12 @@ class TestSolve:
         assert err == ("error: line 2, column 1: formula 'a' refers to formula 'b',"
                        " which is declared after it\n")
 
+    def test_listing_that_is_not_utf8_exit_2(self, capsys, tmp_path):
+        listing = tmp_path / "binary.sm"
+        listing.write_bytes(b"ctmc\n\x89PNG\r\n")
+        code, out, err = run(capsys, "solve", str(listing))
+        assert (code, out, err) == (2, "", "error: line 2, column 1: byte 0x89 is not UTF-8\n")
+
     def test_unknown_parameter(self, capsys):
         code, _, err = run(capsys, "solve", "plain", "--params", "warp_speed=9")
         assert code == 2
@@ -334,6 +340,16 @@ class TestOracle:
             code, out, err = run(capsys, "oracle", str(walk), str(catalog))
             assert (code, out) == (2, "")
             assert "sample 1" in err and bad in err
+
+    def test_files_that_are_not_utf8_exit_2(self, capsys, tmp_path):
+        walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"
+        walk.write_bytes(b"\x89PNG\r\n\x1a\n")
+        catalog.write_bytes(b"\x89PNG\r\n\x1a\n")
+        code, out, err = run(capsys, "oracle", str(walk), str(catalog))
+        assert (code, out, err) == (2, "", f"error: {walk}:1: byte 0x89 is not UTF-8\n")
+        write_walk(walk, 100)
+        code, out, err = run(capsys, "oracle", str(walk), str(catalog))
+        assert (code, out, err) == (2, "", f"error: {catalog}:1: byte 0x89 is not UTF-8\n")
 
     def test_non_finite_timestamp_exit_2(self, capsys, tmp_path):
         walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"

@@ -489,6 +489,18 @@ class TestCatalogFiles:
         with pytest.raises(ValidationError, match="increase"):
             load_trajectory(path)
 
+    @pytest.mark.parametrize("read, rows, byte", [
+        (load_trajectory, [b"t,lat,lon", b"0,0.0,0.0", b"1,0.0,\xff0.0001"], "0xff"),
+        (LocalCatalog, [b"essid,lat,lon,radius_m,group,open", b"caf\xc3\xa9,0.0,0.0,50,,true",
+                        b"caf\xe9,0.0,0.0,50,,true"], "0xe9"),
+    ])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, read, rows, byte):
+        path = tmp_path / "file.csv"
+        path.write_bytes(b"\r\n".join(rows) + b"\r\n")
+        with pytest.raises(ValidationError) as err:
+            read(path)
+        assert str(err.value) == f"{path}:3: byte {byte} is not UTF-8"
+
 
 _EMPTY = object()
 
@@ -739,3 +751,17 @@ class TestExtrapolate:
                                         (10.0, math.inf, "step_s"), (10.0, -1.0, "step_s")):
             with pytest.raises(ValidationError, match=f"^{name} must be positive and finite"):
                 extrapolate(track, horizon_s, step_s)
+
+    def test_times_are_the_last_plus_multiples_of_the_step(self):
+        track = [TrajectorySample(9, 0.0, 0.0), TrajectorySample(10, 0.0, M)]
+        extended = extrapolate(track, horizon_s=1.0, step_s=0.1)
+        assert [s.t for s in extended[2:]] == [10 + k * 0.1 for k in range(1, 11)]
+
+    @pytest.mark.parametrize("last_t, horizon_s, step_s", [
+        (1e9, 1.0, 1e-8),  # t + step_s == t: stepping would never end
+        (10.0, 1e300, 1e-10),  # more steps than a float can count
+    ])
+    def test_step_too_small_for_the_timestamps_rejected(self, last_t, horizon_s, step_s):
+        track = [TrajectorySample(last_t - 1, 0.0, 0.0), TrajectorySample(last_t, 0.0, M)]
+        with pytest.raises(ValidationError, match=f"^step_s={step_s} is too small"):
+            extrapolate(track, horizon_s, step_s)

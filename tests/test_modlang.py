@@ -161,6 +161,120 @@ class TestParse:
         assert self.error_at("ctmc module m x : [0..1e400] init 0; endmodule") == (
             1, 23, "expected an integer")
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_byte_that_is_not_utf8_is_a_parse_error(self, tmp_path, newline):
+        # lines and columns count characters, as for any other error
+        path = tmp_path / "bad.sm"
+        lines = ["ctmc", "// café", "const double été = 1;", "const double éb\udcff = 2;"]
+        path.write_bytes(newline.join(lines).encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParseError) as err:
+            modlang.parse_file(path)
+        assert (err.value.line, err.value.column) == (4, 16)
+        assert str(err.value) == "line 4, column 16: byte 0xff is not UTF-8"
+
+
+# The expressions below sit in one of these listings; a, b and c are constants.
+IN_CONST = "ctmc const double a; const double b; const double c;\nconst double k = {};"
+LISTINGS = {
+    "guard": ("ctmc const double a; const double b; const double c;\n"
+              "module m x : [0..1] init 0;\n  [] {} -> (x'=1);\nendmodule"),
+    "const": IN_CONST,
+    "end": IN_CONST[:-1],
+}
+
+# Binding powers of the binary operators, as the module docstring gives them.
+POWER = {"|": 1, "&": 2, "=": 3, "!=": 3, "+": 4, "-": 4, "*": 5, "/": 5}
+
+
+def minimal_text(expr):
+    """``expr`` with only the parentheses that the operator table needs."""
+    def power(e):
+        if isinstance(e, modlang.Cond):
+            return 0
+        return POWER[e.op] if isinstance(e, modlang.Binary) else 6
+
+    if isinstance(expr, modlang.Binary):
+        p = POWER[expr.op]
+        left, right = minimal_text(expr.left), minimal_text(expr.right)
+        if power(expr.left) < p or power(expr.left) == p == 3:  # comparisons do not chain
+            left = f"({left})"
+        if power(expr.right) <= p:  # left-associative
+            right = f"({right})"
+        return f"{left} {expr.op} {right}"
+    if isinstance(expr, modlang.Unary):
+        operand = minimal_text(expr.operand)
+        return f"-({operand})" if power(expr.operand) < 6 else f"-{operand}"
+    if isinstance(expr, modlang.Cond):
+        test = minimal_text(expr.test)
+        if power(expr.test) == 0:
+            test = f"({test})"
+        return f"{test} ? {minimal_text(expr.then)} : {minimal_text(expr.orelse)}"
+    return modlang.format_expr(expr)
+
+
+expressions = st.recursive(
+    st.one_of(
+        st.sampled_from([modlang.Ident(n) for n in "abc"] + [modlang.Bool(True), modlang.Bool(False)]),
+        st.sampled_from([0.0, 1.0, 2.5, 1e-3, 4e16]).map(Num),
+    ),
+    lambda inner: st.one_of(
+        st.builds(modlang.Binary, st.sampled_from(sorted(POWER)), inner, inner),
+        st.builds(modlang.Unary, st.just("-"), inner),
+        st.builds(modlang.Cond, inner, inner, inner),
+    ),
+    max_leaves=10,
+)
+
+
+class TestExpressionGrammar:
+    @pytest.mark.parametrize("where, expr, line, column, message", [
+        ("guard", "a = b = c", 3, 12, "expected '->', found '='"),
+        ("guard", "x = 1 & a = b = c", 3, 20, "expected '->', found '='"),
+        ("guard", "a = b != c", 3, 12, "expected '->', found '!='"),
+        ("guard", "a & b = c = d", 3, 16, "expected '->', found '='"),
+        ("guard", "(x = 1", 3, 13, "expected ')', found '->'"),
+        ("guard", "x = 1 |", 3, 14, "unexpected token '->' in expression"),
+        ("const", "a = b = c", 2, 24, "expected ';', found '='"),
+        ("const", "a != b = c", 2, 25, "expected ';', found '='"),
+        ("const", "a + b = c = a", 2, 28, "expected ';', found '='"),
+        ("const", "a +", 2, 21, "unexpected token ';' in expression"),
+        ("const", "a * (b", 2, 24, "expected ')', found ';'"),
+        ("const", "a + * b", 2, 22, "unexpected token '*' in expression"),
+        ("const", "a ? b", 2, 23, "expected ':', found ';'"),
+        ("const", "- -", 2, 21, "unexpected token ';' in expression"),
+        ("const", ")", 2, 18, "unexpected token ')' in expression"),
+        ("end", "a +", 2, 21, "unexpected token 'end of input' in expression"),
+        ("end", "(a + b", 2, 24, "expected ')', found 'end of input'"),
+        ("end", "a = b =", 2, 24, "expected ';', found '='"),
+        ("end", "a ? b :", 2, 25, "unexpected token 'end of input' in expression"),
+        ("end", "-", 2, 19, "unexpected token 'end of input' in expression"),
+    ])
+    def test_malformed_expression_error(self, where, expr, line, column, message):
+        # the messages, lines and columns of the five-level parser before
+        # precedence climbing replaced it
+        assert TestParse.error_at(LISTINGS[where].format(expr)) == (line, column, message)
+
+    @pytest.mark.parametrize("expr, tree", [
+        ("a - b - c", "((a - b) - c)"),
+        ("a / b * c", "((a / b) * c)"),
+        ("a + b * c - a", "((a + (b * c)) - a)"),
+        ("-a * b", "((-a) * b)"),
+        ("a = 1 & b != 2 | c = 0", "(((a = 1.0) & (b != 2.0)) | (c = 0.0))"),
+        ("a | b & c", "(a | (b & c))"),
+        ("a + 1 = b * 2", "((a + 1.0) = (b * 2.0))"),
+        ("a | b ? c : a ? b : c", "((a | b) ? c : (a ? b : c))"),
+    ])
+    def test_operator_table(self, expr, tree):
+        assert modlang.format_expr(parse(IN_CONST.format(expr)).constants["k"]) == tree
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions)
+    def test_round_trip(self, expr):
+        # format_expr brackets every operation; minimal_text only where the
+        # operator table needs it, so this pins precedence and associativity
+        for text in (modlang.format_expr(expr), minimal_text(expr)):
+            assert parse(IN_CONST.format(text)).constants["k"] == expr
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("variant", ["plain", "oracle"])
@@ -375,6 +489,11 @@ class TestCompose:
         spec = model_of(two_state_module("m", "x", 1.0, 1.0),
                         constants={"a": modlang.Ident("nope")})
         with pytest.raises(UndeclaredIdentifierError, match="nope"):
+            compose(spec)
+        guard = modlang.Binary("=", modlang.Ident("nope"), Num(0.0))
+        spec = model_of(ModuleSpec("m", (Variable("x", 0, 1, 0),), (
+            Command(None, guard, (Branch(None, (Update("x", Num(1.0)),)),)),)))
+        with pytest.raises(UndeclaredIdentifierError, match="^undeclared identifier: nope$"):
             compose(spec)
 
     def test_composed_spec_freed_without_cyclic_collector(self):
