@@ -14,7 +14,6 @@ from abps_toolkit import (
     mean_residence_time,
     reachable_states,
     steady_state,
-    steady_state_probability,
 )
 
 # States: 0=disconnected, 1=setup, 2=connected, 3=failed.
@@ -43,8 +42,7 @@ pi = steady_state(generator, 0)
 for name, prob in zip(("disconnected", "setup", "connected", "failed"), pi.probabilities):
     print(f"  pi[{name}] = {prob:.6f}")
 
-availability = steady_state_probability(pi, lambda i: i == 2)
-print(f"\navailability (P[connected]) = {availability:.6f}")
+print(f"\navailability (P[connected]) = {pi.probabilities[2]:.6f}")
 
 # Per-state power draw in Watts, straight from the interface energy table.
 power = RewardVector(np.array([0.12, 0.31, 0.62, 0.25]), units="W")

@@ -21,7 +21,6 @@ from abps_toolkit.ctmc import (
     mean_residence_time,
     reachable_states,
     steady_state,
-    steady_state_probability,
 )
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "mean_residence_time",
     "reachable_states",
     "steady_state",
-    "steady_state_probability",
 ]
 
 __version__ = "0.1.0"

@@ -81,11 +81,14 @@ APPENDIX_LAMBDA_U_UW = 30.0
 class AbpsParams:
     """Every rate (1/s), probability, power (W) and throughput (Mbps) constant.
 
-    ``lambda_UW_U``, ``lambda_UW_W`` and ``lambda_W_UW`` default to the
+    The fields hold what the caller gave. ``lambda_UW_U``, ``lambda_UW_W``
+    and ``lambda_W_UW`` left at ``None`` follow the windows by the
     residence-time construction (half the short-window rate for both exits
     of the dual state, the long-window rate for leaving WiFi-only), so the
     oracle dwells ``T_W_minus`` seconds in its dual state and ``T_W_plus``
-    in WiFi-only; pass explicit values to decouple them.
+    in WiFi-only; a value pins that rate, and the pin holds when the
+    windows change, in a sweep or through ``dataclasses.replace``.
+    :func:`resolved_rates` gives the rates that result.
     """
 
     alpha_U: float = 1 / 6.024
@@ -114,15 +117,12 @@ class AbpsParams:
             raise ValidationError(
                 f"need T_W_plus >= T_W_minus > 0, got {self.T_W_plus}, {self.T_W_minus}"
             )
-        derived = _window_rates(self.T_W_minus, self.T_W_plus)
-        for name in ("lambda_UW_U", "lambda_UW_W", "lambda_W_UW"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, derived[name])
+        derived = _window_rates(self, self.T_W_minus, self.T_W_plus)
         for name in (
             "alpha_U", "beta_U", "gamma_U", "mu_U", "alpha_W", "beta_W", "mu_W",
             "lambda_U_UW", "lambda_UW_U", "lambda_UW_W", "lambda_W_UW",
         ):
-            value = getattr(self, name)
+            value = derived.get(name, getattr(self, name))
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValidationError(f"rate {name} must be positive and finite, got {value!r}")
         for name in ("p_U", "p_W"):
@@ -146,33 +146,17 @@ class AbpsParams:
             if row["off"] != 0.0:
                 raise ValidationError(f"energy of the off phase must be 0, got {row['off']!r}")
 
-    @property
-    def gamma_W_plus(self) -> float:
-        return 1.0 / self.T_W_plus
 
-    @property
-    def gamma_W_minus(self) -> float:
-        return 1.0 / self.T_W_minus
-
-    def with_windows(self, T_W_minus: float, T_W_plus: float) -> "AbpsParams":
-        """New params for other WiFi windows, re-deriving the oracle rates."""
-        return replace(
-            self,
-            T_W_minus=T_W_minus,
-            T_W_plus=T_W_plus,
-            lambda_UW_U=None,
-            lambda_UW_W=None,
-            lambda_W_UW=None,
-        )
-
-
-def _window_rates(T_W_minus, T_W_plus) -> dict:
+def _window_rates(params: AbpsParams, T_W_minus, T_W_plus) -> dict:
     """The rates the WiFi windows set, for floats or arrays of them: both
-    gammas and the oracle rates of the residence-time construction."""
+    gammas, and each oracle rate ``params`` does not pin, by the
+    residence-time construction."""
     gamma_minus, gamma_plus = 1.0 / T_W_minus, 1.0 / T_W_plus
-    return {"gamma_W_minus": gamma_minus, "gamma_W_plus": gamma_plus,
-            "lambda_UW_U": 0.5 * gamma_minus, "lambda_UW_W": 0.5 * gamma_minus,
-            "lambda_W_UW": gamma_plus}
+    half = 0.5 * gamma_minus
+    derived = {"lambda_UW_U": half, "lambda_UW_W": half, "lambda_W_UW": gamma_plus}
+    rates = {"gamma_W_minus": gamma_minus, "gamma_W_plus": gamma_plus}
+    rates.update((name, rate) for name, rate in derived.items() if getattr(params, name) is None)
+    return rates
 
 
 def default_params(**overrides) -> AbpsParams:
@@ -185,11 +169,11 @@ _SCALAR_FIELDS = {
 }
 
 
-def params_from_mapping(entries: Mapping[str, float], base: AbpsParams | None = None) -> AbpsParams:
-    """Apply flat ``key=value`` overrides (``e.<NIC>.<phase>`` for energy)."""
-    base = base or default_params()
+def params_from_mapping(entries: Mapping[str, float]) -> AbpsParams:
+    """The defaults with flat ``key=value`` overrides (``e.<NIC>.<phase>``
+    for energy), checked once."""
     scalars: dict[str, float] = {}
-    energy = {k: dict(v) for k, v in base.e.items()}
+    energy = {nic: dict(row) for nic, row in DEFAULT_ENERGY.items()}
     for key, value in entries.items():
         if key in _SCALAR_FIELDS:
             scalars[key] = float(value)
@@ -202,32 +186,33 @@ def params_from_mapping(entries: Mapping[str, float], base: AbpsParams | None = 
             energy[nic][phase] = float(value)
         else:
             raise ValidationError(f"unknown parameter {key!r}")
-    kwargs = {f: getattr(base, f) for f in _SCALAR_FIELDS}
-    kwargs.update(scalars)
-    # re-derive oracle rates when windows move and the rates were not pinned
-    if ("T_W_minus" in scalars or "T_W_plus" in scalars):
-        for lam in ("lambda_UW_U", "lambda_UW_W", "lambda_W_UW"):
-            if lam not in scalars:
-                kwargs[lam] = None
-    return AbpsParams(e=energy, **kwargs)
+    return AbpsParams(e=energy, **scalars)
 
 
-def load_params(path, base: AbpsParams | None = None) -> AbpsParams:
-    """Read a flat ``key = value`` configuration file (# starts a comment)."""
+def read_entries(path) -> dict[str, float]:
+    """The entries of a flat ``key = value`` file (# starts a comment), for
+    :func:`params_from_mapping`; a byte that is not UTF-8 is a
+    :class:`ValidationError` that names its line."""
+    data = Path(path).read_bytes()
+    try:
+        lines = io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValidationError(
+            f"{path}:{line}: byte 0x{data[err.start]:02x} is not UTF-8") from None
     entries: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            try:
-                entries[key] = float(value)
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-numeric value {value!r}")
-    return params_from_mapping(entries, base)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        try:
+            entries[key] = float(value)
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-numeric value {value!r}")
+    return entries
 
 
 def reference_model_path(variant: str) -> Path:
@@ -275,6 +260,7 @@ def resolved_rates(params: AbpsParams, mode: str) -> dict[str, float]:
     the analytic builders and the event simulator always agree on them.
     """
     appendix = mode == "appendix"
+    windows = _window_rates(params, params.T_W_minus, params.T_W_plus)
     return {
         "alpha_U": params.alpha_U,
         "umts_setup_success": params.beta_U * params.p_U,
@@ -284,13 +270,12 @@ def resolved_rates(params: AbpsParams, mode: str) -> dict[str, float]:
         "alpha_W": params.alpha_W,
         "wifi_setup_success": params.beta_W * (params.p_U if appendix else params.p_W),
         "wifi_setup_fail": params.beta_W * (1.0 - params.p_W),
-        "gamma_W_plus": params.gamma_W_plus,
-        "gamma_W_minus": params.gamma_W_minus,
+        "gamma_W_plus": windows["gamma_W_plus"],
+        "gamma_W_minus": windows["gamma_W_minus"],
         "mu_W": params.mu_W,
         "lambda_U_UW": APPENDIX_LAMBDA_U_UW if appendix else params.lambda_U_UW,
-        "lambda_UW_U": params.lambda_UW_U,
-        "lambda_UW_W": params.lambda_UW_W,
-        "lambda_W_UW": params.lambda_W_UW,
+        **{name: windows.get(name, getattr(params, name))
+           for name in ("lambda_UW_U", "lambda_UW_W", "lambda_W_UW")},
     }
 
 
@@ -549,8 +534,9 @@ def sweep(
     A variant's grid is one batch (:meth:`modlang.Program.evaluate_many`),
     read with the metric rules of :func:`evaluate_chain`. A point the batch
     leaves out is evaluated alone, as ``evaluate(build(variant,
-    params.with_windows(t_minus, t_plus), mode))``, which also gives the
-    error text of a point that fails.
+    replace(params, T_W_minus=t_minus, T_W_plus=t_plus), mode))``, which
+    also gives the error text of a point that fails. Pinned oracle rates
+    hold at every point.
     """
     points = [(t_minus, t_plus) for t_minus in t_minus_values for t_plus in t_plus_values]
     rows: list[SweepRow] = []
@@ -560,7 +546,8 @@ def sweep(
             error = None
             if metrics is None:
                 try:
-                    metrics = evaluate(_build(params.with_windows(t_minus, t_plus), variant, mode))
+                    point = replace(params, T_W_minus=t_minus, T_W_plus=t_plus)
+                    metrics = evaluate(_build(point, variant, mode))
                 except (ValidationError, StructureError, modlang.ModelError) as err:
                     error = str(err)
             rows.append(SweepRow(variant, t_minus, t_plus, metrics, error))
@@ -569,17 +556,18 @@ def sweep(
 
 def _sweep_batch(params: AbpsParams, points, variant: str, mode: str) -> list:
     """The metrics at each window pair from one stacked solve, or None for a
-    point to evaluate alone: one whose windows are not floats or fail the
-    checks of :meth:`AbpsParams.with_windows`, or that the batch leaves out."""
+    point to evaluate alone: one whose windows are not floats or set a rate
+    that is not positive and finite, or that the batch leaves out. A pinned
+    oracle rate is one value for every point."""
     found: list[MetricsResult | None] = [None] * len(points)
     if not all(isinstance(t, float) for point in points for t in point):
         return found
     t_minus, t_plus = np.array(points, dtype=float).reshape(-1, 2).T
     with np.errstate(divide="ignore", over="ignore"):
-        windows = _window_rates(t_minus, t_plus)
+        windows = _window_rates(params, t_minus, t_plus)
     valid = (t_minus > 0.0) & (t_plus >= t_minus)
-    for name in ("lambda_UW_U", "lambda_UW_W", "lambda_W_UW"):
-        valid &= (windows[name] > 0.0) & np.isfinite(windows[name])
+    for rate in windows.values():
+        valid &= (rate > 0.0) & np.isfinite(rate)
     picked = np.flatnonzero(valid)
     rates = resolved_rates(params, mode)
     rates.update((name, rate[picked]) for name, rate in windows.items())

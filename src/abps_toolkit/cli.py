@@ -33,10 +33,10 @@ def _parse_overrides(pairs) -> dict[str, float]:
 
 
 def _assemble_params(args) -> abps.AbpsParams:
-    base = abps.default_params()
-    if getattr(args, "params_file", None):
-        base = abps.load_params(args.params_file, base)
-    return abps.params_from_mapping(_parse_overrides(args.params), base)
+    """The file's entries, then ``--params`` over them, as one checked set."""
+    entries = abps.read_entries(args.params_file) if args.params_file else {}
+    entries.update(_parse_overrides(args.params))
+    return abps.params_from_mapping(entries)
 
 
 def _parse_grid(tokens) -> tuple[list[float], list[float]]:

@@ -22,11 +22,11 @@ import functools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-#: Default tolerances; every solver entry point accepts overrides.
+#: Tolerances of a stationary distribution: its sum, and its relative residual.
 PROB_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 
@@ -201,12 +201,7 @@ def reachable_states(generator: GeneratorMatrix, initial: int) -> set[int]:
     return set(np.flatnonzero(_closure(generator.q > 0.0, initial)).tolist())
 
 
-def steady_state(
-    generator: GeneratorMatrix,
-    initial: int,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-) -> StationaryDistribution:
+def steady_state(generator: GeneratorMatrix, initial: int) -> StationaryDistribution:
     """Stationary distribution of the subchain reachable from ``initial``.
 
     Solves pi Q = 0, sum(pi) = 1 restricted to the single closed
@@ -214,7 +209,7 @@ def steady_state(
     probability zero); one balance equation is replaced by the
     normalization constraint and the system solved directly. The residual
     ``max|pi Q|`` divided by the largest exit rate must not exceed
-    ``residual_tol``, so the check is invariant under rescaling time. Raises
+    ``RESIDUAL_TOL``, so the check is invariant under rescaling time. Raises
     :class:`StructureError` when the reachable subchain contains more than
     one closed class, since then the long-run behavior would depend on the
     start state, or when the solve is numerically singular. The class
@@ -229,20 +224,15 @@ def steady_state(
         raise StructureError("stationary solve is singular") from None
     if negative[0]:
         raise StructureError("stationary solve produced a negative probability")
-    if not residual[0] <= residual_tol:  # a NaN residual fails too
+    if not residual[0] <= RESIDUAL_TOL:  # a NaN residual fails too
         raise StructureError(
             f"relative stationary residual {residual[0]:.3e} exceeds tolerance "
-            f"{residual_tol:.1e}"
+            f"{RESIDUAL_TOL:.1e}"
         )
     return StationaryDistribution(probabilities=pi[0])
 
 
-def steady_states(
-    q: np.ndarray,
-    initial: int,
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def steady_states(q: np.ndarray, initial: int) -> tuple[np.ndarray, np.ndarray]:
     """Stationary distributions of a stack of generators in one solve.
 
     ``q`` is a ``(P, n, n)`` stack of valid generators that share the
@@ -264,7 +254,7 @@ def steady_states(
         return np.full(q.shape[:2], np.nan), np.zeros(len(q), dtype=bool)
     # the checks of steady_state and of StationaryDistribution
     summed = np.abs(pi.sum(axis=1) - 1.0) <= PROB_SUM_TOL
-    return pi, same & ~negative & (residual <= residual_tol) & summed
+    return pi, same & ~negative & (residual <= RESIDUAL_TOL) & summed
 
 
 def _solve(
@@ -298,16 +288,6 @@ def _solve(
     residual = np.abs(pi[:, np.newaxis, :] @ q)[:, 0].max(axis=1)
     max_exit = -q.diagonal(axis1=1, axis2=2).min(axis=1)
     return pi, negative, residual / np.where(max_exit > 0.0, max_exit, 1.0)
-
-
-def steady_state_probability(
-    dist: StationaryDistribution, predicate: Callable[[int], bool]
-) -> float:
-    """Probability mass of the states satisfying ``predicate``."""
-    total = float(
-        sum(p for i, p in enumerate(dist.probabilities) if predicate(i))
-    )
-    return min(max(total, 0.0), 1.0)
 
 
 def expected_reward(dist: StationaryDistribution, rewards: RewardVector) -> float:

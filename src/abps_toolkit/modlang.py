@@ -426,6 +426,7 @@ class _Parser:
         if self.peek() != "ctmc":
             raise self.error("model must start with the continuous-time marker 'ctmc'")
         self.advance()
+        declared: set[str] = set()  # each constant, variable and formula name
         constants: dict[str, Expr | None] = {}
         formulas: dict[str, Expr] = {}
         formula_at: dict[str, int] = {}  # the index of each formula's token
@@ -434,19 +435,19 @@ class _Parser:
         while (kind := self.peek()) != "EOF":
             if kind == "const":
                 name, value = self.parse_const()
-                self._declare(name, constants, formulas, modules, "constant")
+                self._declare(declared, name, "constant")
                 constants[name] = value
             elif kind == "module":
                 mod = self.parse_module()
                 if any(m.name == mod.name for m in modules):
                     raise DuplicateDeclarationError(f"duplicate module {mod.name!r}")
                 for var in mod.variables:
-                    self._declare(var.name, constants, formulas, modules, "variable")
+                    self._declare(declared, var.name, "variable")
                 modules.append(mod)
             elif kind == "formula":
                 at = self.pos
                 name, expr = self.parse_formula()
-                self._declare(name, constants, formulas, modules, "formula")
+                self._declare(declared, name, "formula")
                 formulas[name] = expr
                 formula_at[name] = at
             elif kind == "rewards":
@@ -462,14 +463,10 @@ class _Parser:
         return _inline_formulas(spec)
 
     @staticmethod
-    def _declare(name, constants, formulas, modules, what):
-        taken = (
-            name in constants
-            or name in formulas
-            or any(v.name == name for m in modules for v in m.variables)
-        )
-        if taken:
+    def _declare(declared: set[str], name: str, what: str) -> None:
+        if name in declared:
             raise DuplicateDeclarationError(f"duplicate declaration of {name!r} ({what})")
+        declared.add(name)
 
     def _check_formula_order(self, formulas: dict[str, Expr], at: dict[str, int]) -> None:
         """Formulas are inlined in declaration order, so each may name only the
@@ -1383,11 +1380,10 @@ class ChainDiff:
         return self.equal
 
 
-def equivalent(
-    a: ComposedChain, b: ComposedChain, *, rate_tol: float = RATE_EQUALITY_TOL
-) -> ChainDiff:
+def equivalent(a: ComposedChain, b: ComposedChain) -> ChainDiff:
     """True iff mapping states by identical variable assignments carries
-    ``a`` onto ``b`` with every transition rate equal within ``rate_tol``."""
+    ``a`` onto ``b`` with every transition rate equal within
+    ``RATE_EQUALITY_TOL``."""
     diffs: list[str] = []
     if set(a.var_names) != set(b.var_names):
         only_a = sorted(set(a.var_names) - set(b.var_names))
@@ -1424,7 +1420,7 @@ def equivalent(
         ib = [b_index[k] for k in keys]
         qa = a.generator.q[np.ix_(ia, ia)]
         qb = b.generator.q[np.ix_(ib, ib)]
-        differ = np.abs(qa - qb) > rate_tol
+        differ = np.abs(qa - qb) > RATE_EQUALITY_TOL
         np.fill_diagonal(differ, False)
         for s, d in zip(*np.nonzero(differ)):
             diffs.append(

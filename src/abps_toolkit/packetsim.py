@@ -541,7 +541,7 @@ class ReplicationResult:
             return distance / s.se
         return math.inf if s.mean != reference else 0.0
 
-    def within(self, metric: str, reference: float, k: float = 3.0) -> bool:
+    def within(self, metric: str, reference: float, k: float) -> bool:
         return self.z(metric, reference) <= k
 
 

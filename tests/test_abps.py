@@ -1,5 +1,7 @@
 """Model-builder, parameter and sweep tests for the two switching variants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from abps_toolkit.abps import (
     build_plain,
     default_params,
     evaluate,
-    load_params,
     params_from_mapping,
+    read_entries,
     reference_model_path,
     resolved_rates,
     sweep,
@@ -39,17 +41,24 @@ class TestParams:
 
     def test_oracle_rates_follow_windows(self):
         p = default_params()
-        assert p.lambda_UW_U == pytest.approx(0.025)  # 0.5 * (1/20)
-        assert p.lambda_UW_W == pytest.approx(0.025)
-        assert p.lambda_W_UW == pytest.approx(1 / 80)
-        q = p.with_windows(10.0, 40.0)
-        assert q.lambda_UW_U == pytest.approx(0.05)
-        assert q.lambda_W_UW == pytest.approx(1 / 40)
+        rates = resolved_rates(p, "text")
+        assert rates["lambda_UW_U"] == pytest.approx(0.025)  # 0.5 * (1/20)
+        assert rates["lambda_UW_W"] == pytest.approx(0.025)
+        assert rates["lambda_W_UW"] == pytest.approx(1 / 80)
+        rates = resolved_rates(replace(p, T_W_minus=10.0, T_W_plus=40.0), "text")
+        assert rates["lambda_UW_U"] == pytest.approx(0.05)
+        assert rates["lambda_W_UW"] == pytest.approx(1 / 40)
+        # the fields keep what was given; a pinned rate holds when the windows move
+        assert p.lambda_UW_U is None
+        pinned = replace(default_params(lambda_UW_U=0.5), T_W_minus=10.0, T_W_plus=40.0)
+        rates = resolved_rates(pinned, "text")
+        assert (rates["lambda_UW_U"], rates["lambda_UW_W"]) == (0.5, 0.5 * (1.0 / 10.0))
 
     def test_residence_time_identities(self):
         p = default_params()
-        assert 1.0 / (p.lambda_UW_U + p.lambda_UW_W) == pytest.approx(p.T_W_minus)
-        assert 1.0 / p.lambda_W_UW == pytest.approx(p.T_W_plus)
+        rates = resolved_rates(p, "text")
+        assert 1.0 / (rates["lambda_UW_U"] + rates["lambda_UW_W"]) == pytest.approx(p.T_W_minus)
+        assert 1.0 / rates["lambda_W_UW"] == pytest.approx(p.T_W_plus)
 
     def test_window_order_enforced(self):
         with pytest.raises(ValidationError):
@@ -76,7 +85,7 @@ class TestParams:
 
     def test_mapping_rederives_lambdas_on_window_change(self):
         p = params_from_mapping({"T_W_minus": 10.0})
-        assert p.lambda_UW_U == pytest.approx(0.05)
+        assert resolved_rates(p, "text")["lambda_UW_U"] == pytest.approx(0.05)
 
     def test_mapping_unknown_key(self):
         with pytest.raises(ValidationError, match="unknown parameter"):
@@ -92,16 +101,33 @@ class TestParams:
             "T_W_minus=10\n"
             "e.UMTS.connected = 0.7\n"
         )
-        p = load_params(cfg)
+        entries = read_entries(cfg)
+        assert entries == {"gamma_U": 0.002, "T_W_minus": 10.0, "e.UMTS.connected": 0.7}
+        p = params_from_mapping(entries)
         assert p.gamma_U == 0.002
         assert p.T_W_minus == 10.0
         assert p.e["UMTS"]["connected"] == 0.7
+        # file entries and then flags, the flags winning, are the same
+        # parameters as every entry given as a flag: a pin in the file holds
+        # when a flag moves a window, and a window in the file is checked
+        # against the window a flag gives
+        for file_entries, flags in (
+            ({"lambda_UW_U": 0.5}, {"T_W_minus": 10.0}),
+            ({"T_W_minus": 100.0, "gamma_U": 0.002}, {"T_W_plus": 200.0, "gamma_U": 0.003}),
+        ):
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in file_entries.items()))
+            merged = read_entries(cfg)
+            merged.update(flags)
+            assert params_from_mapping(merged) == params_from_mapping({**file_entries, **flags})
 
     def test_config_file_rejects_garbage(self, tmp_path):
         cfg = tmp_path / "params.cfg"
         cfg.write_text("gamma_U hello\n")
         with pytest.raises(ValidationError):
-            load_params(cfg)
+            read_entries(cfg)
+        cfg.write_bytes(b"T_W_minus = 10\ngamma_U = 0.002 # caf\xe9\n")
+        with pytest.raises(ValidationError, match=r"params\.cfg:2: byte 0xe9 is not UTF-8$"):
+            read_entries(cfg)
 
 
 class TestBuilders:
@@ -162,7 +188,7 @@ class TestBuilders:
         for variant in ("plain", "oracle"):
             spec = modlang.parse_file(reference_model_path(variant))
             for t_minus, t_plus in ((5.0, 40.0), (20.0, 80.0), (40.0, 120.0)):
-                point = p.with_windows(t_minus, t_plus)
+                point = replace(p, T_W_minus=t_minus, T_W_plus=t_plus)
                 built = abps.build(variant, point, mode="appendix").chain
                 parsed = modlang.compose(
                     spec, {"T_W_minus": t_minus, "T_W_plus": t_plus}
@@ -195,7 +221,7 @@ class TestBuilders:
             listing = modlang.parse_file(reference_model_path(variant))
             for t_minus in abps.DEFAULT_T_MINUS_GRID:
                 for t_plus in abps.DEFAULT_T_PLUS_GRID:
-                    point = p.with_windows(t_minus, t_plus)
+                    point = replace(p, T_W_minus=t_minus, T_W_plus=t_plus)
                     ours = modlang.compose(printed, resolved_rates(point, "appendix"))
                     theirs = modlang.compose(
                         listing, {"T_W_minus": t_minus, "T_W_plus": t_plus}
@@ -361,7 +387,7 @@ class TestSweepBatch:
     @staticmethod
     def alone(params, variant, mode, t_minus, t_plus):
         try:
-            point = params.with_windows(t_minus, t_plus)
+            point = replace(params, T_W_minus=t_minus, T_W_plus=t_plus)
             m = evaluate(abps.build(variant, point, mode))
         except (ValidationError, StructureError, modlang.ModelError) as err:
             return None, str(err)
@@ -369,7 +395,9 @@ class TestSweepBatch:
                 m.distribution.probabilities.tobytes()), None
 
     @pytest.mark.parametrize("mode", ["text", "appendix"])
-    @pytest.mark.parametrize("overrides", [{}, {"p_U": 1.0}])  # p_U = 1 zeroes a rate
+    # p_U = 1 zeroes a rate; with every oracle rate pinned, only the gammas follow the windows
+    @pytest.mark.parametrize("overrides", [
+        {}, {"p_U": 1.0}, {"lambda_UW_U": 0.5, "lambda_UW_W": 0.02, "lambda_W_UW": 0.01}])
     def test_random_grid_equals_points_alone(self, mode, overrides):
         rng = np.random.default_rng(2011)
         params = default_params(**overrides)
@@ -391,6 +419,21 @@ class TestSweepBatch:
                 assert (got, row.error) == (metrics, None)
                 solved += 1
         assert 0 < solved < len(table.rows)
+
+    @pytest.mark.parametrize("mode", ["text", "appendix"])
+    def test_pinned_rates_hold_at_every_point(self, mode):
+        unpinned = sweep(default_params(), (20.0, 10.0), (80.0, 40.0), mode=mode)
+        for pin in ({"lambda_UW_U": 0.5}, {"lambda_UW_W": 0.5}, {"lambda_W_UW": 0.5}):
+            params = default_params(**pin)
+            table = sweep(params, (20.0, 10.0), (80.0, 40.0), mode=mode)
+            for row, free in zip(table.rows, unpinned.rows):
+                m = row.metrics
+                got = (repr((m.availability, m.power_w, m.throughput_mbps)),
+                       m.distribution.probabilities.tobytes())
+                assert (got, None) == self.alone(params, row.variant, mode,
+                                                 row.T_W_minus, row.T_W_plus)
+                if row.variant == "oracle":
+                    assert m.availability != free.metrics.availability
 
     def test_energy_table_edited_after_construction(self):
         # the params keep read-only copies of the table they checked

@@ -76,7 +76,7 @@ def test_criterion_1_fixture_fidelity():
             parsed = modlang.compose(spec, BINDINGS)
             assert parsed.n_states == expected_states[variant]
             built = build(variant, default_params(), mode="appendix").chain
-            report = modlang.equivalent(built, parsed, rate_tol=1e-12)
+            report = modlang.equivalent(built, parsed)
             assert report, report.differences[:5]
 
 
@@ -191,13 +191,14 @@ def test_oracle_residence_times_match_exit_rates(cross_validation_runs):
     # mean residence = 1 / (sum of outgoing rates), checked against the
     # empirical sojourns of the three oracle states
     params, runs, _ = cross_validation_runs
+    rates = abps.resolved_rates(params, "text")
     oracle_chain = build_generator(
         3,
         [
-            (0, 1, params.lambda_U_UW),        # O_U  -> O_UW
-            (1, 0, params.lambda_UW_U),        # O_UW -> O_U
-            (1, 2, params.lambda_UW_W),        # O_UW -> O_W
-            (2, 1, params.lambda_W_UW),        # O_W  -> O_UW
+            (0, 1, rates["lambda_U_UW"]),      # O_U  -> O_UW
+            (1, 0, rates["lambda_UW_U"]),      # O_UW -> O_U
+            (1, 2, rates["lambda_UW_W"]),      # O_UW -> O_W
+            (2, 1, rates["lambda_W_UW"]),      # O_W  -> O_UW
         ],
     )
     expected = {

@@ -120,6 +120,23 @@ class TestSolve:
         cfg.write_text("gamma_U = 0.002\n")
         code, out, _ = run(capsys, "solve", "plain", "--params-file", str(cfg))
         assert code == 0
+        # the file's entries and then --params over them, checked once, give
+        # what every entry given with --params gives: a pin in the file
+        # holds, a window in the file meets the other window from a flag,
+        # and a flag overrides the file
+        for in_file, flag in (("lambda_UW_U=0.5", "T_W_minus=10"),
+                              ("T_W_minus=100", "T_W_plus=200"),
+                              ("gamma_U=0.002", "gamma_U=0.003")):
+            cfg.write_text(in_file.replace("=", " = ") + "\n")
+            merged = run(capsys, "solve", "plain", "--params-file", str(cfg), "--params", flag)
+            flags = run(capsys, "solve", "plain", "--params", in_file, "--params", flag)
+            assert merged == flags and merged[0] == 0, (in_file, flag, merged)
+
+    def test_params_file_that_is_not_utf8_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_bytes(b"gamma_U = 0.002 # caf\xe9\n")
+        code, out, err = run(capsys, "solve", "plain", "--params-file", str(cfg))
+        assert (code, out, err) == (2, "", f"error: {cfg}:1: byte 0xe9 is not UTF-8\n")
 
     def test_params_file_with_listing_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -181,6 +198,15 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("plain,10,80,")
+        # a pinned oracle rate holds in a sweep as in a solve
+        pin = ("--params", "lambda_UW_U=0.5")
+        code, out, _ = run(capsys, "sweep", "--grid", "tmin:20", "tplus:80",
+                           "--variant", "oracle", *pin)
+        assert code == 0
+        availability = float(out.strip().split("\n")[1].split(",")[3])
+        assert availability != 0.902269514164  # the unpinned point
+        assert run(capsys, "solve", "oracle", *pin)[1].startswith(
+            f"availability     {availability:.6g}\n")
 
     def test_singular_solve_rows_carry_an_error(self, capsys):
         # rates this far apart round a stationary system to singular at

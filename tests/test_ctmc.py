@@ -18,7 +18,6 @@ from abps_toolkit.ctmc import (
     mean_residence_time,
     reachable_states,
     steady_state,
-    steady_state_probability,
     steady_states,
 )
 
@@ -280,11 +279,6 @@ class TestSteadyStates:
 
 
 class TestMetrics:
-    def test_predicate_probability(self):
-        dist = StationaryDistribution(np.array([2 / 3, 1 / 3]))
-        assert steady_state_probability(dist, lambda i: i == 1) == pytest.approx(1 / 3)
-        assert steady_state_probability(dist, lambda i: False) == 0.0
-
     def test_expected_reward(self):
         dist = StationaryDistribution(np.array([2 / 3, 1 / 3]))
         assert expected_reward(dist, RewardVector(np.array([0.0, 3.0]))) == pytest.approx(1.0)

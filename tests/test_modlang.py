@@ -70,12 +70,17 @@ class TestParse:
             parse("module m x : [0..1] init 0; endmodule")
 
     def test_duplicate_variable(self):
-        text = """ctmc
+        across_modules = """ctmc
         module a x : [0..1] init 0; endmodule
         module b x : [0..1] init 0; endmodule
         """
-        with pytest.raises(DuplicateDeclarationError):
-            parse(text)
+        in_one_module = (
+            "ctmc module m x : [0..1] init 0; x : [0..2] init 1; [] x=0 -> (x'=1); endmodule"
+        )
+        for text in (across_modules, in_one_module):
+            with pytest.raises(DuplicateDeclarationError,
+                               match=r"^duplicate declaration of 'x' \(variable\)$"):
+                parse(text)
 
     def test_undeclared_identifier(self):
         text = "ctmc module m x : [0..1] init 0; [] x=0 -> mystery:(x'=1); endmodule"

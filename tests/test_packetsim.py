@@ -258,8 +258,8 @@ class TestReplicate:
         params = default_params()
         rep = replicate(params, quiet(duration=5000.0, replications=4), "plain")
         stat = rep.stats["availability"]
-        assert rep.within("availability", stat.mean)
-        assert not rep.within("availability", stat.mean + 10 * (stat.se + 1e-12))
+        assert rep.within("availability", stat.mean, 3.0)
+        assert not rep.within("availability", stat.mean + 10 * (stat.se + 1e-12), 3.0)
 
     def test_z_score(self):
         stats = {
@@ -268,10 +268,10 @@ class TestReplicate:
         }
         rep = packetsim.ReplicationResult(n=2, stats=stats, runs=())
         assert rep.z("spread", 2.5) == 3.0
-        assert rep.within("spread", 2.5) and not rep.within("spread", 2.6)
+        assert rep.within("spread", 2.5, 3.0) and not rep.within("spread", 2.6, 3.0)
         # a zero standard error: no distance at the mean, infinite elsewhere
         assert rep.z("exact", 2.0) == 0.0
-        assert rep.within("exact", 2.0)
+        assert rep.within("exact", 2.0, 0.0)
         assert rep.z("exact", 2.0 + 1e-15) == float("inf")
         assert not rep.within("exact", 2.0 + 1e-15, k=1e300)
 
