@@ -32,6 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from abps_toolkit import modlang
+from abps_toolkit._text import read_utf8
 from abps_toolkit.ctmc import (
     RewardVector,
     StationaryDistribution,
@@ -118,6 +119,8 @@ class AbpsParams:
                 f"need T_W_plus >= T_W_minus > 0, got {self.T_W_plus}, {self.T_W_minus}"
             )
         derived = _window_rates(self, self.T_W_minus, self.T_W_plus)
+        if not math.isfinite(derived["gamma_W_minus"]):
+            raise ValidationError(f"1/T_W_minus must be finite, got T_W_minus={self.T_W_minus!r}")
         for name in (
             "alpha_U", "beta_U", "gamma_U", "mu_U", "alpha_W", "beta_W", "mu_W",
             "lambda_U_UW", "lambda_UW_U", "lambda_UW_W", "lambda_W_UW",
@@ -131,8 +134,6 @@ class AbpsParams:
                 raise ValidationError(f"probability {name} must be in (0, 1], got {value!r}")
         if not (0.0 <= self.idle_connected_fraction <= 1.0):
             raise ValidationError("idle_connected_fraction must be in [0, 1]")
-        if self.oracle_baseline_power < 0.0 or self.tput_U < 0.0 or self.tput_W < 0.0:
-            raise ValidationError("powers and throughputs must be nonnegative")
         # read-only copies of the rows, so the table checked here stays as it is
         object.__setattr__(self, "e", MappingProxyType(
             {nic: MappingProxyType(dict(row)) for nic, row in self.e.items()}))
@@ -141,10 +142,15 @@ class AbpsParams:
         for nic, row in self.e.items():
             if set(row) != set(NIC_PHASES):
                 raise ValidationError(f"energy row {nic!r} must cover phases {NIC_PHASES}")
-            if any(v < 0.0 for v in row.values()):
-                raise ValidationError(f"energy row {nic!r} has a negative entry")
             if row["off"] != 0.0:
                 raise ValidationError(f"energy of the off phase must be 0, got {row['off']!r}")
+        amounts = [(f"e.{nic}.{phase}", v)
+                   for nic, row in self.e.items() for phase, v in row.items()]
+        amounts += [(name, getattr(self, name))
+                    for name in ("tput_U", "tput_W", "oracle_baseline_power")]
+        for name, value in amounts:
+            if not 0.0 <= value < math.inf:
+                raise ValidationError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 def _window_rates(params: AbpsParams, T_W_minus, T_W_plus) -> dict:
@@ -189,29 +195,31 @@ def params_from_mapping(entries: Mapping[str, float]) -> AbpsParams:
     return AbpsParams(e=energy, **scalars)
 
 
-def read_entries(path) -> dict[str, float]:
-    """The entries of a flat ``key = value`` file (# starts a comment), for
-    :func:`params_from_mapping`; a byte that is not UTF-8 is a
-    :class:`ValidationError` that names its line."""
-    data = Path(path).read_bytes()
+def parse_entry(text: str) -> dict[str, float]:
+    """The ``key = value`` entry of one ``--params`` flag or parameter-file
+    line: ``#`` starts a comment, blanks around the key and the value do not
+    count, and a text with nothing before its comment has no entry."""
+    entry = text.split("#", 1)[0].strip()
+    if not entry:
+        return {}
+    key, eq, value = (part.strip() for part in entry.partition("="))
+    if not eq:
+        raise ValidationError(f"expected key=value, got {text.strip()!r}")
     try:
-        lines = io.StringIO(data.decode("utf-8"), newline=None)
-    except UnicodeDecodeError as err:
-        line = data.count(b"\n", 0, err.start) + 1
-        raise ValidationError(
-            f"{path}:{line}: byte 0x{data[err.start]:02x} is not UTF-8") from None
+        return {key: float(value)}
+    except ValueError:
+        raise ValidationError(f"non-numeric value for {key!r}: {value!r}") from None
+
+
+def read_entries(path) -> dict[str, float]:
+    """The entries of a parameter file, one :func:`parse_entry` per line, for
+    :func:`params_from_mapping`; an error names the path and the line."""
     entries: dict[str, float] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, line in enumerate(read_utf8(path, None), start=1):
         try:
-            entries[key] = float(value)
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: non-numeric value {value!r}")
+            entries.update(parse_entry(line))
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from None
     return entries
 
 
@@ -575,10 +583,7 @@ def _sweep_batch(params: AbpsParams, points, variant: str, mode: str) -> list:
     batch = program.evaluate_many(rates)
     available = _state_table(program.var_names, batch.states, state_available)
     energy, throughput = _rewards(program.var_names, batch.states, params, mode, variant)
-    try:
-        vectors = (available, RewardVector(energy).values, RewardVector(throughput).values)
-    except ValidationError:
-        return found
+    vectors = (available, RewardVector(energy).values, RewardVector(throughput).values)
     solved = batch.probabilities[batch.ok]
     dists = StationaryDistribution.rows(solved)
     for k, dist, metrics in zip(picked[batch.ok], dists, _metrics(solved, vectors)):

@@ -15,27 +15,15 @@ from abps_toolkit import abps, coverage, modlang, packetsim
 from abps_toolkit.ctmc import StructureError, ValidationError
 
 
-class _InputError(Exception):
-    pass
-
-
-def _parse_overrides(pairs) -> dict[str, float]:
-    overrides: dict[str, float] = {}
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise _InputError(f"expected key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        try:
-            overrides[key.strip()] = float(value)
-        except ValueError:
-            raise _InputError(f"non-numeric value for {key.strip()!r}: {value!r}")
-    return overrides
+def _flag_entries(pairs) -> dict[str, float]:
+    """The entries of the ``--params`` flags, one :func:`abps.parse_entry` each."""
+    return {key: value for pair in pairs or () for key, value in abps.parse_entry(pair).items()}
 
 
 def _assemble_params(args) -> abps.AbpsParams:
     """The file's entries, then ``--params`` over them, as one checked set."""
     entries = abps.read_entries(args.params_file) if args.params_file else {}
-    entries.update(_parse_overrides(args.params))
+    entries.update(_flag_entries(args.params))
     return abps.params_from_mapping(entries)
 
 
@@ -45,18 +33,18 @@ def _parse_grid(tokens) -> tuple[list[float], list[float]]:
     grid = {}
     for token in tokens:
         if ":" not in token:
-            raise _InputError(f"grid spec needs name:v1,v2,..., got {token!r}")
+            raise ValidationError(f"grid spec needs name:v1,v2,..., got {token!r}")
         name, values = token.split(":", 1)
         if name not in ("tmin", "tplus"):
-            raise _InputError(f"grid axis must be tmin or tplus, got {name!r}")
+            raise ValidationError(f"grid axis must be tmin or tplus, got {name!r}")
         if "" in values.split(","):
-            raise _InputError(f"empty grid entry in {token!r}")
+            raise ValidationError(f"empty grid entry in {token!r}")
         try:
             grid[name] = [float(v) for v in values.split(",")]
         except ValueError:
-            raise _InputError(f"non-numeric grid value in {token!r}")
+            raise ValidationError(f"non-numeric grid value in {token!r}")
     if set(grid) != {"tmin", "tplus"} or not all(grid.values()):
-        raise _InputError("grid needs both axes, e.g. --grid tmin:5,10 tplus:40,80")
+        raise ValidationError("grid needs both axes, e.g. --grid tmin:5,10 tplus:40,80")
     return grid["tmin"], grid["tplus"]
 
 
@@ -79,17 +67,17 @@ def cmd_solve(args) -> int:
         _print_metrics(abps.evaluate(model))
         return 0
     if args.params_file:
-        raise _InputError(
+        raise ValidationError(
             "--params-file names built-in variant parameters; "
             "bind a listing's constants with --params K=V"
         )
     if args.mode is not None:
-        raise _InputError(
+        raise ValidationError(
             "--mode picks a built-in variant's energy rule; "
             "a listing fixes its own rule in its rates and rewards"
         )
     spec = modlang.parse_file(args.model)
-    chain = modlang.compose(spec, _parse_overrides(args.params))
+    chain = modlang.compose(spec, _flag_entries(args.params))
     _print_metrics(abps.evaluate_chain(chain))
     return 0
 
@@ -189,7 +177,7 @@ def cmd_compare(args) -> int:
 def cmd_oracle(args) -> int:
     trajectory = coverage.load_trajectory(args.trajectory)
     if len(trajectory) < 2:
-        raise _InputError(
+        raise ValidationError(
             f"trajectory {args.trajectory} needs at least 2 samples, got {len(trajectory)}"
         )
     catalog = coverage.LocalCatalog(args.catalog)
@@ -294,7 +282,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (_InputError, ValidationError, StructureError, modlang.ModelError,
+    except (ValidationError, StructureError, modlang.ModelError,
             coverage.CatalogUnavailable, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import math
 import os
 import threading
@@ -40,6 +39,7 @@ from urllib.parse import urlencode, urlsplit
 
 import numpy as np
 
+from abps_toolkit._text import read_utf8
 from abps_toolkit.ctmc import ValidationError
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -137,7 +137,7 @@ class LocalCatalog:
     def __init__(self, source) -> None:
         self.skipped_records = 0
         if isinstance(source, (str, Path)):
-            self.access_points = self._parse(_csv_lines(source))
+            self.access_points = self._parse(read_utf8(source, ""))
         else:
             self.access_points = tuple(source)
         aps = self.access_points
@@ -340,7 +340,7 @@ def query_aps(catalog, lat: float, lon: float, radius: float) -> list[AccessPoin
 def load_trajectory(path) -> list[TrajectorySample]:
     """Read a ``t,lat,lon[,speed]`` CSV; a non-numeric first row is a header."""
     samples: list[TrajectorySample] = []
-    for lineno, row in enumerate(csv.reader(_csv_lines(path)), start=1):
+    for lineno, row in enumerate(csv.reader(read_utf8(path, "")), start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
@@ -353,20 +353,6 @@ def load_trajectory(path) -> list[TrajectorySample]:
         samples.append(TrajectorySample(t, lat, lon, speed))
     _check_trajectory(samples)
     return samples
-
-
-def _csv_lines(path) -> io.StringIO:
-    """A UTF-8 file's lines for ``csv.reader``, as ``open(path, newline="")``
-    gives them; a byte that is not UTF-8 is a :class:`ValidationError` that
-    names its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline="")
-    except UnicodeDecodeError as err:
-        line = data.count(b"\n", 0, err.start) + 1
-        raise ValidationError(
-            f"{path}:{line}: byte 0x{data[err.start]:02x} is not UTF-8") from None
 
 
 def _check_trajectory(samples: Sequence[TrajectorySample]) -> np.ndarray:

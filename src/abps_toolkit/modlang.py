@@ -66,6 +66,7 @@ from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
+from abps_toolkit._text import read_utf8
 from abps_toolkit.ctmc import (
     GeneratorMatrix,
     StructureError,
@@ -650,14 +651,8 @@ def parse(text: str) -> ModelSpec:
 
 
 def parse_file(path) -> ModelSpec:
-    """Parse a UTF-8 listing; a byte that is not UTF-8 is a :class:`ParseError`."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
-    # Each byte that is not UTF-8 reads as a lone surrogate, which UTF-8 text lacks.
-    bad = re.search("[\udc80-\udcff]", text)
-    if bad:
-        raise _error_at(text, bad.start(), f"byte 0x{ord(bad.group()) - 0xDC00:02x} is not UTF-8")
-    return parse(text)
+    """Parse a UTF-8 listing, read by :func:`abps_toolkit._text.read_utf8`."""
+    return parse(read_utf8(path, None).read())
 
 
 def _validate(spec: ModelSpec) -> None:

@@ -77,6 +77,29 @@ class TestParams:
         with pytest.raises(ValidationError):
             default_params(e=bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("e.UMTS.connected", float("nan")),
+        ("e.WiFi.setup", float("inf")),
+        ("e.WiFi.failed", -0.1),
+        ("tput_W", float("nan")),
+        ("tput_U", -1.0),
+        ("oracle_baseline_power", float("inf")),
+    ])
+    def test_amounts_must_be_nonnegative_and_finite(self, key, value):
+        # a NaN passes a ``v < 0`` check, and a sweep of it printed nan or errors
+        with pytest.raises(ValidationError) as err:
+            params_from_mapping({key: value})
+        assert str(err.value) == f"{key} must be nonnegative and finite, got {value!r}"
+
+    def test_short_window_whose_rate_overflows_is_named(self):
+        pins = {"lambda_UW_U": 0.5, "lambda_UW_W": 0.02, "lambda_W_UW": 0.01}
+        with pytest.raises(ValidationError, match=r"^1/T_W_minus must be finite, got "
+                                                  r"T_W_minus=1e-320$"):
+            default_params(**pins, T_W_minus=1e-320, T_W_plus=1.0)
+        # a zero rate out of WiFi-only is a fair limit, and solves
+        p = default_params(lambda_W_UW=0.01, T_W_plus=float("inf"))
+        assert 0.0 < evaluate(build_plain(p)).availability < 1.0
+
     def test_mapping_overrides(self):
         p = params_from_mapping({"gamma_U": 1 / 500, "e.WiFi.connected": 0.5})
         assert p.gamma_U == pytest.approx(1 / 500)
@@ -125,6 +148,10 @@ class TestParams:
         cfg.write_text("gamma_U hello\n")
         with pytest.raises(ValidationError):
             read_entries(cfg)
+        cfg.write_text("# rates\n\ngamma_U = 0.002\nmu_U = fast # per second\n")
+        with pytest.raises(ValidationError) as err:
+            read_entries(cfg)
+        assert str(err.value) == f"{cfg}:4: non-numeric value for 'mu_U': 'fast'"
         cfg.write_bytes(b"T_W_minus = 10\ngamma_U = 0.002 # caf\xe9\n")
         with pytest.raises(ValidationError, match=r"params\.cfg:2: byte 0xe9 is not UTF-8$"):
             read_entries(cfg)

@@ -1,6 +1,9 @@
 """Command-line contract tests: output formats and stable exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,7 +106,7 @@ class TestSolve:
         listing = tmp_path / "binary.sm"
         listing.write_bytes(b"ctmc\n\x89PNG\r\n")
         code, out, err = run(capsys, "solve", str(listing))
-        assert (code, out, err) == (2, "", "error: line 2, column 1: byte 0x89 is not UTF-8\n")
+        assert (code, out, err) == (2, "", f"error: {listing}:2: byte 0x89 is not UTF-8\n")
 
     def test_unknown_parameter(self, capsys):
         code, _, err = run(capsys, "solve", "plain", "--params", "warp_speed=9")
@@ -137,6 +140,24 @@ class TestSolve:
         cfg.write_bytes(b"gamma_U = 0.002 # caf\xe9\n")
         code, out, err = run(capsys, "solve", "plain", "--params-file", str(cfg))
         assert (code, out, err) == (2, "", f"error: {cfg}:1: byte 0xe9 is not UTF-8\n")
+
+    @pytest.mark.parametrize("flag, line, same_as, message", [
+        ("gamma_U=0.002 # note", "gamma_U = 0.002 # note", ("--params", "gamma_U=0.002"), None),
+        ("# only a note", "# only a note", (), None),
+        ("gamma_U=abc", "gamma_U = abc", None, "non-numeric value for 'gamma_U': 'abc'"),
+        ("gamma_U", "gamma_U", None, "expected key=value, got 'gamma_U'"),
+    ])
+    def test_flag_and_file_line_read_alike(self, capsys, tmp_path, flag, line, same_as, message):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(line + "\n")
+        from_flag = run(capsys, "solve", "plain", "--params", flag)
+        from_file = run(capsys, "solve", "plain", "--params-file", str(cfg))
+        if message is None:
+            assert from_flag == from_file == run(capsys, "solve", "plain", *same_as)
+            assert from_flag[0] == 0
+        else:
+            assert from_flag == (2, "", f"error: {message}\n")
+            assert from_file == (2, "", f"error: {cfg}:1: {message}\n")
 
     def test_params_file_with_listing_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "p.cfg"
@@ -225,6 +246,14 @@ class TestSweep:
         assert code == 2
         assert "grid" in err
 
+    @pytest.mark.parametrize("grid, message", [
+        (("tmin5", "tplus:40"), "grid spec needs name:v1,v2,..., got 'tmin5'"),
+        (("tmin:5", "tplus:x"), "non-numeric grid value in 'tplus:x'"),
+        (("tmin:5", "tmin:10"), "grid needs both axes, e.g. --grid tmin:5,10 tplus:40,80"),
+    ])
+    def test_malformed_grid_exit_2(self, capsys, grid, message):
+        assert run(capsys, "sweep", "--grid", *grid) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("token", ["tmin:5,,10", "tmin:5,10,", "tmin:,5", "tmin:"])
     def test_empty_grid_entry_rejected(self, capsys, token):
         # an empty entry used to drop a grid point silently
@@ -272,6 +301,18 @@ class TestSimulate:
             assert (code, out) == (2, "")
             assert "finite" in err and value in err
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--variant", "plain", "--duration", "2000"),
+        ("sweep",),
+        ("solve", "plain"),
+    ])
+    def test_non_finite_amount_exit_2(self, capsys, argv):
+        # a NaN energy printed power_W nan, and an infinite one made every
+        # sweep row an error, each with exit 0
+        for key, value in (("e.UMTS.connected", "nan"), ("tput_W", "nan"),
+                           ("oracle_baseline_power", "inf")):
+            assert run(capsys, *argv, "--params", f"{key}={value}") == (
+                2, "", f"error: {key} must be nonnegative and finite, got {value}\n")
 
     def test_negative_seed_exit_2(self, capsys):
         code, out, err = run(capsys, "simulate", "--duration", "100", "--seed", "-1")
@@ -384,6 +425,19 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(walk), str(catalog))
         assert (code, out) == (2, "")
         assert "sample 1" in err and "timestamp" in err
+
+
+class TestEntryPoint:
+    def test_module_run_exits_2_on_bad_input(self):
+        # the exit code through a real process, not only main()'s return value
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        argv = ["solve", "plain", "--params", "gamma_U=abc"]
+        done = subprocess.run([sys.executable, "-m", "abps_toolkit.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: non-numeric value for 'gamma_U': 'abc'\n")
 
 
 class TestParserReuse:

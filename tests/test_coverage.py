@@ -199,6 +199,8 @@ class TestPredictCoverage:
     def test_needs_two_samples(self):
         with pytest.raises(ValidationError):
             predict_coverage([TrajectorySample(0, 0, 0)], [])
+        with pytest.raises(ValidationError, match="^classification needs at least 2 samples$"):
+            classify_trajectory([TrajectorySample(0, 0, 0)], LocalCatalog([]))
 
     @pytest.mark.parametrize("k, t, lat, lon", [
         pytest.param(3, 3.0, 999.0, 0.0, id="999.0-0.0"),
@@ -465,6 +467,9 @@ class TestCatalogFiles:
         path = tmp_path / "aps.csv"
         path.write_text("campus-1,0.0,0.0003,60,campusnet,true\n")
         with pytest.raises(ValidationError, match="header"):
+            LocalCatalog(path)
+        path.write_text("")
+        with pytest.raises(ValidationError, match="^catalog file is empty$"):
             LocalCatalog(path)
 
     def test_trajectory_roundtrip(self, tmp_path):

@@ -168,14 +168,13 @@ class TestParse:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_byte_that_is_not_utf8_is_a_parse_error(self, tmp_path, newline):
-        # lines and columns count characters, as for any other error
+        # lines end at each of \n, \r\n and \r, as the parser reads them
         path = tmp_path / "bad.sm"
         lines = ["ctmc", "// café", "const double été = 1;", "const double éb\udcff = 2;"]
         path.write_bytes(newline.join(lines).encode("utf-8", "surrogateescape"))
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ValidationError) as err:
             modlang.parse_file(path)
-        assert (err.value.line, err.value.column) == (4, 16)
-        assert str(err.value) == "line 4, column 16: byte 0xff is not UTF-8"
+        assert str(err.value) == f"{path}:4: byte 0xff is not UTF-8"
 
 
 # The expressions below sit in one of these listings; a, b and c are constants.
