@@ -151,6 +151,14 @@ class AbpsParams:
         for name, value in amounts:
             if not 0.0 <= value < math.inf:
                 raise ValidationError(f"{name} must be nonnegative and finite, got {value!r}")
+        # every state power is at most the baseline plus each row's largest entry
+        terms = [("oracle_baseline_power", self.oracle_baseline_power)]
+        terms += [max(((f"e.{nic}.{phase}", self.e[nic][phase]) for phase in NIC_PHASES),
+                      key=lambda term: term[1]) for nic in ("UMTS", "WiFi")]
+        if not math.isfinite(sum(value for _, value in terms)):
+            raise ValidationError(
+                f"state power {' + '.join(name for name, _ in terms)} = "
+                f"{' + '.join(repr(value) for _, value in terms)} is not finite")
 
 
 def _window_rates(params: AbpsParams, T_W_minus, T_W_plus) -> dict:

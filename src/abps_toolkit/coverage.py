@@ -8,20 +8,25 @@ The activation policy maps events to which interfaces stay powered.
 
 Coverage is disc-based: a point is covered while it sits within some
 access point's radius, decided once per trajectory as a (sample x AP)
-boolean matrix. Access points sharing a network group are treated as one
-network, so walking across them keeps a single coverage interval alive
-(link-layer roaming); every ungrouped access point is a network of its own,
-and coverage with no persisting network splits at the handover point.
-Interval edges are located by bisecting the interpolated position between
-trajectory samples, so sub-sample precision comes for free; blips smaller
-than the sample spacing are invisible by construction.
+boolean matrix. A great-circle distance is never less than R|dphi|, so a
+distance is computed only for the pairs whose latitudes lie within the
+largest radius of each other (a latitude band, found by binary search in
+the APs sorted by latitude); no other pair can be covered. Access points
+sharing a network group are treated as one network, so walking across them
+keeps a single coverage interval alive (link-layer roaming); every
+ungrouped access point is a network of its own, and coverage with no
+persisting network splits at the handover point. Interval edges are located
+by bisecting the interpolated position between trajectory samples, so
+sub-sample precision comes for free; blips smaller than the sample spacing
+are invisible by construction.
 
 Whether an edge lies between two samples depends only on the disc matrix,
 so every edge of a walk is found first and all of them are bisected in
-lockstep: one (edges x APs) distance matrix per step. A step is a function
-of each edge's bracket alone, so the search stops at the first step that
-narrows no bracket, at most 60 steps in, on the very floats that 60 scalar
-steps per edge would give.
+lockstep. The (edge, AP) pairs are listed once, from the band around the
+latitude span of each edge's step, and each step computes one distance per
+pair. A step is a function of each edge's bracket alone, so the search
+stops at the first step that narrows no bracket, at most 60 steps in, on
+the very floats that 60 scalar steps per edge would give.
 """
 
 from __future__ import annotations
@@ -414,6 +419,15 @@ def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
 # Coverage prediction
 
 
+def _band(key, low, high):
+    """Row by row, the (row, position) pairs with low[row] <= key[position]
+    <= high[row], for a sorted ``key``."""
+    start = np.searchsorted(key, low, "left")
+    count = np.searchsorted(key, high, "right") - start
+    row = np.repeat(np.arange(len(count)), count)
+    return row, np.arange(len(row)) + np.repeat(start - np.cumsum(count) + count, count)
+
+
 def predict_coverage(
     trajectory: Sequence[TrajectorySample], aps: Sequence[AccessPoint]
 ) -> list[CoverageInterval]:
@@ -436,31 +450,51 @@ def predict_coverage(
     first: dict[str, int] = {}
     network = np.unique([first.setdefault(ap.group, j) if ap.group else j
                          for j, ap in enumerate(aps)], return_inverse=True)[1]
+    # A great-circle distance is at least R|dphi|, so only the APs within
+    # r_max of a point's latitude can cover it. The reach adds 1e-9 of r_max
+    # and 1 um, far more than the rounding of a distance, of phi +/- reach
+    # and of an interpolated position, so no pair that could be covered is
+    # left out.
+    phi = np.radians(lat)
+    by_lat = np.argsort(phi)
+    key = phi[by_lat]
+    reach = (radius.max(initial=0.0) * (1 + 1e-9) + 1e-6) / EARTH_RADIUS_M
+    s_phi = np.radians(s_lat)
+    row, pos = _band(key, s_phi - reach, s_phi + reach)
+    col = by_lat[pos]
+    hit = haversine_m(s_lat[row], s_lon[row], lat[col], lon[col]) <= radius[col]
     # covering[i, j]: sample i lies within AP j's disc; by_net[i, n]: within
     # a disc of network n
-    covering = haversine_m(s_lat[:, None], s_lon[:, None], lat, lon) <= radius
-    order = np.argsort(network)
-    by_net = np.logical_or.reduceat(covering[:, order], np.flatnonzero(
-        np.diff(network[order], prepend=-1)), axis=1)
+    covering = np.zeros((len(t), len(aps)), dtype=bool)
+    covering[row[hit], col[hit]] = True
+    by_net = np.zeros((len(t), network.max(initial=-1) + 1), dtype=bool)
+    by_net[row[hit], network[col[hit]]] = True
     covered = by_net.any(axis=1)
     # coverage flips, or no network persists across a handover
     flip = np.flatnonzero((covered[:-1] | covered[1:]) & ~(by_net[:-1] & by_net[1:]).any(axis=1))
 
-    # Bisect every crossing at once. The probe is every AP when entering
-    # coverage, else the APs of the networks covering sample i. A step is a
-    # function of (lo, hi) alone, so the first step that moves no bracket
-    # leaves them where 60 steps would.
+    # Bisect every crossing at once, on the pairs of its latitude span. The
+    # probe is every AP when entering coverage, else the APs of the networks
+    # covering sample i. A step is a function of (lo, hi) alone, so the
+    # first step that moves no bracket leaves them where 60 steps would.
     inside = covered[flip]
-    probe = by_net[flip][:, network] | ~inside[:, None]
+    row, pos = _band(key, np.minimum(s_phi[flip], s_phi[flip + 1]) - reach,
+                     np.maximum(s_phi[flip], s_phi[flip + 1]) + reach)
+    col = by_lat[pos]
+    probe = ~inside[row] | by_net[flip[row], network[col]]
+    row, col = row[probe], col[probe]
+    ap_lat, ap_lon, ap_radius = lat[col], lon[col], radius[col]
     t0, dt = t[flip], t[flip + 1] - t[flip]
-    lat0, dlat = s_lat[flip, None], (s_lat[flip + 1] - s_lat[flip])[:, None]
-    lon0, dlon = s_lon[flip, None], (s_lon[flip + 1] - s_lon[flip])[:, None]
+    lat0, dlat = s_lat[flip], s_lat[flip + 1] - s_lat[flip]
+    lon0, dlon = s_lon[flip], s_lon[flip + 1] - s_lon[flip]
     lo, hi = t0, t[flip + 1]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        f = ((mid - t0) / dt)[:, None]
-        here = haversine_m(lat0 + f * dlat, lon0 + f * dlon, lat, lon)
-        same = ((here <= radius) & probe).any(axis=1) == inside
+        f = (mid - t0) / dt
+        here = haversine_m((lat0 + f * dlat)[row], (lon0 + f * dlon)[row], ap_lat, ap_lon)
+        hit = np.zeros(len(flip), dtype=bool)
+        hit[row[here <= ap_radius]] = True
+        same = hit == inside
         new_lo, new_hi = np.where(same, mid, lo), np.where(same, hi, mid)
         if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
             break

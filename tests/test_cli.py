@@ -1,5 +1,6 @@
 """Command-line contract tests: output formats and stable exit codes."""
 
+import codecs
 import math
 import os
 import subprocess
@@ -314,6 +315,19 @@ class TestSimulate:
             assert run(capsys, *argv, "--params", f"{key}={value}") == (
                 2, "", f"error: {key} must be nonnegative and finite, got {value}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--variant", "plain", "--duration", "2000"),
+        ("sweep",),
+        ("solve", "plain"),
+    ])
+    def test_overflowing_state_power_exit_2(self, capsys, argv):
+        # each entry is finite, but the setup-connected state draws 2e308 W
+        flags = ("--params", "e.UMTS.connected=1e308", "--params", "e.WiFi.connected=1e308",
+                 "--params", "e.UMTS.setup=1e308")
+        assert run(capsys, *argv, *flags) == (
+            2, "", "error: state power oracle_baseline_power + e.UMTS.setup + e.WiFi.connected"
+                   " = 0.1 + 1e+308 + 1e+308 is not finite\n")
+
     def test_negative_seed_exit_2(self, capsys):
         code, out, err = run(capsys, "simulate", "--duration", "100", "--seed", "-1")
         assert (code, out) == (2, "")
@@ -425,6 +439,46 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(walk), str(catalog))
         assert (code, out) == (2, "")
         assert "sample 1" in err and "timestamp" in err
+
+
+class TestByteOrderMark:
+    """Each input file may start with a UTF-8 byte-order mark."""
+
+    @staticmethod
+    def route(name, tmp_path):
+        """The command that reads the named kind of file, and that file."""
+        walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"
+        write_walk(walk, 300)
+        write_corridor_catalog(catalog)
+        path = {"params": tmp_path / "p.cfg", "listing": tmp_path / "oracle.sm",
+                "trajectory": walk, "catalog": catalog}[name]
+        argv = {"params": ["solve", "oracle", "--params-file", str(path)],
+                "listing": ["solve", str(path), "--params", "T_W_minus=20",
+                            "--params", "T_W_plus=80"],
+                "trajectory": ["oracle", str(walk), str(catalog)],
+                "catalog": ["oracle", str(walk), str(catalog)]}[name]
+        if name == "params":
+            path.write_text("gamma_U = 0.002\nT_W_minus = 10\n")
+        elif name == "trajectory":
+            # no header: a first row that does not parse would be taken for one
+            walk.write_text(walk.read_text().split("\n", 1)[1])
+        elif name == "listing":
+            path.write_bytes(reference_model_path("oracle").read_bytes())
+        return argv, path
+
+    @pytest.mark.parametrize("name", ["params", "listing", "trajectory", "catalog"])
+    def test_mark_is_dropped(self, capsys, tmp_path, name):
+        argv, path = self.route(name, tmp_path)
+        plain = run(capsys, *argv)
+        assert plain[0] == 0 and plain[1]
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert run(capsys, *argv) == plain
+
+    @pytest.mark.parametrize("name", ["params", "listing", "trajectory", "catalog"])
+    def test_byte_that_is_not_utf8_after_the_mark_names_its_line(self, capsys, tmp_path, name):
+        argv, path = self.route(name, tmp_path)
+        path.write_bytes(codecs.BOM_UTF8 + b"caf\xc3\xa9\r\ncaf\xe9\r\n")
+        assert run(capsys, *argv) == (2, "", f"error: {path}:2: byte 0xe9 is not UTF-8\n")
 
 
 class TestEntryPoint:

@@ -285,11 +285,19 @@ def reference_predict_coverage(trajectory, aps):
     return [iv for iv in intervals if iv.duration > 0.0]
 
 
-def random_case(rng, t0, n=60, dt=(0.5, 4.0), speed=1.4):
+def wrap(lon):
+    """A longitude moved into [-180, 180] across the antimeridian."""
+    return lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
+
+
+def random_case(rng, t0, n=60, dt=(0.5, 4.0), speed=1.4, origin=None):
     """A seeded walk and catalog in a local metric frame: APs near the walk,
     grouped or not, some that the walk grazes at a sample, and handover
-    pairs of ungrouped APs centred on consecutive samples."""
+    pairs of ungrouped APs centred on consecutive samples. The frame's
+    origin is drawn unless ``origin`` gives its (lat, lon)."""
     lat0, lon0 = rng.uniform(-60.0, 60.0), rng.uniform(-170.0, 170.0)
+    if origin is not None:
+        lat0, lon0 = origin
     m_lat = 180.0 / (math.pi * coverage.EARTH_RADIUS_M)
     m_lon = m_lat / math.cos(math.radians(lat0))
     t = t0 + np.concatenate([[0.0], np.cumsum(rng.uniform(*dt, n - 1))])
@@ -298,7 +306,7 @@ def random_case(rng, t0, n=60, dt=(0.5, 4.0), speed=1.4):
     x, y = np.cumsum(step * np.cos(heading)), np.cumsum(step * np.sin(heading))
 
     def at(px, py, radius, name, group=None):
-        return AccessPoint(name, lat0 + py * m_lat, lon0 + px * m_lon, radius, group or None)
+        return AccessPoint(name, lat0 + py * m_lat, wrap(lon0 + px * m_lon), radius, group or None)
 
     aps = []
     for k in range(int(rng.integers(0, 25))):
@@ -318,7 +326,7 @@ def random_case(rng, t0, n=60, dt=(0.5, 4.0), speed=1.4):
         i = int(rng.integers(n - 1))
         reach = 0.6 * math.hypot(x[i + 1] - x[i], y[i + 1] - y[i])
         aps += [at(x[i], y[i], reach, f"hand{k}a"), at(x[i + 1], y[i + 1], reach, f"hand{k}b")]
-    walk = [TrajectorySample(float(ti), lat0 + yi * m_lat, lon0 + xi * m_lon)
+    walk = [TrajectorySample(float(ti), lat0 + yi * m_lat, wrap(lon0 + xi * m_lon))
             for ti, xi, yi in zip(t, x, y)]
     return walk, aps
 
@@ -363,6 +371,68 @@ class TestLockstepBisection:
         for track, aps in ((walk(500), corridor_catalog() + endpoints_catalog()),
                            (walk(200), split), (walk(200), grouped),
                            (walk(100), [ap("mid", 50, 30)]), (walk(100), [])):
+            assert predict_coverage(track, aps) == reference_predict_coverage(track, aps)
+
+    # The tests below guard the latitude band: an AP is left out of a
+    # sample's or a crossing's pairs only when R|dphi| exceeds the largest
+    # radius, with a margin.
+
+    @pytest.mark.parametrize("lat, ap_lat", [
+        *((lat, lat + offset_m * M) for lat in (0.0, 45.0, -60.0, 89.9, -89.9)
+          for offset_m in (5.0, -50.0, 500.0)),
+        # across the equator R|dphi| rounds so that a band of exactly the
+        # computed distance, with no margin, leaves this pair out
+        (0.0027046761310742795, -0.0003354206093708215),
+    ])
+    def test_rim_at_the_latitude_bound_on_a_samples_meridian(self, lat, ap_lat):
+        # due north or south of sample 5 of an eastward walk, a disc's rim at
+        # R|dphi| times 1 -/+ 1e-12, or at the computed distance itself
+        track = [TrajectorySample(float(i), lat, 10.0 + 1.4 * i * M / math.cos(math.radians(lat)))
+                 for i in range(11)]
+        s = track[5]
+        bound = coverage.EARTH_RADIUS_M * abs(math.radians(ap_lat) - math.radians(s.lat))
+        exact = float(haversine_m(s.lat, s.lon, ap_lat, s.lon))
+        for rim, inside in ((bound * (1 - 1e-12), False), (exact, True),
+                            (bound * (1 + 1e-12), True)):
+            aps = [AccessPoint("rim", ap_lat, s.lon, rim)]
+            expected = reference_predict_coverage(track, aps)
+            assert predict_coverage(track, aps) == expected
+            assert [iv.covered for iv in expected] == ([False, True, False] if inside else [False])
+
+    def test_aps_on_the_walks_latitude_far_off_in_longitude(self):
+        # in every sample's band, covering none of them
+        rng = np.random.default_rng(31)
+        for case in range(10):
+            track, aps = random_case(rng, rng.uniform(0.0, 1e4))
+            for k, off in enumerate((0.01, -1.0, 90.0, 179.99, -180.0, 180.0)):
+                s = track[(7 * k + case) % len(track)]
+                aps.append(AccessPoint(f"far{k}", s.lat, wrap(s.lon + off), 40.0,
+                                       "far" if k % 2 else None))
+            assert predict_coverage(track, aps) == reference_predict_coverage(track, aps)
+
+    @pytest.mark.parametrize("seed, origin", enumerate([
+        (89.9, 20.0), (-89.9, -100.0), (89.99, 0.0), (0.0, 179.9995), (51.5, -179.999),
+        (-89.9, 179.9)]))
+    def test_near_the_poles_and_across_the_antimeridian(self, seed, origin):
+        rng = np.random.default_rng(seed)
+        crossings = 0
+        for case in range(12):
+            track, aps = random_case(rng, rng.uniform(0.0, 1e4), origin=origin)
+            crossings += sum(a.lon * b.lon < -1.0 for a, b in zip(track, track[1:]))
+            expected = reference_predict_coverage(track, aps)
+            assert predict_coverage(track, aps) == expected
+        if abs(origin[1]) > 179.0:
+            assert crossings > 0
+
+    def test_one_disc_wider_than_the_band_of_the_rest(self):
+        # one radius 100 times the others: the band keeps every pair
+        rng = np.random.default_rng(1015)
+        for case in range(20):
+            track, aps = random_case(rng, rng.uniform(0.0, 1e4))
+            radius = 100.0 * max((a.radius_m for a in aps), default=40.0)
+            s = track[int(rng.integers(len(track)))]
+            aps.insert(int(rng.integers(len(aps) + 1)), AccessPoint(
+                "wide", s.lat + rng.uniform(0.9, 1.1) * radius * M, s.lon, radius))
             assert predict_coverage(track, aps) == reference_predict_coverage(track, aps)
 
 
