@@ -27,6 +27,14 @@ latitude span of each edge's step, and each step computes one distance per
 pair. A step is a function of each edge's bracket alone, so the search
 stops at the first step that narrows no bracket, at most 60 steps in, on
 the very floats that 60 scalar steps per edge would give.
+
+The query route (``classify_trajectory``) asks its catalog once per walk:
+every catalog source answers ``query_many`` for a batch of positions, and
+``query`` is its one-position case. ``LocalCatalog`` answers a batch from
+the distances of the pairs in the same kind of latitude band, a few
+thousand pairs at a time; ``TtlCache`` sends only the positions it holds no
+live entry for, and ``RemoteCatalog`` sends one request per position, since
+the service answers one at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 from urllib.parse import urlencode, urlsplit
@@ -136,7 +145,25 @@ def haversine_m(lat1, lon1, lat2, lon2):
 # Catalog sources
 
 
-class LocalCatalog:
+class _Catalog:
+    """What every catalog source answers. ``query_many`` gives, for each
+    position, a tuple of the access points within ``radius`` meters of it,
+    nearest first, equal distances in ESSID order, then in catalog order;
+    ``query`` is its one-position case. Positions are valid coordinates, as
+    ``query_aps`` and ``classify_trajectory`` check."""
+
+    def query(self, lat: float, lon: float, radius: float) -> list[AccessPoint]:
+        return list(self.query_many([lat], [lon], radius)[0])
+
+
+# LocalCatalog.query_many halves a batch of positions until each part has at
+# most this many positions and band pairs together, or one position. That
+# bounds the memory of its pair arrays, and its int64 sort key stays below
+# _BATCH_PAIRS**2 times the number of APs (or that number squared).
+_BATCH_PAIRS = 4096
+
+
+class LocalCatalog(_Catalog):
     """Fixture-backed catalog: a CSV with header essid,lat,lon,radius_m,group,open."""
 
     def __init__(self, source) -> None:
@@ -146,10 +173,17 @@ class LocalCatalog:
         else:
             self.access_points = tuple(source)
         aps = self.access_points
-        self._lat = np.array([ap.lat for ap in aps])
-        self._lon = np.array([ap.lon for ap in aps])
-        rank = {essid: k for k, essid in enumerate(sorted({ap.essid for ap in aps}))}
-        self._essid_rank = np.array([rank[ap.essid] for ap in aps])
+        lat = np.array([ap.lat for ap in aps], dtype=float)
+        # rank of each AP among equal distances: ESSID, then catalog index
+        tie = np.empty(len(aps), dtype=np.int64)
+        tie[sorted(range(len(aps)), key=lambda j: aps[j].essid)] = np.arange(len(aps))
+        # every column in latitude order, for the band search of query_many
+        by_lat = np.argsort(lat)
+        self._phi = np.radians(lat[by_lat])
+        self._lat = lat[by_lat]
+        self._lon = np.array([ap.lon for ap in aps], dtype=float)[by_lat]
+        self._tie = tie[by_lat]
+        self._aps = np.fromiter(aps, dtype=object, count=len(aps))[by_lat]
 
     def _parse(self, fh) -> tuple[AccessPoint, ...]:
         reader = csv.reader(fh)
@@ -172,14 +206,38 @@ class LocalCatalog:
                 aps.append(ap)
         return tuple(aps)
 
-    def query(self, lat: float, lon: float, radius: float) -> list[AccessPoint]:
-        """The access points within ``radius`` of the position, nearest first;
-        equal distances in ESSID order, then in catalog order."""
-        dist = haversine_m(lat, lon, self._lat, self._lon)
-        hits = np.flatnonzero(dist <= radius)
-        # lexsort is stable and its last key is the primary one
-        order = hits[np.lexsort((self._essid_rank[hits], dist[hits]))]
-        return [self.access_points[j] for j in order.tolist()]
+    def query_many(self, lat: Sequence[float], lon: Sequence[float],
+                   radius: float) -> list[tuple[AccessPoint, ...]]:
+        """Each position's access points within ``radius``, from one distance
+        computation over the (position, AP) pairs of each position's latitude
+        band: a great-circle distance is at least R|dphi|, and the reach rule
+        is ``predict_coverage``'s."""
+        lat = np.asarray(lat, dtype=float)
+        lon = np.asarray(lon, dtype=float)
+        reach = max(radius * (1 + 1e-9) + 1e-6, 0.0) / EARTH_RADIUS_M
+        s_phi = np.radians(lat)
+        low, high = s_phi - reach, s_phi + reach
+        # the number of pairs _band lists
+        pairs = int((np.searchsorted(self._phi, high, "right")
+                     - np.searchsorted(self._phi, low, "left")).sum())
+        if len(lat) > 1 and len(lat) + pairs > _BATCH_PAIRS:
+            half = len(lat) // 2
+            return (self.query_many(lat[:half], lon[:half], radius)
+                    + self.query_many(lat[half:], lon[half:], radius))
+        row, pos = _band(self._phi, low, high)
+        dist = haversine_m(lat[row], lon[row], self._lat[pos], self._lon[pos])
+        hit = dist <= radius
+        row, pos, dist = row[hit], pos[hit], dist[hit]
+        # One sort on one int64 key: row, then distance, then tie rank. Equal
+        # distances share a level, their dense rank among all the hits.
+        by_dist = np.argsort(dist)
+        ranked = dist[by_dist]
+        level = np.empty(len(dist), dtype=np.int64)
+        level[by_dist] = np.cumsum(np.diff(ranked, prepend=ranked[:1]) > 0)
+        key = (row * len(dist) + level) * len(self._aps) + self._tie[pos]
+        found = tuple(self._aps[pos[np.argsort(key)]].tolist())
+        ends = np.cumsum(np.bincount(row, minlength=len(lat))).tolist()
+        return [found[a:b] for a, b in zip([0, *ends], ends)]
 
 
 class _Reply(NamedTuple):
@@ -221,7 +279,7 @@ class _UrllibSession:
             return _Reply(err.code, b"")
 
 
-class RemoteCatalog:
+class RemoteCatalog(_Catalog):
     """HTTP catalog client: GET with lat/lon/radius, records come back as JSON.
 
     Credentials, when needed, are read from the environment variable named
@@ -240,7 +298,13 @@ class RemoteCatalog:
         self.session = session or _UrllibSession()
         self.skipped_records = 0
 
-    def query(self, lat: float, lon: float, radius: float) -> list[AccessPoint]:
+    def query_many(self, lat: Sequence[float], lon: Sequence[float],
+                   radius: float) -> list[tuple[AccessPoint, ...]]:
+        """One request per position, since the service answers one position
+        at a time; the first failure raises ``CatalogUnavailable``."""
+        return [self._ask(a, o, radius) for a, o in zip(lat, lon)]
+
+    def _ask(self, lat: float, lon: float, radius: float) -> tuple[AccessPoint, ...]:
         import http.client
 
         headers = {}
@@ -278,34 +342,54 @@ class RemoteCatalog:
             else:
                 aps.append(ap)
         # the service already filters; re-check locally so the contract holds
-        return LocalCatalog(aps).query(lat, lon, radius)
+        return LocalCatalog(aps).query_many([lat], [lon], radius)[0]
 
 
-class TtlCache:
-    """Thread-safe TTL cache in front of any catalog source."""
+class TtlCache(_Catalog):
+    """Thread-safe TTL cache in front of any catalog source.
+
+    A batch reads the clock once and sends every position without a live
+    entry to the catalog in one ``query_many`` call; a position repeated in
+    a batch is one miss, then hits. Entries are the catalog's tuples, so a
+    hit copies nothing.
+    """
 
     def __init__(self, catalog, ttl_s: float = 300.0, clock=time.monotonic) -> None:
+        # an entry must outlive its batch's clock reading, as it does in a
+        # loop of one-position batches
+        if not (ttl_s > 0.0):
+            raise ValidationError(f"cache ttl_s must be positive, got {ttl_s}")
         self.catalog = catalog
         self.ttl_s = ttl_s
         self.clock = clock
         self._lock = threading.Lock()
-        self._entries: dict[tuple, tuple[float, list[AccessPoint]]] = {}
+        self._entries: dict[tuple, tuple[float, tuple[AccessPoint, ...]]] = {}
         self.hits = 0
         self.misses = 0
 
-    def query(self, lat: float, lon: float, radius: float) -> list[AccessPoint]:
-        key = (round(lat, 7), round(lon, 7), round(radius, 3))
+    def query_many(self, lat: Sequence[float], lon: Sequence[float],
+                   radius: float) -> list[tuple[AccessPoint, ...]]:
+        r = round(radius, 3)
+        keys = [(round(a, 7), round(o, 7), r) for a, o in zip(lat, lon)]
         now = self.clock()
         with self._lock:
-            hit = self._entries.get(key)
-            if hit is not None and hit[0] > now:
-                self.hits += 1
-                return list(hit[1])
-        result = self.catalog.query(lat, lon, radius)
+            found = {key: entry[1] for key in keys
+                     if (entry := self._entries.get(key)) is not None and entry[0] > now}
+        # the first position of each key that has no live entry
+        missing: dict[tuple, tuple[float, float]] = {}
+        for key, a, o in zip(keys, lat, lon):
+            if key not in found:
+                missing.setdefault(key, (a, o))
+        answers = (self.catalog.query_many([a for a, _ in missing.values()],
+                                           [o for _, o in missing.values()], radius)
+                   if missing else [])
+        found.update(zip(missing, answers))
         with self._lock:
-            self.misses += 1
-            self._entries[key] = (now + self.ttl_s, list(result))
-        return list(result)
+            self.hits += len(keys) - len(missing)
+            self.misses += len(missing)
+            for key, aps in zip(missing, answers):
+                self._entries[key] = (now + self.ttl_s, aps)
+        return [found[key] for key in keys]
 
 
 def _record_to_ap(record) -> AccessPoint | None:
@@ -333,9 +417,13 @@ def query_aps(catalog, lat: float, lon: float, radius: float) -> list[AccessPoin
     """All catalog access points within ``radius`` meters of the position."""
     if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
         raise ValidationError(f"invalid coordinates ({lat}, {lon})")
+    _check_radius(radius)
+    return catalog.query(lat, lon, radius)
+
+
+def _check_radius(radius: float) -> None:
     if not (radius > 0.0):
         raise ValidationError("query radius must be positive")
-    return catalog.query(lat, lon, radius)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +431,9 @@ def query_aps(catalog, lat: float, lon: float, radius: float) -> list[AccessPoin
 
 
 def load_trajectory(path) -> list[TrajectorySample]:
-    """Read a ``t,lat,lon[,speed]`` CSV; a non-numeric first row is a header."""
+    """Read a ``t,lat,lon[,speed]`` CSV. The first row is a header when its
+    t, lat and lon cells hold no number; any other row that does not parse
+    is an error naming its line."""
     samples: list[TrajectorySample] = []
     for lineno, row in enumerate(csv.reader(read_utf8(path, "")), start=1):
         if not row or all(not cell.strip() for cell in row):
@@ -352,12 +442,20 @@ def load_trajectory(path) -> list[TrajectorySample]:
             t, lat, lon = (float(row[k]) for k in range(3))
             speed = float(row[3]) if len(row) > 3 and row[3].strip() else None
         except (ValueError, IndexError):
-            if lineno == 1:
+            if lineno == 1 and not any(map(_is_number, row[:3])):
                 continue  # header
             raise ValidationError(f"{path}:{lineno}: malformed trajectory row {row!r}")
         samples.append(TrajectorySample(t, lat, lon, speed))
     _check_trajectory(samples)
     return samples
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _check_trajectory(samples: Sequence[TrajectorySample]) -> np.ndarray:
@@ -551,21 +649,30 @@ def classify_trajectory(
     threshold_s: float = DEFAULT_LONG_THRESHOLD_S,
     query_radius_m: float = 500.0,
 ) -> list[CoverageEvent]:
-    """Query the catalog along the walk, then predict and classify.
+    """Ask the catalog once about every sample of the walk, then predict
+    coverage on the access points found and classify.
 
-    When the catalog is unreachable the classifier degrades to a single
-    conservative short-coverage event (both interfaces on) spanning the
-    whole trajectory; its duration is unknown and left unset.
+    The walk and the radius are checked first, so bad input raises
+    ``ValidationError`` whatever the catalog does. When the catalog is
+    unreachable the classifier degrades to a single conservative
+    short-coverage event (both interfaces on) spanning the whole trajectory;
+    its duration is unknown and left unset.
     """
     if len(trajectory) < 2:
         raise ValidationError("classification needs at least 2 samples")
+    _, lat, lon = _check_trajectory(trajectory)
+    _check_radius(query_radius_m)
     try:
-        seen: dict[tuple, AccessPoint] = {}
-        for sample in trajectory:
-            for ap in query_aps(catalog, sample.lat, sample.lon, query_radius_m):
-                seen[(ap.essid, ap.lat, ap.lon)] = ap
+        answers = catalog.query_many(lat.tolist(), lon.tolist(), query_radius_m)
     except CatalogUnavailable:
         return [
             CoverageEvent(trajectory[0].t, EventKind.EV_SHORT_WIFI, None, ())
         ]
+    # Each access point once, at its last listing (deduplicated by identity
+    # at C speed); of those at one (essid, lat, lon), the one listed last
+    # wins, as assigning every listing in walk order would keep.
+    listed = list(chain.from_iterable(answers))[::-1]
+    seen: dict[tuple, AccessPoint] = {}
+    for ap in reversed(dict(zip(map(id, listed), listed)).values()):
+        seen[(ap.essid, ap.lat, ap.lon)] = ap
     return classify(predict_coverage(trajectory, list(seen.values())), threshold_s)

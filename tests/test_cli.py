@@ -413,6 +413,19 @@ class TestOracle:
         assert err == (f"error: {walk}:3: malformed trajectory row"
                        " ['2', '45.07', '7.68', 'abc']\n")
 
+    def test_typo_in_first_row_of_headerless_walk_exit_2(self, capsys, tmp_path):
+        # "7.O" ends in the letter O; t and lat are numbers, so no header
+        walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"
+        walk.write_text("0,45.0,7.O\n1,45.0,7.0\n2,45.0,7.0001\n")
+        write_corridor_catalog(catalog)
+        code, out, err = run(capsys, "oracle", str(walk), str(catalog))
+        assert (code, out) == (2, "")
+        assert err == f"error: {walk}:1: malformed trajectory row ['0', '45.0', '7.O']\n"
+        for header in ("t,lat,lon", "time,latitude,longitude,speed", "t"):
+            walk.write_text(f"{header}\n0,45.0,7.0\n1,45.0,7.0001\n")
+            code, out, _ = run(capsys, "oracle", str(walk), str(catalog))
+            assert code == 0 and out.startswith("t=0.0 ")
+
     def test_invalid_coordinates_exit_2(self, capsys, tmp_path):
         walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"
         write_corridor_catalog(catalog)

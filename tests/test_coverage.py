@@ -134,6 +134,112 @@ class TestGeometry:
         assert {a.group for a in corridor} == {"campusnet"}
 
 
+def brute_force(aps, lat, lon):
+    """(distance, id) of every access point seen from one position, by a
+    distance to each: nearest first, then ESSID, then catalog index."""
+    found = sorted((haversine_m(lat, lon, a.lat, a.lon), a.essid, j) for j, a in enumerate(aps))
+    return [(d, id(aps[j])) for d, _, j in found]
+
+
+def within(ranked, radius):
+    return [i for d, i in ranked if d <= radius]
+
+
+def tied_catalog(seed=3):
+    """Masts on a 40 m grid around the equator, both poles and both sides
+    of the antimeridian, four ESSIDs; a mast carrying two ESSIDs and one
+    ESSID listed twice at one position, so distances and names tie."""
+    rng = np.random.default_rng(seed)
+    aps = []
+    for lat0, lon0 in ((0.0, 0.0), (89.9, 0.0), (-89.9, 120.0), (10.0, 180.0), (10.0, -180.0)):
+        for _ in range(40):
+            lat = lat0 + float(rng.integers(-4, 5)) * 40 * M
+            lon = lon0 + float(rng.integers(-4, 5)) * 40 * M / math.cos(math.radians(lat0))
+            if -90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0:
+                aps.append(AccessPoint(f"ap-{rng.integers(4)}", lat, lon))
+        aps.append(AccessPoint("mast-b", lat0, lon0))
+        aps.append(AccessPoint("mast-a", lat0, lon0, radius_m=80.0))
+        aps.append(AccessPoint("twice", lat0, lon0))
+        aps.append(AccessPoint("twice", lat0, lon0, radius_m=20.0))
+    return aps
+
+
+def positions_near(aps, seed=4):
+    """Every AP's own position, random positions up to ~400 m off the masts
+    on either side of the poles' and the antimeridian's seams, and positions
+    due north and south of the masts."""
+    rng = np.random.default_rng(seed)
+    lat, lon = [a.lat for a in aps], [a.lon for a in aps]
+    for a in aps[::7]:
+        for _ in range(3):
+            d_lat = float(rng.uniform(-1, 1)) * 400 * M
+            d_lon = float(rng.uniform(-1, 1)) * 400 * M / max(math.cos(math.radians(a.lat)), 1e-3)
+            lat.append(min(max(a.lat + d_lat, -90.0), 90.0))
+            lon.append((a.lon + d_lon + 180.0) % 360.0 - 180.0)
+        # due north and south, just inside the radii tested: the edge of the band
+        for r in (100.0, 250.0, 1000.0):
+            for sign in (1, -1):
+                lat.append(min(max(a.lat + sign * r * (1 - 1e-7) * M, -90.0), 90.0))
+                lon.append(a.lon)
+    lat += [89.9, -89.9, 90.0, -90.0, 10.0, 10.0]
+    lon += [180.0, -180.0, 0.0, 0.0, 180.0, -180.0]
+    return lat, lon
+
+
+class TestQueryMany:
+    """``LocalCatalog.query_many`` against a distance to every access point."""
+
+    def test_matches_brute_force_by_identity_and_order(self):
+        aps = tied_catalog()
+        lat, lon = positions_near(aps)
+        ranked = [brute_force(aps, a, o) for a, o in zip(lat, lon)]
+        catalog = LocalCatalog(aps)
+        for radius in (-1.0, 0.0, 1.0, 100.0, 250.0, 1000.0, 3e7, math.inf, math.nan):
+            answers = catalog.query_many(lat, lon, radius)
+            assert len(answers) == len(lat)
+            for answer, expected in zip(answers, ranked):
+                assert type(answer) is tuple
+                assert [id(x) for x in answer] == within(expected, radius)
+
+    def test_ties_ordered_by_essid_then_catalog_index(self):
+        aps = [ap("twice", 0, 50), ap("near", 10, 50), ap("mast-b", 0, 50),
+               ap("twice", 0, 20), ap("mast-a", 0, 80)]
+        found = LocalCatalog(aps).query_many([0.0, 0.0], [0.0, 8 * M], 20.0)
+        assert [(a.essid, a.radius_m) for a in found[0]] == [
+            ("mast-a", 80), ("mast-b", 50), ("twice", 50), ("twice", 20), ("near", 50)]
+        assert [a.essid for a in found[1]] == ["near", "mast-a", "mast-b", "twice", "twice"]
+
+    def test_band_wider_than_the_catalog_and_whole_globe(self):
+        aps = tied_catalog()
+        everything = LocalCatalog(aps).query_many([0.0, -90.0], [0.0, 180.0], 3e7)
+        for answer, (lat, lon) in zip(everything, ((0.0, 0.0), (-90.0, 180.0))):
+            assert len(answer) == len(aps)
+            assert [id(a) for a in answer] == within(brute_force(aps, lat, lon), 3e7)
+
+    def test_empty_catalog_and_empty_batch(self):
+        assert LocalCatalog([]).query_many([0.0, 45.0], [0.0, 7.0], 500.0) == [(), ()]
+        assert LocalCatalog([]).query(0.0, 0.0, 500.0) == []
+        assert LocalCatalog(tied_catalog()).query_many([], [], 500.0) == []
+
+    def test_single_position_is_query(self):
+        aps = tied_catalog()
+        catalog = LocalCatalog(aps)
+        lat, lon = positions_near(aps)
+        for a, o in zip(lat[::5], lon[::5]):
+            found = catalog.query(a, o, 250.0)
+            assert type(found) is list
+            assert [id(x) for x in found] == [id(x) for x in catalog.query_many([a], [o], 250.0)[0]]
+            assert [id(x) for x in found] == within(brute_force(aps, a, o), 250.0)
+
+    def test_batch_split_into_parts(self, monkeypatch):
+        aps = tied_catalog()
+        lat, lon = positions_near(aps)
+        whole = LocalCatalog(aps).query_many(lat, lon, 250.0)
+        monkeypatch.setattr(coverage, "_BATCH_PAIRS", 50)
+        split = LocalCatalog(aps).query_many(lat, lon, 250.0)
+        assert [[id(a) for a in t] for t in split] == [[id(a) for a in t] for t in whole]
+
+
 class TestPredictCoverage:
     def test_single_ap_chord_duration(self):
         # 30 m disc centered on a 1 m/s path: covered for the 60 m chord
@@ -493,6 +599,22 @@ class TestUseCases:
         assert apply_policy(middle).active_umts is True
         assert apply_policy(middle).active_wifi is False
 
+    def test_last_access_point_listed_at_one_place_wins(self):
+        wide, narrow = ap("dup", 50, 40), ap("dup", 50, 10)
+        # a catalog lists both, in catalog order: the narrow disc, listed last
+        events = classify_trajectory(walk(100), LocalCatalog([wide, narrow]), 15.0)
+        assert [(e.kind, e.duration) for e in events][1] == (
+            EventKind.EV_LONG_WIFI, pytest.approx(20.0, abs=1e-6))
+
+        class Scripted:
+            def query_many(self, lat, lon, radius):
+                return [(wide,)] + [(narrow,)] * 50 + [(wide,)] * (len(lat) - 51)
+
+        # wide is listed first and last: the last listing wins
+        events = classify_trajectory(walk(100), Scripted(), 15.0)
+        assert [(e.kind, e.duration) for e in events][1] == (
+            EventKind.EV_LONG_WIFI, pytest.approx(80.0, abs=1e-6))
+
 
 class TestCatalogFiles:
     def test_fixture_roundtrip(self, tmp_path):
@@ -668,12 +790,55 @@ class TestRemoteCatalog:
         with pytest.raises(ValidationError, match="http"):
             RemoteCatalog(url, session=FakeSession())
 
+    def test_one_request_per_position(self):
+        session = FakeSession(FakeResponse(payload=[self.RECORD]))
+        track = walk(100)
+        events = classify_trajectory(track, RemoteCatalog("http://x", session=session))
+        assert [e.kind for e in events] == [EventKind.EV_LONG_WIFI, EventKind.EV_NO_WIFI]
+        assert [(c["params"]["lat"], c["params"]["lon"]) for c in session.calls] == [
+            (s.lat, s.lon) for s in track]
+        # behind a cache: one request per distinct position
+        session.calls.clear()
+        cache = TtlCache(RemoteCatalog("http://x", session=session))
+        classify_trajectory(track + [TrajectorySample(101 + i, s.lat, s.lon)
+                                     for i, s in enumerate(track[::-1])], cache)
+        assert len(session.calls) == len(track) == cache.misses
+
+    def test_first_failure_stops_the_walk_and_degrades(self):
+        class FailsThird(FakeSession):
+            def get(self, url, params=None, headers=None, timeout=None):
+                if len(self.calls) == 2:
+                    self.error = TimeoutError("slow")
+                return super().get(url, params, headers, timeout)
+
+        session = FailsThird(FakeResponse(payload=[self.RECORD]))
+        events = classify_trajectory(walk(100), RemoteCatalog("http://x", session=session))
+        assert [e.kind for e in events] == [EventKind.EV_SHORT_WIFI]
+        assert events[0].duration is None
+        assert len(session.calls) == 3
+
     def test_unavailable_degrades_to_short_wifi(self):
         session = FakeSession(error=TimeoutError("slow"))
         catalog = RemoteCatalog("http://x", session=session)
         events = classify_trajectory(walk(100), catalog)
         assert [e.kind for e in events] == [EventKind.EV_SHORT_WIFI]
         assert apply_policy(events[0]) == NicActivation(True, True)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda track: track[:3] + [track[2]] + track[3:], r"increase \(2\.0 then 2\.0\)"),
+        (lambda track: track[:5] + [TrajectorySample(5, 95.0, 0.0)] + track[6:],
+         r"^trajectory sample 5 \(t=5\) has invalid coordinates \(95\.0, 0\.0\)"),
+        (lambda track: track[:7] + [TrajectorySample(math.nan, 0.0, 0.0)] + track[8:],
+         "^trajectory sample 7 has a non-finite timestamp"),
+    ])
+    def test_bad_walk_rejected_before_the_catalog_is_asked(self, change, message):
+        session = FakeSession(error=TimeoutError("slow"))
+        with pytest.raises(ValidationError, match=message):
+            classify_trajectory(change(walk(10)), RemoteCatalog("http://x", session=session))
+        with pytest.raises(ValidationError, match="query radius must be positive"):
+            classify_trajectory(walk(10), RemoteCatalog("http://x", session=session),
+                                query_radius_m=0.0)
+        assert session.calls == []
 
 
 @contextlib.contextmanager
@@ -807,6 +972,69 @@ class TestTtlCache:
         cache = TtlCache(LocalCatalog([ap("one", 50, 30)]), ttl_s=60.0)
         assert len(cache.query(0.0, 0.0, 100.0)) == 1
         assert cache.query(0.0, 0.0, 10.0) == []
+
+    @staticmethod
+    def retraced_walk():
+        """Positions along the corridor with repeats, within and across walks."""
+        there = [(0.0, x * 7 * M) for x in range(40)]
+        return there + there[::-1] + there[5:15]
+
+    def test_batch_counts_equal_the_per_position_loop(self):
+        aps = corridor_catalog()
+        loop = TtlCache(LocalCatalog(aps), ttl_s=60.0, clock=lambda: 0.0)
+        batch = TtlCache(LocalCatalog(aps), ttl_s=60.0, clock=lambda: 0.0)
+        for radius in (100.0, 100.0004, 250.0):
+            positions = self.retraced_walk()
+            one_by_one = [loop.query(a, o, radius) for a, o in positions]
+            lat, lon = zip(*positions)
+            together = batch.query_many(lat, lon, radius)
+            assert [[id(x) for x in t] for t in together] == [
+                [id(x) for x in t] for t in one_by_one]
+            assert (batch.hits, batch.misses) == (loop.hits, loop.misses)
+        # 40 distinct positions; 100.0004 m rounds to the key of 100 m
+        assert (batch.hits, batch.misses) == (190, 80)
+
+    def test_repeated_position_is_one_miss_in_one_call(self):
+        class Counting(LocalCatalog):
+            def query_many(self, lat, lon, radius):
+                batches.append(list(zip(lat, lon)))
+                return super().query_many(lat, lon, radius)
+
+        batches = []
+        cache = TtlCache(Counting(corridor_catalog()), ttl_s=60.0)
+        lat, lon = zip(*self.retraced_walk())
+        first = cache.query_many(lat, lon, 100.0)
+        assert batches == [list(zip(lat, lon))[:40]]
+        assert (cache.hits, cache.misses) == (50, 40)
+        # a hit is the stored tuple itself; a fully cached batch asks nothing
+        again = cache.query_many(lat, lon, 100.0)
+        assert all(a is b for a, b in zip(again, first)) and len(batches) == 1
+        assert (cache.hits, cache.misses) == (140, 40)
+
+    def test_batch_entries_expire(self):
+        clock = {"now": 0.0}
+        cache = TtlCache(LocalCatalog(corridor_catalog()), ttl_s=60.0,
+                         clock=lambda: clock["now"])
+        lat, lon = zip(*self.retraced_walk())
+        cache.query_many(lat, lon, 100.0)
+        clock["now"] = 59.9
+        cache.query_many(lat[:40], lon[:40], 100.0)
+        assert (cache.hits, cache.misses) == (90, 40)
+        clock["now"] = 60.0
+        cache.query_many(lat[:40], lon[:40], 100.0)
+        assert (cache.hits, cache.misses) == (90, 80)
+
+    @pytest.mark.parametrize("ttl_s", [0.0, -1.0, math.nan])
+    def test_ttl_must_be_positive(self, ttl_s):
+        with pytest.raises(ValidationError, match=f"^cache ttl_s must be positive, got {ttl_s}$"):
+            TtlCache(LocalCatalog([]), ttl_s=ttl_s)
+
+    def test_mutating_an_answer_leaves_the_cache(self):
+        cache = TtlCache(LocalCatalog([ap("one", 50, 30)]), ttl_s=60.0)
+        found = cache.query(0.0, 0.0, 100.0)
+        found.clear()
+        assert [a.essid for a in cache.query(0.0, 0.0, 100.0)] == ["one"]
+        assert [a.essid for a in cache.query_many([0.0], [0.0], 100.0)[0]] == ["one"]
 
 
 class TestExtrapolate:
