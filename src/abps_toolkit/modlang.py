@@ -810,9 +810,6 @@ class ComposedChain:
     def value(self, index: int, var: str) -> int:
         return self.states[index][self.var_names.index(var)]
 
-    def states_where(self, predicate: Callable[[dict[str, int]], bool]) -> list[int]:
-        return [i for i in range(self.n_states) if predicate(self.assignment(i))]
-
 
 @dataclass(frozen=True)
 class ChainBatch:

@@ -20,14 +20,19 @@ Mechanics worth knowing:
 - The relay and the acknowledgment channel are reliable; ACKs arrive after
   a configurable fixed delay (0 = instantaneous). With a delay larger than
   the ACK timeout every datagram is retransmitted at least once, which is
-  the easiest way to exercise duplicate suppression.
+  the easiest way to exercise duplicate suppression. With a delay no larger
+  than the timeout, the ACK of a connected send wins over its timeout (a
+  tie goes to the ACK), so it is settled at send time: the datagram leaves
+  ``pending`` at once and counts as acknowledged if the ACK falls due
+  within the run. Its timeout, the only event that could tell, does nothing.
 - Each interface and the oracle hold at most one pending transition, so
   each has a clock: the time it next moves, ``inf`` when it has none. A
   transition is cancelled or redrawn by overwriting its clock. Traffic
   comes from three other sources: the time of the next datagram, which
-  advances by the fixed period, and two FIFOs of pending ACKs and
-  timeouts. Each FIFO entry lies a fixed delay after its send and simulated
-  time never runs backwards, so each FIFO is already in time and
+  advances by the fixed period, and two FIFOs: the timeouts of lost sends
+  and, only with an ACK delay above the timeout, the ACKs and timeouts of
+  connected sends. Each FIFO entry lies a fixed delay after its send and
+  simulated time never runs backwards, so each FIFO is already in time and
   scheduling order. Only a state event moves a clock, so the loop finds the
   earliest clock once per state event and serves the traffic due strictly
   before it. Ties break by event class (oracle, interface, datagram, ACK,
@@ -74,8 +79,6 @@ ORACLE_STATE_NAMES = {ORACLE_U: "O_U", ORACLE_UW: "O_UW", ORACLE_W: "O_W"}
 # Trace event of an oracle move, by the state it enters.
 _ORACLE_EVENTS = {ORACLE_U: "EV_NO_WIFI", ORACLE_UW: "EV_SHORT_WIFI", ORACLE_W: "EV_LONG_WIFI"}
 
-# Traffic sources in tie-breaking order; state events go before all three.
-_EV_DATA, _EV_ACK, _EV_TIMEOUT = range(3)
 # The phase an interface's transition enters; a failed setup returns to
 # disconnected, and an off interface has no clock.
 _NEXT_PHASE = (PHASE_OFF, PHASE_SETUP, PHASE_CONNECTED, PHASE_FAILED, PHASE_DISCONNECTED)
@@ -131,8 +134,6 @@ class Datagram:
     """One application datagram; sequence numbers are unique per flow."""
 
     seq: int
-    created: float
-    size_bits: int
     nic: str | None = None
     attempts: int = 0
 
@@ -199,7 +200,6 @@ class _Simulation:
         self.timeouts: deque[tuple[float, int]] = deque()
         self.ack_delay = config.ack_delay
         self.ack_timeout = config.ack_timeout
-        self.size_bits = config.datagram_bytes * 8
 
         r = resolved_rates(params, mode)
         self.umts = _nic_state("UMTS", r["alpha_U"], r["umts_setup_success"],
@@ -230,10 +230,9 @@ class _Simulation:
         self.oracle_sojourn_sum = {ORACLE_U: 0.0, ORACLE_UW: 0.0, ORACLE_W: 0.0}
         self.oracle_sojourn_cnt = {ORACLE_U: 0, ORACLE_UW: 0, ORACLE_W: 0}
 
-        self.next_seq = 0
+        self.next_seq = 0  # also the count of datagrams generated
         self.pending: dict[int, Datagram] = {}
         self.parked: deque[Datagram] = deque()
-        self.generated = 0
         self.acked = 0
         self.delivered = 0
         self.duplicates = 0
@@ -261,7 +260,8 @@ class _Simulation:
         self.last_scheduled = nic
         if new == PHASE_CONNECTED:
             self.available.add(nic.technology)
-            self._flush_parked()
+            if self.parked:
+                self._flush_parked()
         elif phase == PHASE_FAILED:
             # only now does the proxy learn the connection dropped
             self.available.discard(nic.technology)
@@ -327,27 +327,24 @@ class _Simulation:
     # -- traffic ---------------------------------------------------------------
 
     def _preferred(self, exclude: str | None = None) -> str | None:
-        for tech in ("WiFi", "UMTS"):
-            if tech in self.available and tech != exclude:
-                return tech
+        available = self.available
+        if "WiFi" in available and exclude != "WiFi":
+            return "WiFi"
+        if "UMTS" in available and exclude != "UMTS":
+            return "UMTS"
         return None
 
     def _generate(self) -> None:
         seq = self.next_seq
-        self.next_seq += 1
-        self.generated += 1
-        datagram = Datagram(seq, self.now, self.size_bits)
-        self.pending[seq] = datagram
-        self._send(datagram)
-
-    def _send(self, datagram: Datagram) -> None:
+        self.next_seq = seq + 1
+        datagram = self.pending[seq] = Datagram(seq)
         tech = self._preferred()
         if tech is None:
             self.parked.append(datagram)
             if self.trace is not None:
-                self.trace(self.now, "proxy", "park", f"seq={datagram.seq}")
-            return
-        self._transmit(datagram, tech)
+                self.trace(self.now, "proxy", "park", f"seq={seq}")
+        else:
+            self._transmit(datagram, tech)
 
     def _transmit(self, datagram: Datagram, tech: str) -> None:
         nic = self.nics[tech]
@@ -358,36 +355,41 @@ class _Simulation:
         if self.trace is not None:
             self.trace(self.now, f"nic:{tech}", "send",
                        f"seq={datagram.seq} attempt={datagram.attempts} active={nic.active}")
-        if nic.phase == PHASE_CONNECTED:
-            self._receive(datagram)
-            if self.ack_delay <= 0.0:
-                self._ack(datagram.seq)
-            else:
-                self.acks.append((self.now + self.ack_delay, datagram.seq))
-                self.timeouts.append((self.now + self.ack_timeout, datagram.seq))
-        else:
+        seq, now = datagram.seq, self.now
+        if nic.phase != PHASE_CONNECTED:
             # failed but not yet detected: the datagram is lost in transit
             self.lost_sends += 1
-            self.timeouts.append((self.now + self.ack_timeout, datagram.seq))
-
-    def _receive(self, datagram: Datagram) -> None:
-        seq = datagram.seq
-        if seq < self.next_expected or seq in self.reorder:
-            self.duplicates += 1
-            if self.trace is not None:
-                self.trace(self.now, "relay", "duplicate", f"seq={seq}")
+            self.timeouts.append((now + self.ack_timeout, seq))
             return
-        self.reorder.add(seq)
-        while self.next_expected in self.reorder:
-            self.reorder.remove(self.next_expected)
+        self._receive(seq)
+        if self.ack_delay <= self.ack_timeout:
+            # the ACK beats the timeout or ties and goes first: settle it now
+            del self.pending[seq]
+            if now + self.ack_delay <= self.config.duration:
+                self.acked += 1
+        else:
+            self.acks.append((now + self.ack_delay, seq))
+            self.timeouts.append((now + self.ack_timeout, seq))
+
+    def _receive(self, seq: int) -> None:
+        if seq != self.next_expected:
+            if seq < self.next_expected or seq in self.reorder:
+                self.duplicates += 1
+                if self.trace is not None:
+                    self.trace(self.now, "relay", "duplicate", f"seq={seq}")
+            else:
+                self.reorder.add(seq)
+            return
+        # in order: deliver it and every held datagram it releases
+        while True:
             self.delivered += 1
             if self.trace is not None:
-                self.trace(self.now, "app", "deliver", f"seq={self.next_expected}")
-            self.next_expected += 1
-
-    def _ack(self, seq: int) -> None:
-        if self.pending.pop(seq, None) is not None:
-            self.acked += 1
+                self.trace(self.now, "app", "deliver", f"seq={seq}")
+            seq += 1
+            if seq not in self.reorder:
+                break
+            self.reorder.remove(seq)
+        self.next_expected = seq
 
     def _timeout(self, seq: int) -> None:
         datagram = self.pending.get(seq)
@@ -395,9 +397,8 @@ class _Simulation:
             return  # acknowledged in the meantime
         if self.trace is not None:
             self.trace(self.now, "proxy", "timeout", f"seq={seq}")
-        alternative = self._preferred(exclude=datagram.nic)
-        if alternative is None and datagram.nic in self.available:
-            alternative = datagram.nic  # sole usable interface: retry there
+        # another usable interface, else retry on the same one if usable
+        alternative = self._preferred(exclude=datagram.nic) or self._preferred()
         if alternative is None:
             self.parked.append(datagram)
             if self.trace is not None:
@@ -406,14 +407,12 @@ class _Simulation:
             self._transmit(datagram, alternative)
 
     def _flush_parked(self) -> None:
-        while self.parked:
-            if self.parked[0].seq not in self.pending:
-                self.parked.popleft()  # acknowledged while parked
-                continue
-            tech = self._preferred()
-            if tech is None:
-                return
-            self._transmit(self.parked.popleft(), tech)
+        # an interface has just connected, and no send changes availability
+        tech = self._preferred()
+        for datagram in self.parked:
+            if datagram.seq in self.pending:  # else acknowledged while parked
+                self._transmit(datagram, tech)
+        self.parked.clear()
 
     # -- main loop --------------------------------------------------------------
 
@@ -429,9 +428,9 @@ class _Simulation:
 
         duration = cfg.duration
         past_end = math.nextafter(duration, math.inf)  # t < past_end: t <= duration
-        acks, timeouts = self.acks, self.timeouts
+        acks, timeouts, pending = self.acks, self.timeouts, self.pending
         nic_fire, oracle_fire = self._nic_fire, self._oracle_fire
-        generate, ack, timeout = self._generate, self._ack, self._timeout
+        generate, timeout = self._generate, self._timeout
         while True:
             # the next state event: the oracle wins a tie, then the
             # interface whose clock was set first
@@ -444,19 +443,20 @@ class _Simulation:
             # only when strictly earlier than the ones before it
             stop = when if when < past_end else past_end
             while True:
-                t, kind = next_data, _EV_DATA
+                t, source = next_data, None
                 if acks and acks[0][0] < t:
-                    t, kind = acks[0][0], _EV_ACK
+                    t, source = acks[0][0], acks
                 if timeouts and timeouts[0][0] < t:
-                    t, kind = timeouts[0][0], _EV_TIMEOUT
+                    t, source = timeouts[0][0], timeouts
                 if t >= stop:
                     break
                 self.now = t
-                if kind == _EV_DATA:
+                if source is None:
                     next_data = t + period
                     generate()
-                elif kind == _EV_ACK:
-                    ack(acks.popleft()[1])
+                elif source is acks:
+                    if pending.pop(acks.popleft()[1], None) is not None:
+                        self.acked += 1
                 else:
                     timeout(timeouts.popleft()[1])
             if when > duration:
@@ -488,7 +488,7 @@ class _Simulation:
             power_w=power / duration,
             throughput_mbps=throughput / duration,
             goodput_mbps=self.acked * cfg.datagram_bytes * 8 / duration / 1e6,
-            generated=self.generated,
+            generated=self.next_seq,
             acked=self.acked,
             delivered_in_order=self.delivered,
             duplicates=self.duplicates,

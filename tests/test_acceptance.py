@@ -158,7 +158,7 @@ def test_criterion_4_impossible_states():
                 assignment["s_oracle"] == 1 and assignment["s_W"] != 0
             )
 
-        assert not chain.states_where(impossible)
+        assert not [i for i in range(chain.n_states) if impossible(chain.assignment(i))]
         mass = sum(
             dist.probabilities[i]
             for i in range(chain.n_states)

@@ -184,9 +184,10 @@ class TestTraffic:
         m = simulate(params, cfg, "plain")
         assert m.duplicates > 0
         assert m.retransmissions > 0
-        # each sequence number is delivered to the application at most once
+        # each sequence number is delivered to the application at most once,
+        # and every duplicate receipt is a resend
         assert m.delivered_in_order <= m.generated
-        assert m.delivered_in_order + m.parked_at_end >= 0
+        assert m.duplicates <= m.retransmissions
 
     def test_exactly_once_delivery_with_losses(self):
         params = default_params(T_W_minus=5.0, T_W_plus=40.0)
@@ -404,9 +405,9 @@ class TestBlocks:
         assert got == want.tolist()
 
 
-def trace_digest(config, variant, mode="text"):
+def trace_digest(config, variant, mode="text", params=None):
     digest = hashlib.sha256()
-    simulate(default_params(), config, variant, mode,
+    simulate(params or default_params(), config, variant, mode,
              trace=lambda *record: digest.update(f"{record!r}\n".encode()))
     return digest.hexdigest()
 
@@ -428,3 +429,29 @@ class TestStream:
     ], ids=["plain-idle", "oracle-idle-appendix", "oracle-duplicates", "oracle-traffic"])
     def test_trace_digest(self, config, variant, mode, want):
         assert trace_digest(config, variant, mode) == want
+
+    # runs where ACK timing decides the counters: generated, acked,
+    # delivered_in_order, duplicates, retransmissions, lost_sends,
+    # parked_at_end. An ACK that falls due past the end is not counted.
+    @pytest.mark.parametrize("config, variant, params, counters, want", [
+        # ACK delay equal to the timeout, so each ACK ties its timeout
+        (SimConfig(duration=500.0, seed=17, data_rate=20.0, ack_delay=0.5, ack_timeout=0.5),
+         "oracle", dict(T_W_minus=5.0, T_W_plus=40.0), (9999, 9989, 9999, 0, 162, 162, 0),
+         "257bd32f64c90cc7ca4a4bd36dd59fcf85a630206771a4ec3a50478f861a5ccc"),
+        # the ACKs of the last 0.2 s of sends fall past the end
+        (SimConfig(duration=50.1, seed=6, data_rate=50.0, ack_delay=0.2),
+         "oracle", {}, (2504, 2494, 2504, 0, 4, 4, 0),
+         "2bf11313acbf8230682bf8751d69736790c11ea8e6b6f279ea4779fbc088c28a"),
+        # sends at multiples of 0.25 s: the ACK of the send at 99.5 s falls
+        # due at exactly the end and counts, the two after it do not
+        (SimConfig(duration=100.0, seed=1, data_rate=4.0, ack_delay=0.5),
+         "plain", {}, (400, 398, 400, 0, 22, 22, 0),
+         "abe73d38e47bed767ae1c352858661c0fc211d10165c8c89ee2b09424281d008"),
+    ], ids=["ack-ties-timeout", "acks-past-end", "ack-due-at-end"])
+    def test_ack_edges(self, config, variant, params, counters, want):
+        params = default_params(**params)
+        assert trace_digest(config, variant, params=params) == want
+        m = simulate(params, config, variant)
+        assert (m.generated, m.acked, m.delivered_in_order, m.duplicates,
+                m.retransmissions, m.lost_sends, m.parked_at_end) == counters
+        assert m.goodput_mbps == m.acked * 1250 * 8 / config.duration / 1e6
