@@ -209,23 +209,46 @@ def _check_type(expr: Expr, want: str) -> None:
         _check_type(operand, takes)
 
 
-def eval_expr(expr: Expr, env: Mapping[str, float]) -> float | bool:
+def eval_expr(
+    expr: Expr, env: Mapping[str, object], bad: list | None = None
+) -> float | bool | np.ndarray:
     """Evaluate the checked expression ``expr`` (every spec is checked as
-    :func:`compile` reads it) under ``env``: constants plus variable values,
-    all floats. The most frequent node types are tested first."""
+    :func:`compile` reads it) under ``env``: constants plus variable values.
+    The most frequent node types are tested first.
+
+    With ``bad`` None this is the scalar rule: values are Python floats and
+    bools, a division by zero raises :class:`CompositionError`, and a
+    conditional evaluates only the branch its test picks. With ``bad`` a
+    one-element list holding a mask over points it is the array rule:
+    values are numpy arrays over the points (0-d where the same at every
+    point), a conditional evaluates both branches, and ``bad[0]`` gathers
+    the points at which the scalar rule raises. Callers of the array rule
+    silence numpy's floating-point warnings, as Python floats give inf or
+    NaN without one.
+    """
     if isinstance(expr, Binary):
-        lhs, rhs = eval_expr(expr.left, env), eval_expr(expr.right, env)
+        lhs, rhs = eval_expr(expr.left, env, bad), eval_expr(expr.right, env, bad)
+        if bad is not None and expr.op == "/":
+            bad[0] |= rhs == 0.0
         try:
             return _OPERATORS[expr.op][0](lhs, rhs)
         except ZeroDivisionError:
             raise CompositionError(f"division by zero in {format_expr(expr)}")
     if isinstance(expr, Ident):
-        return _lookup(env, expr.name)
+        value = _lookup(env, expr.name)
+        return value if bad is None else np.asarray(value, dtype=float)
     if isinstance(expr, (Num, Bool)):
-        return expr.value
+        return expr.value if bad is None else np.asarray(expr.value)
     if isinstance(expr, Cond):
-        return eval_expr(expr.then if eval_expr(expr.test, env) else expr.orelse, env)
-    return -eval_expr(expr.operand, env)  # Unary
+        test = eval_expr(expr.test, env, bad)
+        if bad is None:
+            return eval_expr(expr.then if test else expr.orelse, env)
+        then_bad, orelse_bad = [False], [False]
+        then = eval_expr(expr.then, env, then_bad)
+        orelse = eval_expr(expr.orelse, env, orelse_bad)
+        bad[0] |= np.where(test, then_bad[0], orelse_bad[0])
+        return np.where(test, then, orelse)
+    return -eval_expr(expr.operand, env, bad)  # Unary
 
 
 def _lookup(env: Mapping[str, object], name: str):
@@ -969,7 +992,7 @@ class Program:
         consts = _resolve_constants(self.constants, bindings)
         walk = self._walk
         if walk is not None:
-            fits, q, rewards = walk.replay(consts, _Points(1))
+            fits, q, rewards = walk.replay(consts, [np.zeros(1, dtype=bool)])
             if fits[0]:
                 return walk.make_chain(GeneratorMatrix(len(walk.states), q[0]),
                                        {rname: vec[0] for rname, vec in rewards.items()})
@@ -1010,16 +1033,15 @@ class Program:
         step = max(1, _STACK_BYTES // (8 * n * n))
         for start in range(first, size, step):
             rows = slice(start, min(start + step, size))
-            points = _Points(rows.stop - rows.start)
+            bad = [np.zeros(rows.stop - rows.start, dtype=bool)]
             try:
                 with np.errstate(all="ignore"):  # as Python floats: inf or NaN, no warning
                     consts = _resolve_constants(
                         self.constants,
-                        {name: c[rows] if c.ndim else c for name, c in columns.items()},
-                        points.number, points.column)
+                        {name: c[rows] if c.ndim else c for name, c in columns.items()}, bad)
             except ModelError:  # every point fails alike
                 continue
-            fits, q, vectors = walk.replay(consts, points)
+            fits, q, vectors = walk.replay(consts, bad)
             for rname, vec in vectors.items():
                 rewards[rname][rows] = vec
             picked = np.flatnonzero(fits)
@@ -1227,18 +1249,19 @@ class _Walk:
         return rewards
 
     def replay(
-        self, consts: Mapping[str, object], points: "_Points"
+        self, consts: Mapping[str, object], bad: list
     ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
-        """The walk replayed at ``points`` at once: the mask of the points it
-        fits, with no value that raises or that the walk would reject, and
-        each point's generator matrix and reward vectors."""
-        n = len(self.states)
-        values = np.empty((points.size, 2 + len(self.slots)))
+        """The walk replayed at once at the points of the mask ``bad[0]``,
+        which already holds those where a constant fails: the mask of the
+        points it fits, with no value that raises or that the walk would
+        reject, and each point's generator matrix and reward vectors."""
+        n, size = len(self.states), len(bad[0])
+        values = np.empty((size, 2 + len(self.slots)))
         values[:, _ONE], values[:, _ZERO] = 1.0, 0.0
         with np.errstate(all="ignore"):  # as Python floats: inf or NaN, no warning
             for k, (_, expr, extra) in enumerate(self.slots, start=2):
-                values[:, k] = points.number(expr, {**consts, **extra} if extra else consts)
-            fits = ~points.bad & ~(values[:, self.rate_slots] < 0.0).any(axis=1)
+                values[:, k] = eval_expr(expr, {**consts, **extra} if extra else consts, bad)
+            fits = ~bad[0] & ~(values[:, self.rate_slots] < 0.0).any(axis=1)
             for name, value in self.guard_env.items():
                 fits &= consts[name] == value
             rates = self.rates(values)
@@ -1246,8 +1269,8 @@ class _Walk:
             rates = rates[:, self.live]
             # One flat bincount over point, source and target sums parallel
             # transitions in walk order, as generator() does for one point.
-            flat = (np.arange(points.size)[:, np.newaxis] * (n * n) + self.cells).ravel()
-            q = np.bincount(flat, weights=rates.ravel(), minlength=points.size * n * n)
+            flat = (np.arange(size)[:, np.newaxis] * (n * n) + self.cells).ravel()
+            q = np.bincount(flat, weights=rates.ravel(), minlength=size * n * n)
             q = q.astype(float, copy=False).reshape(-1, n * n)  # empty input counts in ints
             exit_rates = q.reshape(-1, n, n).sum(axis=2)
             q[:, :: n + 1] = -exit_rates  # the diagonal
@@ -1272,55 +1295,13 @@ class _Walk:
         return ComposedChain(generator, self.var_names, self.states, 0, rewards)
 
 
-class _Points:
-    """:func:`eval_expr` at many points at once. A value is a float or bool
-    array over the points, or a 0-d one where it is the same at every
-    point; ``bad`` collects the points at which :func:`eval_expr` raises.
-    Callers silence numpy's floating-point warnings, as Python floats give
-    inf or NaN without one."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.bad = np.zeros(size, dtype=bool)
-
-    def column(self, value) -> np.ndarray:
-        return np.asarray(value, dtype=float)
-
-    def number(self, expr: Expr, env: Mapping[str, object]) -> np.ndarray:
-        value, bad = self.value(expr, env)
-        if bad is not False:  # an expression that cannot fail leaves bad alone
-            self.bad |= bad
-        return value
-
-    def value(self, expr: Expr, env: Mapping[str, object]) -> tuple[np.ndarray, object]:
-        """The values of ``expr`` and the points where evaluating it raises."""
-        if isinstance(expr, (Num, Bool)):
-            return np.asarray(expr.value), False
-        if isinstance(expr, Ident):
-            return np.asarray(_lookup(env, expr.name), dtype=float), False
-        if isinstance(expr, Cond):
-            (test, test_bad), (then, then_bad), (orelse, orelse_bad) = (
-                self.value(e, env) for e in (expr.test, expr.then, expr.orelse))
-            # eval_expr evaluates only the branch the test picks
-            return np.where(test, then, orelse), test_bad | np.where(test, then_bad, orelse_bad)
-        if isinstance(expr, Unary):
-            value, bad = self.value(expr.operand, env)
-            return -value, bad
-        (lhs, lhs_bad), (rhs, rhs_bad) = self.value(expr.left, env), self.value(expr.right, env)
-        zero = rhs == 0.0 if expr.op == "/" else False
-        return _OPERATORS[expr.op][0](lhs, rhs), lhs_bad | rhs_bad | zero
-
-
 def _resolve_constants(
-    constants: Mapping[str, Expr | None],
-    bindings: Mapping[str, object],
-    evaluate: Callable[[Expr, Mapping], object] = eval_expr,
-    convert: Callable[[object], object] = float,
+    constants: Mapping[str, Expr | None], bindings: Mapping[str, object], bad: list | None = None
 ) -> dict:
-    """Every constant's value: bound ones through ``convert``, defined ones
-    through ``evaluate`` (``float`` and ``eval_expr`` at one point, or
-    their :class:`_Points` forms)."""
-    env = _ConstantEnv(constants, bindings, evaluate, convert)
+    """Every constant's value by the rule ``bad`` picks in :func:`eval_expr`:
+    a float per constant (bound ones through ``float``), or an array over
+    the points (bound ones given as float arrays)."""
+    env = _ConstantEnv(constants, bindings, bad)
     for name in constants:
         env[name]
     return dict(env)
@@ -1333,10 +1314,9 @@ class _ConstantEnv(dict):
     reference counting alone.
     """
 
-    def __init__(self, constants, bindings, evaluate, convert):
+    def __init__(self, constants, bindings, bad):
         super().__init__()
-        self.constants, self.bindings = constants, bindings
-        self.evaluate, self.convert = evaluate, convert
+        self.constants, self.bindings, self.bad = constants, bindings, bad
         self.resolving: set[str] = set()
 
     def __missing__(self, name: str):
@@ -1345,13 +1325,15 @@ class _ConstantEnv(dict):
         if name in self.resolving:
             raise CompositionError(f"circular constant definition involving {name!r}")
         if name in self.bindings:
-            value = self.convert(self.bindings[name])
+            value = self.bindings[name]
+            if self.bad is None:
+                value = float(value)
         else:
             expr = self.constants[name]
             if expr is None:
                 raise UnboundParameterError(name)
             self.resolving.add(name)
-            value = self.evaluate(expr, self)
+            value = eval_expr(expr, self, self.bad)
             self.resolving.discard(name)
         self[name] = value
         return value

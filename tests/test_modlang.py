@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abps_toolkit import abps, modlang
@@ -278,6 +278,63 @@ class TestExpressionGrammar:
         # operator table needs it, so this pins precedence and associativity
         for text in (modlang.format_expr(expr), minimal_text(expr)):
             assert parse(IN_CONST.format(text)).constants["k"] == expr
+
+
+# Values that probe IEEE corners: signed zeros, overflow, infinities, NaN.
+CORNERS = [0.0, -0.0, 1.0, -1.0, 2.5, 1e308, np.inf, -np.inf, np.nan]
+
+
+def well_typed(expr):
+    for want in (modlang._NUMBER, modlang._BOOLEAN):
+        try:
+            modlang._check_type(expr, want)
+            return True
+        except CompositionError:
+            pass
+    return False
+
+
+@st.composite
+def corner_columns(draw):
+    """a, b and c at 1 to 6 points."""
+    size = draw(st.integers(1, 6))
+    column = st.lists(st.sampled_from(CORNERS), min_size=size, max_size=size)
+    return {name: draw(column) for name in "abc"}
+
+
+class TestEvaluationRules:
+    @settings(max_examples=100, deadline=None)
+    @given(expressions.filter(well_typed), corner_columns())
+    @example(parse(IN_CONST.format("a / 0")).constants["k"],
+             {"a": [1.0, 0.0], "b": [0.0, 0.0], "c": [0.0, 0.0]})
+    @example(parse(IN_CONST.format("a = 0 ? 1 / 0 : b / a")).constants["k"],
+             {"a": [0.0, 2.5, 1.0], "b": [0.0, np.nan, -1.0], "c": [0.0, 0.0, 0.0]})
+    def test_array_rule_matches_scalar_rule(self, expr, columns):
+        # the array rule of each point is the scalar rule: its value bit for
+        # bit (NaN matches NaN), and its mask where the scalar rule raises;
+        # few drawn trees divide by a literal zero, so the examples do
+        size = len(columns["a"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape
+            bad = [np.zeros(size, dtype=bool)]
+            with np.errstate(all="ignore"):  # as the callers of the array rule do
+                values = modlang.eval_expr(
+                    expr, {name: np.array(c) for name, c in columns.items()}, bad)
+            values, bad = np.broadcast_to(values, (size,)), bad[0]
+            for p in range(size):
+                try:
+                    scalar = modlang.eval_expr(expr, {name: c[p] for name, c in columns.items()})
+                except CompositionError as err:
+                    assert str(err).startswith("division by zero in ")
+                    assert bad[p]
+                    continue
+                assert not bad[p]
+                if isinstance(scalar, bool):
+                    assert values.dtype == bool and values[p] == scalar
+                else:
+                    row = np.float64(values[p])
+                    assert (np.isnan(row) and np.isnan(scalar)
+                            or row.tobytes() == np.float64(scalar).tobytes())
 
 
 class TestRoundTrip:
@@ -907,8 +964,8 @@ class TestEvaluateMany:
         assert all(batch.ok)
 
     def test_errors_only_where_eval_expr_meets_them(self):
-        # 1/c = 0 is finite at c = 0 in numpy, but eval_expr raises there,
-        # and only when the conditional picks that branch
+        # 1/c = 0 is finite at c = 0 in numpy, but eval_expr's scalar rule
+        # raises there, and only when the conditional picks that branch
         spec = parse("""ctmc
         const double c;
         const double s;

@@ -193,12 +193,16 @@ class TestTraffic:
         params = default_params(T_W_minus=5.0, T_W_plus=40.0)
         cfg = SimConfig(duration=3000.0, seed=17, data_rate=10.0,
                         ack_timeout=0.5, ack_delay=0.6)
-        m = simulate(params, cfg, "oracle")
+        trace = Trace()
+        m = simulate(params, cfg, "oracle", trace=trace)
         assert m.lost_sends > 0
         assert m.duplicates > 0
         assert m.delivered_in_order <= m.generated
-        # everything acknowledged was delivered exactly once, in order
         assert m.acked <= m.generated
+        # everything acknowledged was delivered exactly once, in order
+        delivered = [r[3] for r in trace.records if r[2] == "deliver"]
+        assert delivered == [f"seq={seq}" for seq in range(m.delivered_in_order)]
+        assert m.delivered_in_order >= m.acked
 
     def test_no_send_on_inactive_nic(self):
         trace = Trace()
