@@ -149,6 +149,7 @@ def cmd_compare(args) -> int:
     params = _assemble_params(args)
     config = _sim_config(args)
     variants = _variants(args.variant)
+    packetsim.check_replications(config.replications)  # before the table starts
     failed = False
     print(f"{'variant':8} {'metric':16} {'analytic':>12} {'simulated':>24} "
           f"{'z':>6}  verdict")

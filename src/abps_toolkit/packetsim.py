@@ -38,6 +38,20 @@ Mechanics worth knowing:
   before it. Ties break by event class (oracle, interface, datagram, ACK,
   timeout); two interfaces due at the same time fire in the order their
   clocks were set, so runs are reproducible bit for bit.
+- Only a state event moves the preferred interface, its phase or the set of
+  usable interfaces, so every fresh datagram due before the next one meets
+  the same fate. With an ACK delay no larger than the timeout, an untraced
+  run serves the whole stretch, up to the head of the timeout FIFO, in one
+  step when that fate is a settled send over a connected interface or
+  parking: it adds the period again and again, so each send time is the
+  same float as one event per datagram gives, and makes no ``Datagram``. A
+  sent stretch counts the ACKs due within the run and moves the receiver's
+  in-order count or its reorder set; a parked one is one ``range`` in the
+  parked queue, and the connect that flushes it settles it the same way.
+  A traced run writes a record per datagram, so it goes one datagram at a
+  time, and it is the reference the one-step stretch is tested against.
+  Lost sends, retransmissions and ACK delays above the timeout always go
+  one datagram at a time.
 - Random numbers come from one generator per run, seeded by the run's seed,
   in blocks of ``BLOCK_SIZE``: one block stream of unit exponentials (each
   sojourn is one of them times its mean) and one of uniforms (the setup
@@ -121,6 +135,19 @@ class SimConfig:
             )
         if not (0.0 <= self.ack_delay < math.inf):
             raise ValidationError(f"ack_delay must be nonnegative and finite, got {self.ack_delay}")
+        # a step below the spacing of floats at the end of the run cannot
+        # advance the clock there, so the run would never end
+        resolution = math.ulp(self.duration)
+        if self.ack_timeout < resolution:
+            raise ValidationError(
+                f"ack_timeout must be at least math.ulp(duration) = {resolution:g} to "
+                f"advance the clock, got {self.ack_timeout}"
+            )
+        if self.data_rate > 0.0 and 1.0 / self.data_rate < resolution:
+            raise ValidationError(
+                f"data_rate must give a datagram period 1/data_rate of at least "
+                f"math.ulp(duration) = {resolution:g} to advance the clock, got {self.data_rate}"
+            )
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         for name in ("datagram_bytes", "replications"):
@@ -232,7 +259,8 @@ class _Simulation:
 
         self.next_seq = 0  # also the count of datagrams generated
         self.pending: dict[int, Datagram] = {}
-        self.parked: deque[Datagram] = deque()
+        # parked datagrams, and as ranges the fresh ones parked in one step
+        self.parked: deque[Datagram | range] = deque()
         self.acked = 0
         self.delivered = 0
         self.duplicates = 0
@@ -406,11 +434,57 @@ class _Simulation:
         else:
             self._transmit(datagram, alternative)
 
+    def _serve_fresh(self, t: float, stop: float, period: float, send: bool) -> float:
+        """Serve the fresh datagrams due from ``t`` on, before ``stop`` and
+        before the head of the timeout FIFO, in one step, and return the time
+        of the next datagram. With ``send`` each goes out over a connected
+        interface and is settled at send time, else each is parked, exactly
+        as :meth:`_generate` would do it, but with no ``Datagram`` made. The
+        datagram at ``t`` always goes, so one that ties with the timeout
+        head goes first, in a step of its own."""
+        timeouts = self.timeouts
+        if timeouts and timeouts[0][0] < stop:
+            stop = timeouts[0][0]
+        ack_delay, duration = self.ack_delay, self.config.duration
+        acked = 0
+        first = seq = self.next_seq
+        while True:
+            if t + ack_delay <= duration:
+                acked += 1
+            seq += 1
+            later = t + period
+            if later >= stop:
+                break
+            t = later
+        self.now, self.next_seq = t, seq
+        if send:
+            self.acked += acked
+            self._receive_fresh(first, seq)
+        else:
+            self.parked.append(range(first, seq))
+        return later
+
+    def _receive_fresh(self, first: int, end: int) -> None:
+        """:meth:`_receive` of ``first``, ..., ``end - 1``, none of them sent
+        before, so each lies above every sequence number delivered or held."""
+        if first == self.next_expected:
+            self.delivered += end - first
+            self.next_expected = end
+        else:
+            self.reorder.update(range(first, end))
+
     def _flush_parked(self) -> None:
         # an interface has just connected, and no send changes availability
         tech = self._preferred()
+        settled = self.now + self.ack_delay <= self.config.duration
         for datagram in self.parked:
-            if datagram.seq in self.pending:  # else acknowledged while parked
+            if isinstance(datagram, range):
+                # fresh ones parked in one step, which only a run that
+                # settles its connected sends at once makes
+                if settled:
+                    self.acked += len(datagram)
+                self._receive_fresh(datagram.start, datagram.stop)
+            elif datagram.seq in self.pending:  # else acknowledged while parked
                 self._transmit(datagram, tech)
         self.parked.clear()
 
@@ -430,7 +504,10 @@ class _Simulation:
         past_end = math.nextafter(duration, math.inf)  # t < past_end: t <= duration
         acks, timeouts, pending = self.acks, self.timeouts, self.pending
         nic_fire, oracle_fire = self._nic_fire, self._oracle_fire
-        generate, timeout = self._generate, self._timeout
+        generate, timeout, serve_fresh = self._generate, self._timeout, self._serve_fresh
+        traffic = period < math.inf
+        # a traced run records every datagram, so it sends them one by one
+        settles = traffic and self.trace is None and self.ack_delay <= self.ack_timeout
         while True:
             # the next state event: the oracle wins a tie, then the
             # interface whose clock was set first
@@ -439,26 +516,38 @@ class _Simulation:
                 nic, when = wifi, wifi.due
             if self.oracle_due <= when:
                 nic, when = None, self.oracle_due
-            # traffic goes first only when strictly earlier, and each source
-            # only when strictly earlier than the ones before it
-            stop = when if when < past_end else past_end
-            while True:
-                t, source = next_data, None
-                if acks and acks[0][0] < t:
-                    t, source = acks[0][0], acks
-                if timeouts and timeouts[0][0] < t:
-                    t, source = timeouts[0][0], timeouts
-                if t >= stop:
-                    break
-                self.now = t
-                if source is None:
-                    next_data = t + period
-                    generate()
-                elif source is acks:
-                    if pending.pop(acks.popleft()[1], None) is not None:
-                        self.acked += 1
-                else:
-                    timeout(timeouts.popleft()[1])
+            if traffic:
+                # only a state event moves the preferred interface or its
+                # phase, so until the next one every fresh datagram meets
+                # the same fate
+                stretch = send = False
+                if settles:
+                    tech = self._preferred()
+                    send = tech is not None and self.nics[tech].phase == PHASE_CONNECTED
+                    stretch = send or tech is None
+                # traffic goes first only when strictly earlier, and each
+                # source only when strictly earlier than the ones before it
+                stop = when if when < past_end else past_end
+                while True:
+                    t, source = next_data, None
+                    if acks and acks[0][0] < t:
+                        t, source = acks[0][0], acks
+                    if timeouts and timeouts[0][0] < t:
+                        t, source = timeouts[0][0], timeouts
+                    if t >= stop:
+                        break
+                    self.now = t
+                    if source is None:
+                        if stretch:
+                            next_data = serve_fresh(t, stop, period, send)
+                        else:
+                            next_data = t + period
+                            generate()
+                    elif source is acks:
+                        if pending.pop(acks.popleft()[1], None) is not None:
+                            self.acked += 1
+                    else:
+                        timeout(timeouts.popleft()[1])
             if when > duration:
                 break
             self.now = when
@@ -494,7 +583,7 @@ class _Simulation:
             duplicates=self.duplicates,
             retransmissions=self.retransmissions,
             lost_sends=self.lost_sends,
-            parked_at_end=len(self.parked),
+            parked_at_end=sum(len(d) if isinstance(d, range) else 1 for d in self.parked),
             oracle_sojourn_mean={ORACLE_STATE_NAMES[s]: self.oracle_sojourn_sum[s] / c
                                  for s, c in counts.items() if c > 0},
             oracle_sojourn_count={ORACLE_STATE_NAMES[s]: c
@@ -618,6 +707,12 @@ def run_replications(
     )
 
 
+def check_replications(n: int) -> None:
+    """Raise unless ``n`` replications are enough for a standard error."""
+    if n < 2:
+        raise ValidationError(f"a standard error needs at least 2 replications, got {n}")
+
+
 def replicate(
     params: AbpsParams,
     config: SimConfig,
@@ -631,10 +726,7 @@ def replicate(
     Needs at least two replications for a standard error.
     """
     n = config.replications if seeds is None else len(seeds)
-    if n < 2:
-        raise ValidationError(
-            f"replicate needs at least 2 replications for a standard error, got {n}"
-        )
+    check_replications(n)
     runs = run_replications(params, config, variant, mode, seeds=seeds)
 
     samples: dict[str, list[float]] = {

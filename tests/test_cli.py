@@ -302,6 +302,17 @@ class TestSimulate:
             assert (code, out) == (2, "")
             assert "finite" in err and value in err
 
+    @pytest.mark.parametrize("flags, field", [
+        (("--data-rate", "1", "--ack-timeout", "1e-320"), "ack_timeout"),
+        (("--data-rate", "1e308"), "data_rate"),
+    ])
+    def test_step_below_clock_resolution_exit_2(self, capsys, flags, field):
+        # such a step cannot advance the clock, so the run never ended
+        code, out, err = run(capsys, "simulate", "--variant", "plain",
+                             "--duration", "10", *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {field} must ") and "math.ulp(duration)" in err
+
     @pytest.mark.parametrize("argv", [
         ("simulate", "--variant", "plain", "--duration", "2000"),
         ("sweep",),
@@ -348,9 +359,9 @@ class TestCompare:
 
     def test_degenerate_single_replication(self, capsys):
         # one replication has no standard error, so no verdict can be reached
-        code, _, err = run(capsys, "compare", "--reps", "1", "--duration", "100",
-                           "--seed", "3")
-        assert code == 2
+        code, out, err = run(capsys, "compare", "--reps", "1", "--duration", "100",
+                             "--seed", "3")
+        assert (code, out) == (2, "")
         assert "needs at least 2 replications" in err and "got 1" in err
 
     def test_fixed_seed_reports_identical(self, capsys):

@@ -1,9 +1,12 @@
 """Event-simulator tests: determinism, delivery integrity, convergence."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from abps_toolkit import abps, packetsim
 from abps_toolkit.abps import default_params
@@ -22,6 +25,27 @@ class Trace:
 def quiet(duration=2000.0, seed=7, **kw):
     kw.setdefault("data_rate", 0.0)
     return SimConfig(duration=duration, seed=seed, **kw)
+
+
+@st.composite
+def traffic_runs(draw):
+    """(params, config, variant, mode) of a traffic run: an ACK delay below,
+    equal to or above the timeout, and a run that ends between sends, on a
+    send, one ulp before a send or on the instant an ACK falls due."""
+    rate = draw(st.sampled_from([0.5, 3.0, 10.0, 50.0, 200.0]) | st.floats(0.5, 200.0))
+    timeout = draw(st.floats(0.05, 2.0))
+    delay = draw(st.sampled_from([0.0, timeout]) | st.floats(0.0, 3.0 * timeout))
+    period = 1.0 / rate
+    send = period  # the k-th send time, summed as the simulator sums it
+    for _ in range(draw(st.integers(0, int(20.0 * rate)))):
+        send += period
+    duration = draw(st.sampled_from([send, math.nextafter(send, 0.0), send + delay])
+                    | st.floats(1.0, 60.0))
+    params = default_params(T_W_minus=draw(st.sampled_from([2.0, 5.0, 10.0])),
+                            T_W_plus=draw(st.sampled_from([20.0, 40.0])))
+    cfg = SimConfig(duration=duration, seed=draw(st.integers(0, 2**32)), data_rate=rate,
+                    ack_timeout=timeout, ack_delay=delay)
+    return params, cfg, draw(st.sampled_from(abps.VARIANTS)), draw(st.sampled_from(abps.MODES))
 
 
 class TestConfig:
@@ -61,6 +85,21 @@ class TestConfig:
                 SimConfig(duration=10.0, ack_delay=value)
             with pytest.raises(ValidationError, match="ack_timeout must be positive and finite"):
                 SimConfig(duration=10.0, ack_timeout=value)
+
+    def test_rejects_steps_that_cannot_advance_the_clock(self):
+        # 6.0 + 1e-320 == 6.0: a lost send's timeout fell due at the instant
+        # of its send, again and again, and the run never ended
+        resolution = math.ulp(10.0)
+        with pytest.raises(ValidationError, match="ack_timeout must be at least math.ulp"):
+            SimConfig(duration=10.0, ack_timeout=1e-320)
+        with pytest.raises(ValidationError, match="ack_timeout must be at least math.ulp"):
+            SimConfig(duration=10.0, ack_timeout=math.nextafter(resolution, 0.0))
+        for rate in (1e308, math.nextafter(1.0 / resolution, math.inf)):
+            with pytest.raises(ValidationError, match="data_rate must give a datagram period"):
+                SimConfig(duration=10.0, data_rate=rate)
+        # one ulp of the run's end still moves every instant of the run
+        assert SimConfig(duration=10.0, ack_timeout=resolution).ack_timeout == resolution
+        assert SimConfig(duration=10.0, data_rate=1.0 / resolution).data_rate == 1.0 / resolution
 
     def test_bad_variant(self):
         with pytest.raises(ValidationError):
@@ -222,14 +261,30 @@ class TestTraffic:
         assert parks, "early datagrams should park while both NICs set up"
         assert m.delivered_in_order > 0
 
-    def test_tracing_leaves_results_unchanged(self):
+    @settings(max_examples=60, deadline=None)
+    @given(traffic_runs())
+    @example((default_params(T_W_minus=5.0, T_W_plus=40.0),
+              SimConfig(duration=1000.0, seed=17, data_rate=10.0, ack_timeout=0.5,
+                        ack_delay=0.6), "oracle", "text"))
+    # WiFi connects at 29.53 s, less than one ACK delay before the end, and
+    # flushes fresh datagrams parked since 25.4 s and two parked resends
+    @example((default_params(T_W_minus=5.0, T_W_plus=40.0),
+              SimConfig(duration=30.0, seed=1, data_rate=10.0, ack_timeout=2.0,
+                        ack_delay=2.0), "plain", "text"))
+    def test_tracing_leaves_results_unchanged(self, run):
+        # a traced run sends datagrams one by one, an untraced one serves
+        # each stretch of settled sends in one step
+        params, cfg, variant, mode = run
+        traced = simulate(params, cfg, variant, mode, trace=Trace())
+        assert traced == simulate(params, cfg, variant, mode)
+
+    def test_trace_reaches_every_record_kind(self):
         # ACKs slower than the timeout, so every trace point is reached
         params = default_params(T_W_minus=5.0, T_W_plus=40.0)
         cfg = SimConfig(duration=1000.0, seed=17, data_rate=10.0,
                         ack_timeout=0.5, ack_delay=0.6)
         trace = Trace()
-        traced = simulate(params, cfg, "oracle", trace=trace)
-        assert traced == simulate(params, cfg, "oracle")
+        simulate(params, cfg, "oracle", trace=trace)
         kinds = {(entity.split(":")[0], event, "forced" in detail)
                  for _, entity, event, detail in trace.records}
         assert kinds >= {
