@@ -39,19 +39,41 @@ Mechanics worth knowing:
   timeout); two interfaces due at the same time fire in the order their
   clocks were set, so runs are reproducible bit for bit.
 - Only a state event moves the preferred interface, its phase or the set of
-  usable interfaces, so every fresh datagram due before the next one meets
-  the same fate. With an ACK delay no larger than the timeout, an untraced
-  run serves the whole stretch, up to the head of the timeout FIFO, in one
-  step when that fate is a settled send over a connected interface or
-  parking: it adds the period again and again, so each send time is the
-  same float as one event per datagram gives, and makes no ``Datagram``. A
-  sent stretch counts the ACKs due within the run and moves the receiver's
-  in-order count or its reorder set; a parked one is one ``range`` in the
-  parked queue, and the connect that flushes it settles it the same way.
-  A traced run writes a record per datagram, so it goes one datagram at a
-  time, and it is the reference the one-step stretch is tested against.
-  Lost sends, retransmissions and ACK delays above the timeout always go
-  one datagram at a time.
+  usable interfaces. So between two state events every fresh datagram
+  meets one fate (settled over a connected interface, lost over a failed
+  one, or parked), and so does every timeout of a datagram last sent over
+  the same interface (settled, parked, or lost again). With an ACK delay no
+  larger than the timeout no ACK is queued and no datagram is received
+  twice, so the counters depend only on which sends, losses and parks
+  happen, not on their order. An untraced such run (``_Stretches``) serves
+  the traffic due before each state event in one step: its Python steps
+  grow with the state events and binades, not with the datagrams, and a
+  lost datagram costs one list element, not a loop event:
+
+  (a) Send times in closed form (``_SendTimes``). Within t's binade
+      [2^(e-1), 2^e) every float is a multiple of one ulp u, so ``t +
+      period`` is ``t + step`` with one step for the whole binade; the
+      exception is a tie binade, where period / u ends in exactly one half
+      and the sum rounds to even (0.02 s in [1/32, 1/16), 0.1 s in [0.25,
+      0.5), 1/3 s in [0.5, 1)). There one step lands on an even multiple of
+      u, and from there on the step is constant too. So each binade is one
+      or two segments, and each send time is the same float that adding
+      the period again and again gives. An ACK falls due within the run for
+      a prefix of a stretch, found by bisection.
+  (b) Lost stretches. While the preferred interface sits in its failed
+      phase the stretch is counted as lost sends, and their timeouts queue
+      as one list of times ``t_k + ack_timeout``, with no ``Datagram``.
+  (c) Timeouts of one fate. All the timeouts due before the state event
+      are served as one cut of each such list: settled, parked as a run of
+      sequence numbers, or, when the other interface has failed too or
+      none is left, lost again as a new list one timeout later, served
+      again if still due. A connect settles the parked runs in one step,
+      and the relay delivers in order up to the first datagram still lost
+      or parked.
+
+  A traced run writes a record per datagram, and an ACK delay above the
+  timeout queues ACKs whose order matters, so both go one datagram at a
+  time. That path is the reference the stretches are tested against.
 - Random numbers come from one generator per run, seeded by the run's seed,
   in blocks of ``BLOCK_SIZE``: one block stream of unit exponentials (each
   sojourn is one of them times its mean) and one of uniforms (the setup
@@ -61,6 +83,7 @@ Mechanics worth knowing:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
@@ -257,10 +280,13 @@ class _Simulation:
         self.oracle_sojourn_sum = {ORACLE_U: 0.0, ORACLE_UW: 0.0, ORACLE_W: 0.0}
         self.oracle_sojourn_cnt = {ORACLE_U: 0, ORACLE_UW: 0, ORACLE_W: 0}
 
+        # datagrams fall due at period, period + period, ..., each time the
+        # float sum of the one before and the period
+        self.period = 1.0 / config.data_rate if config.data_rate > 0.0 else math.inf
+        self.next_data = self.period
         self.next_seq = 0  # also the count of datagrams generated
         self.pending: dict[int, Datagram] = {}
-        # parked datagrams, and as ranges the fresh ones parked in one step
-        self.parked: deque[Datagram | range] = deque()
+        self.parked: deque[Datagram] = deque()
         self.acked = 0
         self.delivered = 0
         self.duplicates = 0
@@ -434,59 +460,40 @@ class _Simulation:
         else:
             self._transmit(datagram, alternative)
 
-    def _serve_fresh(self, t: float, stop: float, period: float, send: bool) -> float:
-        """Serve the fresh datagrams due from ``t`` on, before ``stop`` and
-        before the head of the timeout FIFO, in one step, and return the time
-        of the next datagram. With ``send`` each goes out over a connected
-        interface and is settled at send time, else each is parked, exactly
-        as :meth:`_generate` would do it, but with no ``Datagram`` made. The
-        datagram at ``t`` always goes, so one that ties with the timeout
-        head goes first, in a step of its own."""
-        timeouts = self.timeouts
-        if timeouts and timeouts[0][0] < stop:
-            stop = timeouts[0][0]
-        ack_delay, duration = self.ack_delay, self.config.duration
-        acked = 0
-        first = seq = self.next_seq
-        while True:
-            if t + ack_delay <= duration:
-                acked += 1
-            seq += 1
-            later = t + period
-            if later >= stop:
-                break
-            t = later
-        self.now, self.next_seq = t, seq
-        if send:
-            self.acked += acked
-            self._receive_fresh(first, seq)
-        else:
-            self.parked.append(range(first, seq))
-        return later
-
-    def _receive_fresh(self, first: int, end: int) -> None:
-        """:meth:`_receive` of ``first``, ..., ``end - 1``, none of them sent
-        before, so each lies above every sequence number delivered or held."""
-        if first == self.next_expected:
-            self.delivered += end - first
-            self.next_expected = end
-        else:
-            self.reorder.update(range(first, end))
-
     def _flush_parked(self) -> None:
         # an interface has just connected, and no send changes availability
         tech = self._preferred()
-        settled = self.now + self.ack_delay <= self.config.duration
         for datagram in self.parked:
-            if isinstance(datagram, range):
-                # fresh ones parked in one step, which only a run that
-                # settles its connected sends at once makes
-                if settled:
-                    self.acked += len(datagram)
-                self._receive_fresh(datagram.start, datagram.stop)
-            elif datagram.seq in self.pending:  # else acknowledged while parked
+            if datagram.seq in self.pending:  # else acknowledged while parked
                 self._transmit(datagram, tech)
         self.parked.clear()
+
+    def _serve(self, stop: float) -> None:
+        """Serve the traffic due before ``stop`` one event at a time. Each
+        source goes first only when strictly earlier than the ones before
+        it: the next datagram, then ACKs, then timeouts."""
+        acks, timeouts, pending = self.acks, self.timeouts, self.pending
+        while True:
+            t, source = self.next_data, None
+            if acks and acks[0][0] < t:
+                t, source = acks[0][0], acks
+            if timeouts and timeouts[0][0] < t:
+                t, source = timeouts[0][0], timeouts
+            if t >= stop:
+                return
+            self.now = t
+            if source is None:
+                self.next_data = t + self.period
+                self._generate()
+            elif source is acks:
+                if pending.pop(acks.popleft()[1], None) is not None:
+                    self.acked += 1
+            else:
+                self._timeout(timeouts.popleft()[1])
+
+    def _delivery(self) -> tuple[int, int]:
+        """The datagrams delivered in order and those parked at the end."""
+        return self.delivered, len(self.parked)
 
     # -- main loop --------------------------------------------------------------
 
@@ -496,18 +503,11 @@ class _Simulation:
         umts.due = umts.scales[umts.phase] * draw()
         wifi.due = wifi.scales[wifi.phase] * draw()
         self.oracle_due = self.oracle_scale[self.oracle_state] * draw()
-        period = next_data = math.inf
-        if cfg.data_rate > 0.0:
-            period = next_data = 1.0 / cfg.data_rate
 
         duration = cfg.duration
         past_end = math.nextafter(duration, math.inf)  # t < past_end: t <= duration
-        acks, timeouts, pending = self.acks, self.timeouts, self.pending
-        nic_fire, oracle_fire = self._nic_fire, self._oracle_fire
-        generate, timeout, serve_fresh = self._generate, self._timeout, self._serve_fresh
-        traffic = period < math.inf
-        # a traced run records every datagram, so it sends them one by one
-        settles = traffic and self.trace is None and self.ack_delay <= self.ack_timeout
+        nic_fire, oracle_fire, serve = self._nic_fire, self._oracle_fire, self._serve
+        traffic = cfg.data_rate > 0.0
         while True:
             # the next state event: the oracle wins a tie, then the
             # interface whose clock was set first
@@ -517,37 +517,8 @@ class _Simulation:
             if self.oracle_due <= when:
                 nic, when = None, self.oracle_due
             if traffic:
-                # only a state event moves the preferred interface or its
-                # phase, so until the next one every fresh datagram meets
-                # the same fate
-                stretch = send = False
-                if settles:
-                    tech = self._preferred()
-                    send = tech is not None and self.nics[tech].phase == PHASE_CONNECTED
-                    stretch = send or tech is None
-                # traffic goes first only when strictly earlier, and each
-                # source only when strictly earlier than the ones before it
-                stop = when if when < past_end else past_end
-                while True:
-                    t, source = next_data, None
-                    if acks and acks[0][0] < t:
-                        t, source = acks[0][0], acks
-                    if timeouts and timeouts[0][0] < t:
-                        t, source = timeouts[0][0], timeouts
-                    if t >= stop:
-                        break
-                    self.now = t
-                    if source is None:
-                        if stretch:
-                            next_data = serve_fresh(t, stop, period, send)
-                        else:
-                            next_data = t + period
-                            generate()
-                    elif source is acks:
-                        if pending.pop(acks.popleft()[1], None) is not None:
-                            self.acked += 1
-                    else:
-                        timeout(timeouts.popleft()[1])
+                # traffic goes first only when strictly earlier
+                serve(when if when < past_end else past_end)
             if when > duration:
                 break
             self.now = when
@@ -568,6 +539,7 @@ class _Simulation:
                 power += t * state_power(u, w, self.params, self.mode, self.variant)
                 throughput += t * state_throughput(u, w, self.params)
         counts = self.oracle_sojourn_cnt
+        delivered, parked = self._delivery()
         return SimMetrics(
             variant=self.variant,
             mode=self.mode,
@@ -579,17 +551,181 @@ class _Simulation:
             goodput_mbps=self.acked * cfg.datagram_bytes * 8 / duration / 1e6,
             generated=self.next_seq,
             acked=self.acked,
-            delivered_in_order=self.delivered,
+            delivered_in_order=delivered,
             duplicates=self.duplicates,
             retransmissions=self.retransmissions,
             lost_sends=self.lost_sends,
-            parked_at_end=sum(len(d) if isinstance(d, range) else 1 for d in self.parked),
+            parked_at_end=parked,
             oracle_sojourn_mean={ORACLE_STATE_NAMES[s]: self.oracle_sojourn_sum[s] / c
                                  for s, c in counts.items() if c > 0},
             oracle_sojourn_count={ORACLE_STATE_NAMES[s]: c
                                   for s, c in counts.items() if c > 0},
             occupancy=occupancy,
         )
+
+
+class _SendTimes:
+    """The send times ``t_0 = start`` and ``t_(k+1) = t_k + period``, each
+    the float sum, up to the first one past ``end``, in closed form.
+
+    Within a binade [2^(e-1), 2^e) every float is a multiple of one ulp u,
+    so ``t + period`` rounds to ``t + step`` with one step, a multiple of u,
+    as long as that sum stays at or below 2^e. A tie binade, where period / u
+    ends in exactly one half, is the exception: the sum rounds to the even
+    multiple of u, so the step from an odd multiple is one u off, but it
+    lands on an even one, and from there on every step is the same. Two
+    equal steps in a row from ``t`` so fix the step for the rest of its
+    binade. Segment i holds the sends ``starts[i] <= k < starts[i + 1]`` at
+    ``times[i] + (k - starts[i]) * steps[i]``, where each product and sum is
+    exact: the same float that adding the period k times gives. A binade
+    takes one segment, plus one of a single send where a tie or the step
+    into the next binade breaks the rule.
+    """
+
+    def __init__(self, start: float, period: float, end: float):
+        starts, times, steps = [], [], []
+        k, t = 0, start
+        while t <= end:
+            starts.append(k)
+            times.append(t)
+            later = t + period
+            after = later + period
+            top = math.ulp(t) * 2.0**53  # t's binade is [top / 2, top)
+            step = later - t
+            if after <= top < math.inf and after - later == step:
+                n = math.floor((top - t) / step)  # the sends from t up to top
+                steps.append(step)
+                k += n
+                t += n * step
+            else:
+                steps.append(0.0)
+                k += 1
+                t = later
+        starts.append(k)  # the first send past end
+        times.append(t)
+        steps.append(0.0)
+        self.starts, self.times, self.steps = starts, times, steps
+
+    def at(self, k: int) -> float:
+        """The time of send ``k``."""
+        i = bisect.bisect_right(self.starts, k) - 1
+        return self.times[i] + (k - self.starts[i]) * self.steps[i]
+
+    def between(self, first: int, end: int) -> list[float]:
+        """The times of sends ``first``, ..., ``end - 1``."""
+        starts, times, steps = self.starts, self.times, self.steps
+        out: list[float] = []
+        i = bisect.bisect_right(starts, first) - 1
+        while first < end:
+            start, t, step = starts[i], times[i], steps[i]
+            last = min(end, starts[i + 1])
+            out += [t + (k - start) * step for k in range(first, last)]
+            first, i = last, i + 1
+        return out
+
+    def count_before(self, stop: float) -> int:
+        """The number of sends before ``stop``, which lies at or before the
+        first send past the end."""
+        i = bisect.bisect_left(self.times, stop) - 1  # the last segment starting before stop
+        if i < 0:
+            return 0
+        start, t, step = self.starts[i], self.times[i], self.steps[i]
+        n = self.starts[i + 1] - start
+        if t + (n - 1) * step < stop:
+            return start + n
+        # stop lies in the segment's binade, so the difference is exact
+        return start + math.ceil((stop - t) / step)
+
+
+class _Stretches(_Simulation):
+    """An untraced run with an ACK delay no larger than the timeout, served
+    one state event at a time instead of one datagram at a time.
+
+    Between two state events every fresh datagram meets one fate: settled
+    over a connected interface, lost over a failed one or parked, and so
+    does every timeout of a datagram last sent over the same interface. No
+    ACK is ever queued and no datagram is received twice, so the counters
+    depend only on which sends, losses and parks happen, not on their order.
+    So the fresh datagrams due before the next state event are one step,
+    and lost ones wait for their timeouts in runs of sequence numbers:
+    ``(first, times, nic)`` holds the datagrams ``first``, ``first + 1``,
+    ..., last sent over ``nic``, whose timeouts fall due at ``times``, in
+    time order. A parked run is ``(first, end, resent)``. The relay delivers
+    in order up to the first datagram still lost or parked.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sends = _SendTimes(self.period, self.period, self.config.duration)
+        self.lost: list[tuple[int, list[float], str]] = []
+        self.parked: list[tuple[int, int, bool]] = []
+
+    def _acked(self, time: Callable[[int], float], first: int, end: int) -> int:
+        """How many of the sends at ``time(first)``, ..., ``time(end - 1)``,
+        in time order, have their ACK fall due within the run."""
+        def late(i: int) -> bool:
+            return time(i) + self.ack_delay > self.config.duration
+        if not late(end - 1):
+            return end - first
+        return bisect.bisect_left(range(end), True, first, end - 1, key=late) - first
+
+    def _serve(self, stop: float) -> None:
+        """Serve the fresh datagrams due before ``stop`` in one step, then
+        every timeout due before it."""
+        preferred, nics, timeout = self._preferred, self.nics, self.ack_timeout
+        first, end = self.next_seq, self.sends.count_before(stop)
+        if end > first:
+            self.next_seq = end
+            tech = preferred()
+            if tech is None:
+                self.parked.append((first, end, False))
+            elif nics[tech].phase == PHASE_CONNECTED:
+                self.acked += self._acked(self.sends.at, first, end)
+            else:
+                self.lost_sends += end - first
+                times = [t + timeout for t in self.sends.between(first, end)]
+                self.lost.append((first, times, tech))
+        if not self.lost:
+            return
+        # serve every timeout due before stop; a resend lost again is due
+        # one more timeout later, maybe still before stop
+        work, waiting = self.lost, []
+        while work:
+            run = work.pop()
+            first, times, nic = run
+            due = bisect.bisect_left(times, stop)
+            if due == 0:
+                waiting.append(run)
+                continue
+            if due < len(times):
+                waiting.append((first + due, times[due:], nic))
+            # another usable interface, else retry on the same one if usable
+            tech = preferred(exclude=nic) or preferred()
+            if tech is None:
+                self.parked.append((first, first + due, True))
+                continue
+            self.retransmissions += due
+            if nics[tech].phase == PHASE_CONNECTED:
+                self.acked += self._acked(times.__getitem__, 0, due)
+            else:
+                self.lost_sends += due
+                work.append((first, [t + timeout for t in times[:due]], tech))
+        self.lost = waiting
+
+    def _flush_parked(self) -> None:
+        # an interface has just connected, and none was usable while
+        # datagrams parked, so each goes out over it and is settled
+        acked = self.now + self.ack_delay <= self.config.duration
+        for first, end, resent in self.parked:
+            if acked:
+                self.acked += end - first
+            if resent:
+                self.retransmissions += end - first
+        self.parked.clear()
+
+    def _delivery(self) -> tuple[int, int]:
+        held = [run[0] for run in self.lost] + [run[0] for run in self.parked]
+        return min(held, default=self.next_seq), sum(end - first for first, end, _ in self.parked)
 
 
 def simulate(
@@ -601,7 +737,10 @@ def simulate(
 ) -> SimMetrics:
     """Run one replication; identical inputs give bit-identical metrics."""
     _check_variant_mode(variant, mode)
-    return _Simulation(params, config, variant, mode, trace).run()
+    # a traced run records every datagram, and ACKs slower than the timeout
+    # queue in an order that matters: both go one datagram at a time
+    settles = trace is None and config.data_rate > 0.0 and config.ack_delay <= config.ack_timeout
+    return (_Stretches if settles else _Simulation)(params, config, variant, mode, trace).run()
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abps_toolkit import abps, packetsim
@@ -271,9 +271,31 @@ class TestTraffic:
     @example((default_params(T_W_minus=5.0, T_W_plus=40.0),
               SimConfig(duration=30.0, seed=1, data_rate=10.0, ack_timeout=2.0,
                         ack_delay=2.0), "plain", "text"))
+    # 150,000 sends at 50/s cross the binades of 1024 and 2048 s, where the
+    # step of t + 0.02 changes, and 1,663 lost sends wait for timeouts
+    @example((default_params(),
+              SimConfig(duration=3000.0, seed=2, data_rate=50.0, ack_timeout=1.0,
+                        ack_delay=0.2), "oracle", "text"))
+    # UMTS fails every 10 s on average: 21 resends go out while both
+    # interfaces sit in their failed phase, so each is lost again and waits
+    # one more timeout
+    @example((default_params(T_W_minus=5.0, T_W_plus=40.0, gamma_U=0.1),
+              SimConfig(duration=60.0, seed=4, data_rate=10.0, ack_timeout=0.5,
+                        ack_delay=0.2), "plain", "text"))
+    # 20 timeouts fall due with no interface usable and park until the
+    # next connect, which resends them
+    @example((default_params(T_W_minus=5.0, T_W_plus=40.0),
+              SimConfig(duration=60.0, seed=1, data_rate=10.0, ack_timeout=1.0,
+                        ack_delay=0.2), "oracle", "text"))
+    # links that never fail: the last stretch of 900 sends runs from 10.1 s
+    # to the end, and the ACKs of its last 3, sent after 99.7 s, fall due
+    # past the end
+    @example((default_params(T_W_minus=1e9, T_W_plus=1e9, gamma_U=1e-9),
+              SimConfig(duration=100.0, seed=0, data_rate=10.0, ack_timeout=1.0,
+                        ack_delay=0.3), "plain", "text"))
     def test_tracing_leaves_results_unchanged(self, run):
-        # a traced run sends datagrams one by one, an untraced one serves
-        # each stretch of settled sends in one step
+        # a traced run goes one datagram at a time, an untraced one with an
+        # ACK delay no larger than the timeout one state event at a time
         params, cfg, variant, mode = run
         traced = simulate(params, cfg, variant, mode, trace=Trace())
         assert traced == simulate(params, cfg, variant, mode)
@@ -449,6 +471,56 @@ class TestTieOrder:
             (2.0, "nic:UMTS", "seq=1 attempt=1 active=True"),
             (2.0, "app", "seq=1"),
         ]
+
+
+# (period, the bottom of its tie binade): period / ulp ends in exactly one half
+TIE_BINADES = [(0.02, 1 / 32), (0.1, 0.25), (1 / 3, 0.5)]
+
+
+@st.composite
+def send_runs(draw):
+    """(start, period, n) of n sends after the one at start: in a tie
+    binade, with a power-of-two period, with a period of a few ulps of the
+    last send, or any; and half of them from just below a power of two."""
+    kind = draw(st.sampled_from(["tie", "power", "ulp", "any"]))
+    if kind == "tie":
+        period, bottom = draw(st.sampled_from(TIE_BINADES))
+        start = bottom + draw(st.integers(0, 1000)) * math.ulp(bottom)
+    elif kind == "power":
+        period, start = 2.0 ** draw(st.integers(-30, 3)), draw(st.floats(1e-6, 100.0))
+    elif kind == "ulp":
+        start = 2.0 ** draw(st.integers(-10, 12)) * draw(st.floats(1.0, 2.0))
+        period = math.ulp(2.0 * start) * draw(st.integers(1, 3))
+    else:
+        period, start = draw(st.floats(1e-4, 10.0)), draw(st.floats(1e-6, 100.0))
+    if draw(st.booleans()):
+        top = 2.0 ** draw(st.integers(-8, 12))
+        start = draw(st.sampled_from([math.nextafter(top, 0.0), top - period]))
+        assume(start > 0.0)
+    return start, period, draw(st.integers(0, 400))
+
+
+class TestSendTimes:
+    def test_tie_binades(self):
+        for period, bottom in TIE_BINADES:
+            assert period / math.ulp(bottom) % 1 == 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(send_runs())
+    def test_closed_form_matches_repeated_addition(self, run):
+        start, period, n = run
+        times = [start]
+        for _ in range(n):
+            times.append(times[-1] + period)
+        # the simulator's runs: every step advances the clock
+        assume(period >= math.ulp(times[-1]))
+        sends = packetsim._SendTimes(start, period, times[-1])
+        assert [sends.at(k) for k in range(n + 1)] == times
+        assert sends.between(n // 2, n + 1) == times[n // 2:]
+        for k, t in enumerate(times):
+            assert sends.count_before(t) == k
+            assert sends.count_before(math.nextafter(t, math.inf)) == k + 1
+        assert sends.count_before(math.nextafter(start, 0.0)) == 0
 
 
 class TestBlocks:
