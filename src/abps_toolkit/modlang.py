@@ -533,12 +533,13 @@ class _Parser:
         name = self.expect("IDENT")
         self.expect(":")
         self.expect("[")
+        at = self.pos
         low = self.parse_int()
         self.expect("..")
         high = self.parse_int()
         self.expect("]")
         if low > high:
-            raise self.error(f"empty range [{low}..{high}]")
+            raise self.error(f"empty range [{low}..{high}]", at)
         self.expect("init")
         init = self.parse_int()
         self.expect(";")
@@ -579,12 +580,11 @@ class _Parser:
         updates = [self.parse_update()]
         while self.peek() == "&":
             self.advance()
-            updates.append(self.parse_update())
-        seen = set()
-        for upd in updates:
-            if upd.var in seen:
-                raise self.error(f"variable {upd.var!r} updated twice in one branch")
-            seen.add(upd.var)
+            at = self.pos + 1  # the variable, after "("
+            upd = self.parse_update()
+            if any(u.var == upd.var for u in updates):
+                raise self.error(f"variable {upd.var!r} updated twice in one branch", at)
+            updates.append(upd)
         return Branch(rate, tuple(updates))
 
     def parse_update(self) -> Update:

@@ -13,7 +13,9 @@ provide the empirical metrics the analytic model is checked against.
 Mechanics worth knowing:
 
 - The node never learns of a connection failure until detection fires, so
-  datagrams sent while an interface sits in its failed phase are lost.
+  an interface is usable while it is connected, or has failed and the
+  failure is not yet detected (``_USABLE``, the one place this rule is
+  written). That is why a datagram sent in the failed phase is lost.
 - The WiFi connection-holding rate depends on the oracle state; when the
   oracle moves while WiFi is connected the pending failure is redrawn at
   the new rate, which is exact for exponential holding times.
@@ -119,6 +121,9 @@ _ORACLE_EVENTS = {ORACLE_U: "EV_NO_WIFI", ORACLE_UW: "EV_SHORT_WIFI", ORACLE_W: 
 # The phase an interface's transition enters; a failed setup returns to
 # disconnected, and an off interface has no clock.
 _NEXT_PHASE = (PHASE_OFF, PHASE_SETUP, PHASE_CONNECTED, PHASE_FAILED, PHASE_DISCONNECTED)
+# Whether a send may go out over an interface, by phase: while it is
+# connected, or has failed and the proxy has not yet detected the failure.
+_USABLE = tuple(phase in (PHASE_CONNECTED, PHASE_FAILED) for phase in range(len(NIC_PHASES)))
 
 TraceFn = Callable[[float, str, str, str], None]
 
@@ -184,7 +189,7 @@ class Datagram:
     """One application datagram; sequence numbers are unique per flow."""
 
     seq: int
-    nic: str | None = None
+    nic: NicState | None = None  # the interface of the last send
     attempts: int = 0
 
 
@@ -194,7 +199,6 @@ class NicState:
     scales: list[float]   # mean sojourn 1/rate per phase; 0 = the phase never ends (off)
     p_setup_ok: float     # chance that a finished setup connects
     phase: int = PHASE_DISCONNECTED
-    active: bool = True
     due: float = math.inf  # time of the pending transition; inf = none
 
 
@@ -256,8 +260,6 @@ class _Simulation:
                                r["umts_setup_fail"], r["gamma_U"], r["mu_U"])
         self.wifi = _nic_state("WiFi", r["alpha_W"], r["wifi_setup_success"],
                                r["wifi_setup_fail"], r["gamma_W_minus"], r["mu_W"])
-        self.nics = {"UMTS": self.umts, "WiFi": self.wifi}
-        self.available: set[str] = set()
         self.oracle_state = ORACLE_UW
         self.oracle_due = math.inf
         self.oracle_entered = 0.0
@@ -312,19 +314,10 @@ class _Simulation:
         nic.phase = new
         nic.due = now + nic.scales[new] * self.draw()
         self.last_scheduled = nic
-        if new == PHASE_CONNECTED:
-            self.available.add(nic.technology)
-            if self.parked:
-                self._flush_parked()
-        elif phase == PHASE_FAILED:
-            # only now does the proxy learn the connection dropped
-            self.available.discard(nic.technology)
+        if new == PHASE_CONNECTED and self.parked:
+            self._flush_parked()
 
     def _force_off(self, nic: NicState) -> None:
-        nic.active = False
-        self.available.discard(nic.technology)
-        if nic.phase == PHASE_OFF:
-            return
         if self.trace is not None:
             self.trace(self.now, f"nic:{nic.technology}", "phase",
                        f"{NIC_PHASES[nic.phase]}->off (forced)")
@@ -332,9 +325,6 @@ class _Simulation:
         nic.due = math.inf  # cancels any scheduled transition
 
     def _force_on(self, nic: NicState) -> None:
-        nic.active = True
-        if nic.phase != PHASE_OFF:
-            return
         if self.trace is not None:
             self.trace(self.now, f"nic:{nic.technology}", "phase", "off->disconnected (forced)")
         nic.phase = PHASE_DISCONNECTED
@@ -364,7 +354,8 @@ class _Simulation:
             self.trace(now, "oracle", _ORACLE_EVENTS[target],
                        f"{ORACLE_STATE_NAMES[state]}->{ORACLE_STATE_NAMES[target]}")
         if self.variant == "oracle":
-            # U rules WiFi out and W rules UMTS out; back in UW both are on
+            # U rules WiFi out and W rules UMTS out; back in UW both are on.
+            # U and W are entered only from UW, so each force moves a phase
             if target == ORACLE_U:
                 self._force_off(wifi)
             elif target == ORACLE_W:
@@ -380,35 +371,38 @@ class _Simulation:
 
     # -- traffic ---------------------------------------------------------------
 
-    def _preferred(self, exclude: str | None = None) -> str | None:
-        available = self.available
-        if "WiFi" in available and exclude != "WiFi":
-            return "WiFi"
-        if "UMTS" in available and exclude != "UMTS":
-            return "UMTS"
+    def _preferred(self, exclude: NicState | None = None) -> NicState | None:
+        """The usable interface a send goes out on: WiFi, else UMTS,
+        skipping ``exclude``."""
+        wifi = self.wifi
+        if wifi is not exclude and _USABLE[wifi.phase]:
+            return wifi
+        umts = self.umts
+        if umts is not exclude and _USABLE[umts.phase]:
+            return umts
         return None
 
     def _generate(self) -> None:
         seq = self.next_seq
         self.next_seq = seq + 1
         datagram = self.pending[seq] = Datagram(seq)
-        tech = self._preferred()
-        if tech is None:
+        nic = self._preferred()
+        if nic is None:
             self.parked.append(datagram)
             if self.trace is not None:
                 self.trace(self.now, "proxy", "park", f"seq={seq}")
         else:
-            self._transmit(datagram, tech)
+            self._transmit(datagram, nic)
 
-    def _transmit(self, datagram: Datagram, tech: str) -> None:
-        nic = self.nics[tech]
-        datagram.nic = tech
+    def _transmit(self, datagram: Datagram, nic: NicState) -> None:
+        datagram.nic = nic
         datagram.attempts += 1
         if datagram.attempts > 1:
             self.retransmissions += 1
         if self.trace is not None:
-            self.trace(self.now, f"nic:{tech}", "send",
-                       f"seq={datagram.seq} attempt={datagram.attempts} active={nic.active}")
+            self.trace(self.now, f"nic:{nic.technology}", "send",
+                       f"seq={datagram.seq} attempt={datagram.attempts} "
+                       f"active={nic.phase != PHASE_OFF}")
         seq, now = datagram.seq, self.now
         if nic.phase != PHASE_CONNECTED:
             # failed but not yet detected: the datagram is lost in transit
@@ -461,11 +455,11 @@ class _Simulation:
             self._transmit(datagram, alternative)
 
     def _flush_parked(self) -> None:
-        # an interface has just connected, and no send changes availability
-        tech = self._preferred()
+        # an interface has just connected, and no send moves a phase
+        nic = self._preferred()
         for datagram in self.parked:
             if datagram.seq in self.pending:  # else acknowledged while parked
-                self._transmit(datagram, tech)
+                self._transmit(datagram, nic)
         self.parked.clear()
 
     def _serve(self, stop: float) -> None:
@@ -657,7 +651,7 @@ class _Stretches(_Simulation):
     def __init__(self, *args):
         super().__init__(*args)
         self.sends = _SendTimes(self.period, self.period, self.config.duration)
-        self.lost: list[tuple[int, list[float], str]] = []
+        self.lost: list[tuple[int, list[float], NicState]] = []
         self.parked: list[tuple[int, int, bool]] = []
 
     def _acked(self, time: Callable[[int], float], first: int, end: int) -> int:
@@ -672,19 +666,19 @@ class _Stretches(_Simulation):
     def _serve(self, stop: float) -> None:
         """Serve the fresh datagrams due before ``stop`` in one step, then
         every timeout due before it."""
-        preferred, nics, timeout = self._preferred, self.nics, self.ack_timeout
+        preferred, timeout = self._preferred, self.ack_timeout
         first, end = self.next_seq, self.sends.count_before(stop)
         if end > first:
             self.next_seq = end
-            tech = preferred()
-            if tech is None:
+            nic = preferred()
+            if nic is None:
                 self.parked.append((first, end, False))
-            elif nics[tech].phase == PHASE_CONNECTED:
+            elif nic.phase == PHASE_CONNECTED:
                 self.acked += self._acked(self.sends.at, first, end)
             else:
                 self.lost_sends += end - first
                 times = [t + timeout for t in self.sends.between(first, end)]
-                self.lost.append((first, times, tech))
+                self.lost.append((first, times, nic))
         if not self.lost:
             return
         # serve every timeout due before stop; a resend lost again is due
@@ -692,24 +686,24 @@ class _Stretches(_Simulation):
         work, waiting = self.lost, []
         while work:
             run = work.pop()
-            first, times, nic = run
+            first, times, last = run
             due = bisect.bisect_left(times, stop)
             if due == 0:
                 waiting.append(run)
                 continue
             if due < len(times):
-                waiting.append((first + due, times[due:], nic))
+                waiting.append((first + due, times[due:], last))
             # another usable interface, else retry on the same one if usable
-            tech = preferred(exclude=nic) or preferred()
-            if tech is None:
+            nic = preferred(exclude=last) or preferred()
+            if nic is None:
                 self.parked.append((first, first + due, True))
                 continue
             self.retransmissions += due
-            if nics[tech].phase == PHASE_CONNECTED:
+            if nic.phase == PHASE_CONNECTED:
                 self.acked += self._acked(times.__getitem__, 0, due)
             else:
                 self.lost_sends += due
-                work.append((first, [t + timeout for t in times[:due]], tech))
+                work.append((first, [t + timeout for t in times[:due]], nic))
         self.lost = waiting
 
     def _flush_parked(self) -> None:

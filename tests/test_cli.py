@@ -282,6 +282,16 @@ class TestSimulate:
         assert seeds("1") == [7]
         assert seeds("3") == derive_seeds(7, 3)
 
+    def test_out_writes_the_csv_stdout_would_get(self, capsys, tmp_path):
+        argv = ("simulate", "--variant", "both", "--duration", "200", "--seed", "3",
+                "--reps", "2")
+        path = tmp_path / "sim.csv"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out, err) == (0, f"wrote 4 rows to {path}\n", "")
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert path.read_bytes() == stdout.encode("utf-8")
+
     def test_trace_output(self, capsys, tmp_path):
         trace = tmp_path / "trace.csv"
         code, _, _ = run(capsys, "simulate", "--variant", "oracle",
@@ -398,6 +408,19 @@ class TestOracle:
         assert code == 0
         no_wifi = [l for l in out.split("\n") if "EV_NO_WIFI" in l]
         assert no_wifi and "umts=on" in no_wifi[0] and "wifi=off" in no_wifi[0]
+
+    def test_skipped_catalog_records_warn_on_stderr(self, capsys, tmp_path):
+        walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"
+        write_walk(walk, 500)
+        write_endpoints_catalog(catalog)
+        code, clean, _ = run(capsys, "oracle", str(walk), str(catalog))
+        assert code == 0
+        with catalog.open("a") as fh:
+            fh.write("broken,north,0.0,50,,true\nmaybe,0.0,0.0,50,,perhaps\n")
+        code, out, err = run(capsys, "oracle", str(walk), str(catalog))
+        assert code == 0
+        assert err == "warning: skipped 2 malformed catalog records\n"
+        assert out == clean
 
     def test_empty_trajectory_exit_2(self, capsys, tmp_path):
         walk, catalog = tmp_path / "walk.csv", tmp_path / "aps.csv"

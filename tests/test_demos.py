@@ -1,6 +1,7 @@
-"""Every demo runs standalone to completion."""
+"""Every demo and every README ``python`` block runs standalone to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+
+
+def run_python(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def test_all_five_demos_found():
@@ -17,10 +29,16 @@ def test_all_five_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_python([str(demo)], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+def test_readme_has_python_blocks():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block-{i + 1}" for i in range(len(README_BLOCKS))])
+def test_readme_block_runs(block, tmp_path):
+    done = run_python(["-c", block], tmp_path)
     assert done.returncode == 0, done.stderr

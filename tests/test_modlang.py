@@ -166,6 +166,36 @@ class TestParse:
         assert self.error_at("ctmc module m x : [0..1e400] init 0; endmodule") == (
             1, 23, "expected an integer")
 
+    @pytest.mark.parametrize("declaration, column, message", [
+        pytest.param("x : [0..1] init 0; [] x=0 -> (x'=1) & (x'=0);", 54,
+                     "variable 'x' updated twice in one branch", id="second-update"),
+        pytest.param("x : [0..1] init 0; y : [0..1] init 0; [] x=0 -> (x'=1) & (y'=1) & (x'=0);",
+                     82, "variable 'x' updated twice in one branch", id="third-update"),
+        pytest.param("x : [1..0] init 0;", 20, "empty range [1..0]", id="empty-range"),
+        pytest.param("x : [-1..-2] init 0;", 20, "empty range [-1..-2]", id="negative-range"),
+    ])
+    def test_error_points_at_its_construct(self, declaration, column, message):
+        text = f"ctmc module m {declaration} endmodule"
+        assert self.error_at(text) == (1, column, message)
+
+    @pytest.mark.parametrize("text, error, message", [
+        pytest.param("ctmc module a x : [0..1] init 0; endmodule "
+                     "module a y : [0..1] init 0; endmodule",
+                     DuplicateDeclarationError, "duplicate module 'a'", id="module"),
+        pytest.param('ctmc module m x : [0..1] init 0; endmodule '
+                     'rewards "r" true : 1; endrewards rewards "r" true : 2; endrewards',
+                     DuplicateDeclarationError, "duplicate rewards block 'r'", id="rewards"),
+        pytest.param("ctmc module a x : [0..1] init 0; endmodule "
+                     "module b y : [0..1] init 0; [] y=0 -> (x'=1); endmodule",
+                     UndeclaredIdentifierError,
+                     "module 'b' updates 'x', which is not one of its variables",
+                     id="other-module-variable"),
+    ])
+    def test_rejected_declaration(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse(text)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_byte_that_is_not_utf8_is_a_parse_error(self, tmp_path, newline):
         # lines end at each of \n, \r\n and \r, as the parser reads them
@@ -353,6 +383,21 @@ class TestRoundTrip:
         spec = parse(text)
         assert parse(format_model(spec)) == spec
         assert spec.modules[0].commands[0].branches[0].rate is None
+
+    @pytest.mark.parametrize("declarations, branch, variables, updates", [
+        pytest.param("x : [-1..1] init -1;", "x=-1 -> 0.5:(x'=1)",
+                     (Variable("x", -1, 1, -1),), (Update("x", Num(1.0)),),
+                     id="negative-bounds"),
+        pytest.param("x : [0..1] init 0; y : [0..2] init 0;", "x=0 -> (x'=1) & (y'=2)",
+                     (Variable("x", 0, 1, 0), Variable("y", 0, 2, 0)),
+                     (Update("x", Num(1.0)), Update("y", Num(2.0))), id="two-updates"),
+    ])
+    def test_declarations_and_updates_survive(self, declarations, branch, variables, updates):
+        spec = parse(f"ctmc module m {declarations} [] {branch}; endmodule")
+        module = spec.modules[0]
+        assert module.variables == variables
+        assert module.commands[0].branches[0].updates == updates
+        assert parse(format_model(spec)) == spec
 
 
 def two_state_module(name, var, rate_there, rate_back):

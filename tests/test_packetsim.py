@@ -148,6 +148,27 @@ class TestStateDynamics:
         m = simulate(default_params(), quiet(duration=5e4), "plain")
         assert all(u != 0 and w != 0 for (u, w, _) in m.occupancy)
 
+    @pytest.mark.parametrize("variant", abps.VARIANTS)
+    @pytest.mark.parametrize("data_rate", [0.0, 10.0])
+    def test_phase_records_chain(self, variant, data_rate):
+        # each interface's phase records chain from disconnected, and none
+        # stays in its phase: the oracle forces an interface off only while
+        # it is on, and on only while it is off
+        params = default_params(T_W_minus=5.0, T_W_plus=40.0)
+        forced = 0
+        for seed in range(4):
+            trace = Trace()
+            cfg = SimConfig(duration=1500.0, seed=seed, data_rate=data_rate, ack_timeout=0.5)
+            simulate(params, cfg, variant, trace=trace)
+            phase = {"nic:UMTS": "disconnected", "nic:WiFi": "disconnected"}
+            for _, entity, event, detail in trace.records:
+                if event == "phase":
+                    before, after = detail.removesuffix(" (forced)").split("->")
+                    assert before == phase[entity] != after, (seed, entity, detail)
+                    phase[entity] = after
+                    forced += detail.endswith("(forced)")
+        assert (forced > 0) == (variant == "oracle")
+
     def test_occupancy_fractions_partition_time(self):
         m = simulate(default_params(), quiet(duration=2e4), "oracle")
         assert sum(m.occupancy.values()) == pytest.approx(1.0, abs=1e-9)
