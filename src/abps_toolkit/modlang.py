@@ -93,14 +93,18 @@ KEYWORDS = {
 
 
 class ModelError(Exception):
-    """Base class for everything the parser and composer can reject."""
+    """Base class for everything the parser and composer can reject. An
+    error with a place in the listing, its 1-based ``line`` and ``column``,
+    says so first, as ``line L, column C: message``."""
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
+        self.line = line
+        self.column = column
 
 
 class ParseError(ModelError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+    pass
 
 
 class DuplicateDeclarationError(ModelError):
@@ -395,11 +399,12 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens + tokens[-1:] * 2  # the parser looks up to two tokens past EOF
 
 
-def _error_at(text: str, offset: int, message: str) -> ParseError:
-    """A :class:`ParseError` at ``offset`` in ``text``, with its 1-based line
-    and column."""
+def _error_at(text: str, offset: int, message: str,
+              kind: type[ModelError] = ParseError) -> ModelError:
+    """A ``kind`` error at ``offset`` in ``text``, with its 1-based line and
+    column."""
     line_start = text.rfind("\n", 0, offset) + 1
-    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+    return kind(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 # --------------------------------------------------------------------------
@@ -439,10 +444,11 @@ class _Parser:
     def found(self) -> str:
         return self.tokens[self.pos][1] or "end of input"
 
-    def error(self, message: str, at: int | None = None) -> ParseError:
-        """A :class:`ParseError` at token ``at``, by default the next one."""
+    def error(self, message: str, at: int | None = None,
+              kind: type[ModelError] = ParseError) -> ModelError:
+        """A ``kind`` error at token ``at``, by default the next one."""
         offset = self.tokens[self.pos if at is None else at][2]
-        return _error_at(self.text, offset, message)
+        return _error_at(self.text, offset, message, kind)
 
     # -- model items ------------------------------------------------------
 
@@ -457,27 +463,29 @@ class _Parser:
         modules: list[ModuleSpec] = []
         rewards: dict[str, tuple[RewardItem, ...]] = {}
         while (kind := self.peek()) != "EOF":
+            at = self.pos
             if kind == "const":
                 name, value = self.parse_const()
-                self._declare(declared, name, "constant")
+                self._declare(declared, name, "constant", at + 2)
                 constants[name] = value
             elif kind == "module":
-                mod = self.parse_module()
+                mod, var_at = self.parse_module()
                 if any(m.name == mod.name for m in modules):
-                    raise DuplicateDeclarationError(f"duplicate module {mod.name!r}")
-                for var in mod.variables:
-                    self._declare(declared, var.name, "variable")
+                    raise self.error(f"duplicate module {mod.name!r}", at + 1,
+                                     DuplicateDeclarationError)
+                for var, var_pos in zip(mod.variables, var_at):
+                    self._declare(declared, var.name, "variable", var_pos)
                 modules.append(mod)
             elif kind == "formula":
-                at = self.pos
                 name, expr = self.parse_formula()
-                self._declare(declared, name, "formula")
+                self._declare(declared, name, "formula", at + 1)
                 formulas[name] = expr
                 formula_at[name] = at
             elif kind == "rewards":
                 name, items = self.parse_rewards()
                 if name in rewards:
-                    raise DuplicateDeclarationError(f"duplicate rewards block {name!r}")
+                    raise self.error(f"duplicate rewards block {name!r}", at + 1,
+                                     DuplicateDeclarationError)
                 rewards[name] = items
             else:
                 raise self.error("expected 'const', 'module', 'formula' or 'rewards'")
@@ -486,10 +494,11 @@ class _Parser:
         _validate(spec)
         return _inline_formulas(spec)
 
-    @staticmethod
-    def _declare(declared: set[str], name: str, what: str) -> None:
+    def _declare(self, declared: set[str], name: str, what: str, at: int) -> None:
+        """Add ``name``, whose token is ``at``, to ``declared`` once."""
         if name in declared:
-            raise DuplicateDeclarationError(f"duplicate declaration of {name!r} ({what})")
+            raise self.error(f"duplicate declaration of {name!r} ({what})", at,
+                             DuplicateDeclarationError)
         declared.add(name)
 
     def _check_formula_order(self, formulas: dict[str, Expr], at: dict[str, int]) -> None:
@@ -514,20 +523,23 @@ class _Parser:
         self.expect(";")
         return name, value
 
-    def parse_module(self) -> ModuleSpec:
+    def parse_module(self) -> tuple[ModuleSpec, list[int]]:
+        """A module and the index of each of its variables' name tokens."""
         self.expect("module")
         name = self.expect("IDENT")
         variables: list[Variable] = []
+        var_at: list[int] = []
         commands: list[Command] = []
         while (kind := self.peek()) != "endmodule":
             if kind == "[":
                 commands.append(self.parse_command())
             elif kind == "IDENT":
+                var_at.append(self.pos)
                 variables.append(self.parse_vardecl())
             else:
                 raise self.error("expected a variable declaration, command or 'endmodule'")
         self.advance()
-        return ModuleSpec(name, tuple(variables), tuple(commands))
+        return ModuleSpec(name, tuple(variables), tuple(commands)), var_at
 
     def parse_vardecl(self) -> Variable:
         name = self.expect("IDENT")

@@ -40,6 +40,15 @@ Mechanics worth knowing:
   before it. Ties break by event class (oracle, interface, datagram, ACK,
   timeout); two interfaces due at the same time fire in the order their
   clocks were set, so runs are reproducible bit for bit.
+- Every state event, an interface's transition or an oracle move with the
+  forced transition it causes, is handled in the loop of ``run`` itself.
+  The loop keeps in locals the oracle's state, clock and entry time, the
+  time of the last state event and the interface whose clock was set last.
+  Interface phases and clocks stay on the ``NicState`` objects, which the
+  traffic code reads. Of the rest, traffic code reads only ``now``, so the
+  loop sets it before it flushes parked datagrams (``_serve`` sets its
+  own). The oracle state, the last state event's time and the
+  last-scheduled interface are written back when the run ends.
 - Only a state event moves the preferred interface, its phase or the set of
   usable interfaces. So between two state events every fresh datagram
   meets one fate (settled over a connected interface, lost over a failed
@@ -182,6 +191,10 @@ class SimConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+        most = int(np.iinfo(np.intp).max)  # the longest array numpy can index
+        if self.replications > most:
+            raise ValidationError(f"replications must be at most {most}, one seed each, "
+                                  f"got {self.replications}")
 
 
 @dataclass(slots=True)
@@ -261,8 +274,6 @@ class _Simulation:
         self.wifi = _nic_state("WiFi", r["alpha_W"], r["wifi_setup_success"],
                                r["wifi_setup_fail"], r["gamma_W_minus"], r["mu_W"])
         self.oracle_state = ORACLE_UW
-        self.oracle_due = math.inf
-        self.oracle_entered = 0.0
         # the interface whose clock was set last fires second on a tie;
         # run() sets UMTS's clock first, then WiFi's
         self.last_scheduled = self.wifi
@@ -296,78 +307,6 @@ class _Simulation:
         self.lost_sends = 0
         self.next_expected = 0
         self.reorder: set[int] = set()
-
-    # -- interface state machine --------------------------------------------
-
-    def _nic_fire(self, nic: NicState) -> None:
-        now = self.now
-        phase = nic.phase
-        cell = (self.umts.phase * 5 + self.wifi.phase) * 4 + self.oracle_state
-        self.occupancy[cell] += now - self.last_accrual
-        self.last_accrual = now
-        new = _NEXT_PHASE[phase]
-        if phase == PHASE_SETUP and not self.uniform() < nic.p_setup_ok:
-            new = PHASE_DISCONNECTED
-        if self.trace is not None:
-            self.trace(now, f"nic:{nic.technology}", "phase",
-                       f"{NIC_PHASES[phase]}->{NIC_PHASES[new]}")
-        nic.phase = new
-        nic.due = now + nic.scales[new] * self.draw()
-        self.last_scheduled = nic
-        if new == PHASE_CONNECTED and self.parked:
-            self._flush_parked()
-
-    def _force_off(self, nic: NicState) -> None:
-        if self.trace is not None:
-            self.trace(self.now, f"nic:{nic.technology}", "phase",
-                       f"{NIC_PHASES[nic.phase]}->off (forced)")
-        nic.phase = PHASE_OFF
-        nic.due = math.inf  # cancels any scheduled transition
-
-    def _force_on(self, nic: NicState) -> None:
-        if self.trace is not None:
-            self.trace(self.now, f"nic:{nic.technology}", "phase", "off->disconnected (forced)")
-        nic.phase = PHASE_DISCONNECTED
-        nic.due = self.now + nic.scales[PHASE_DISCONNECTED] * self.draw()
-        self.last_scheduled = nic
-
-    # -- oracle process -------------------------------------------------------
-
-    def _oracle_fire(self) -> None:
-        now = self.now
-        state = self.oracle_state
-        wifi = self.wifi
-        cell = (self.umts.phase * 5 + wifi.phase) * 4 + state
-        self.occupancy[cell] += now - self.last_accrual
-        self.last_accrual = now
-        if state != ORACLE_UW:
-            target = ORACLE_UW
-        elif self.uniform() * self.lambda_uw < self.lambda_uw_u:
-            target = ORACLE_U
-        else:
-            target = ORACLE_W
-        self.oracle_sojourn_sum[state] += now - self.oracle_entered
-        self.oracle_sojourn_cnt[state] += 1
-        self.oracle_state = target
-        self.oracle_entered = now
-        if self.trace is not None:
-            self.trace(now, "oracle", _ORACLE_EVENTS[target],
-                       f"{ORACLE_STATE_NAMES[state]}->{ORACLE_STATE_NAMES[target]}")
-        if self.variant == "oracle":
-            # U rules WiFi out and W rules UMTS out; back in UW both are on.
-            # U and W are entered only from UW, so each force moves a phase
-            if target == ORACLE_U:
-                self._force_off(wifi)
-            elif target == ORACLE_W:
-                self._force_off(self.umts)
-            else:
-                self._force_on(wifi if state == ORACLE_U else self.umts)
-        wifi.scales[PHASE_CONNECTED] = hold = self.wifi_hold_scale[target]
-        if wifi.phase == PHASE_CONNECTED:
-            # holding rate changed with the oracle state; redraw (memoryless)
-            wifi.due = now + hold * self.draw()
-            self.last_scheduled = wifi
-        self.oracle_due = now + self.oracle_scale[target] * self.draw()
 
     # -- traffic ---------------------------------------------------------------
 
@@ -493,46 +432,102 @@ class _Simulation:
 
     def run(self) -> SimMetrics:
         cfg = self.config
-        umts, wifi, draw = self.umts, self.wifi, self.draw
+        umts, wifi, trace = self.umts, self.wifi, self.trace
+        draw, uniform = self.draw, self.uniform
+        oracle_scale, hold_scale = self.oracle_scale, self.wifi_hold_scale
+        lambda_uw, lambda_uw_u = self.lambda_uw, self.lambda_uw_u
+        cells, forcing = self.occupancy, self.variant == "oracle"
+        sojourn_sum, sojourn_cnt = self.oracle_sojourn_sum, self.oracle_sojourn_cnt
+        state, last, last_set = self.oracle_state, self.last_accrual, self.last_scheduled
         umts.due = umts.scales[umts.phase] * draw()
         wifi.due = wifi.scales[wifi.phase] * draw()
-        self.oracle_due = self.oracle_scale[self.oracle_state] * draw()
+        oracle_due, entered = oracle_scale[state] * draw(), 0.0
 
         duration = cfg.duration
         past_end = math.nextafter(duration, math.inf)  # t < past_end: t <= duration
-        nic_fire, oracle_fire, serve = self._nic_fire, self._oracle_fire, self._serve
-        traffic = cfg.data_rate > 0.0
+        serve = self._serve if cfg.data_rate > 0.0 else None
         while True:
             # the next state event: the oracle wins a tie, then the
             # interface whose clock was set first
             nic, when = umts, umts.due
-            if wifi.due < when or (wifi.due == when and self.last_scheduled is umts):
-                nic, when = wifi, wifi.due
-            if self.oracle_due <= when:
-                nic, when = None, self.oracle_due
-            if traffic:
+            wifi_due = wifi.due
+            if wifi_due < when or (wifi_due == when and last_set is umts):
+                nic, when = wifi, wifi_due
+            if oracle_due <= when:
+                nic, when = None, oracle_due
+            if serve is not None:
                 # traffic goes first only when strictly earlier
                 serve(when if when < past_end else past_end)
             if when > duration:
                 break
-            self.now = when
-            if nic is None:
-                oracle_fire()
+            cells[(umts.phase * 5 + wifi.phase) * 4 + state] += when - last
+            last = when
+            if nic is not None:
+                phase = nic.phase
+                new = _NEXT_PHASE[phase]
+                if phase == PHASE_SETUP and not uniform() < nic.p_setup_ok:
+                    new = PHASE_DISCONNECTED
+                if trace is not None:
+                    trace(when, f"nic:{nic.technology}", "phase",
+                          f"{NIC_PHASES[phase]}->{NIC_PHASES[new]}")
+                nic.phase = new
+                nic.due = when + nic.scales[new] * draw()
+                last_set = nic
+                if new == PHASE_CONNECTED and self.parked:
+                    self.now = when
+                    self._flush_parked()
+                continue
+            # the oracle moves
+            if state != ORACLE_UW:
+                target = ORACLE_UW
+            elif uniform() * lambda_uw < lambda_uw_u:
+                target = ORACLE_U
             else:
-                nic_fire(nic)
-        cell = (umts.phase * 5 + wifi.phase) * 4 + self.oracle_state
-        self.occupancy[cell] += duration - self.last_accrual
+                target = ORACLE_W
+            sojourn_sum[state] += when - entered
+            sojourn_cnt[state] += 1
+            entered = when
+            if trace is not None:
+                trace(when, "oracle", _ORACLE_EVENTS[target],
+                      f"{ORACLE_STATE_NAMES[state]}->{ORACLE_STATE_NAMES[target]}")
+            if forcing:
+                # U rules WiFi out and W rules UMTS out; back in UW both are
+                # on. U and W are entered only from UW, so each force moves a
+                # phase, and a forced-off interface's clock is cancelled
+                if target == ORACLE_UW:
+                    nic = wifi if state == ORACLE_U else umts
+                    if trace is not None:
+                        trace(when, f"nic:{nic.technology}", "phase",
+                              "off->disconnected (forced)")
+                    nic.phase = PHASE_DISCONNECTED
+                    nic.due = when + nic.scales[PHASE_DISCONNECTED] * draw()
+                    last_set = nic
+                else:
+                    nic = wifi if target == ORACLE_U else umts
+                    if trace is not None:
+                        trace(when, f"nic:{nic.technology}", "phase",
+                              f"{NIC_PHASES[nic.phase]}->off (forced)")
+                    nic.phase = PHASE_OFF
+                    nic.due = math.inf
+            state = target
+            wifi.scales[PHASE_CONNECTED] = hold = hold_scale[target]
+            if wifi.phase == PHASE_CONNECTED:
+                # holding rate changed with the oracle state; redraw (memoryless)
+                wifi.due = when + hold * draw()
+                last_set = wifi
+            oracle_due = when + oracle_scale[target] * draw()
+        cells[(umts.phase * 5 + wifi.phase) * 4 + state] += duration - last
+        self.oracle_state, self.last_accrual, self.last_scheduled = state, last, last_set
 
         occupancy = {}
         available = power = throughput = 0.0
         for u, w, o in itertools.product(range(5), range(5), ORACLE_STATE_NAMES):
-            t = self.occupancy[(u * 5 + w) * 4 + o]
+            t = cells[(u * 5 + w) * 4 + o]
             if t > 0.0:
                 occupancy[u, w, o] = t / duration
                 available += t if state_available(u, w) else 0.0
                 power += t * state_power(u, w, self.params, self.mode, self.variant)
                 throughput += t * state_throughput(u, w, self.params)
-        counts = self.oracle_sojourn_cnt
         delivered, parked = self._delivery()
         return SimMetrics(
             variant=self.variant,
@@ -550,10 +545,10 @@ class _Simulation:
             retransmissions=self.retransmissions,
             lost_sends=self.lost_sends,
             parked_at_end=parked,
-            oracle_sojourn_mean={ORACLE_STATE_NAMES[s]: self.oracle_sojourn_sum[s] / c
-                                 for s, c in counts.items() if c > 0},
+            oracle_sojourn_mean={ORACLE_STATE_NAMES[s]: sojourn_sum[s] / c
+                                 for s, c in sojourn_cnt.items() if c > 0},
             oracle_sojourn_count={ORACLE_STATE_NAMES[s]: c
-                                  for s, c in counts.items() if c > 0},
+                                  for s, c in sojourn_cnt.items() if c > 0},
             occupancy=occupancy,
         )
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abps_toolkit import cli, coverage
@@ -373,6 +374,13 @@ class TestCompare:
                              "--seed", "3")
         assert (code, out) == (2, "")
         assert "needs at least 2 replications" in err and "got 1" in err
+
+    def test_unseedable_replication_count_exit_2(self, capsys):
+        # no seed array this long can exist; it was a numpy traceback, exit 1
+        code, out, err = run(capsys, "compare", "--reps", str(10**20), "--duration", "1")
+        assert (code, out) == (2, "")
+        assert f"replications must be at most {np.iinfo(np.intp).max}," in err
+        assert err.endswith(f"got {10**20}\n")
 
     def test_fixed_seed_reports_identical(self, capsys):
         args = ("compare", "--variant", "plain", "--reps", "3",

@@ -77,10 +77,12 @@ class TestParse:
         in_one_module = (
             "ctmc module m x : [0..1] init 0; x : [0..2] init 1; [] x=0 -> (x'=1); endmodule"
         )
-        for text in (across_modules, in_one_module):
-            with pytest.raises(DuplicateDeclarationError,
-                               match=r"^duplicate declaration of 'x' \(variable\)$"):
+        # each error points at the second declaration's name
+        for text, place in ((across_modules, "line 3, column 18"),
+                            (in_one_module, "line 1, column 34")):
+            with pytest.raises(DuplicateDeclarationError) as err:
                 parse(text)
+            assert str(err.value) == f"{place}: duplicate declaration of 'x' (variable)"
 
     def test_undeclared_identifier(self):
         text = "ctmc module m x : [0..1] init 0; [] x=0 -> mystery:(x'=1); endmodule"
@@ -181,10 +183,21 @@ class TestParse:
     @pytest.mark.parametrize("text, error, message", [
         pytest.param("ctmc module a x : [0..1] init 0; endmodule "
                      "module a y : [0..1] init 0; endmodule",
-                     DuplicateDeclarationError, "duplicate module 'a'", id="module"),
+                     DuplicateDeclarationError, "line 1, column 51: duplicate module 'a'",
+                     id="module"),
         pytest.param('ctmc module m x : [0..1] init 0; endmodule '
                      'rewards "r" true : 1; endrewards rewards "r" true : 2; endrewards',
-                     DuplicateDeclarationError, "duplicate rewards block 'r'", id="rewards"),
+                     DuplicateDeclarationError, "line 1, column 85: duplicate rewards block 'r'",
+                     id="rewards"),
+        pytest.param("ctmc const double k = 1;\nconst double k = 2;", DuplicateDeclarationError,
+                     "line 2, column 14: duplicate declaration of 'k' (constant)",
+                     id="constant"),
+        pytest.param("ctmc formula f = 1; formula f = 2;", DuplicateDeclarationError,
+                     "line 1, column 29: duplicate declaration of 'f' (formula)", id="formula"),
+        pytest.param("ctmc const double x; module m x : [0..1] init 0; endmodule",
+                     DuplicateDeclarationError,
+                     "line 1, column 31: duplicate declaration of 'x' (variable)",
+                     id="constant-then-variable"),
         pytest.param("ctmc module a x : [0..1] init 0; endmodule "
                      "module b y : [0..1] init 0; [] y=0 -> (x'=1); endmodule",
                      UndeclaredIdentifierError,

@@ -72,6 +72,15 @@ class TestConfig:
                 SimConfig(**{field: value})
         assert getattr(SimConfig(**{field: np.int64(3)}), field) == 3
 
+    def test_replications_fit_a_seed_array(self):
+        # derive_seeds raised numpy's "Maximum allowed dimension exceeded";
+        # these counts are refused before anything is allocated
+        most = np.iinfo(np.intp).max
+        for count in (most + 1, 10**20):
+            with pytest.raises(ValidationError,
+                               match=f"replications must be at most {most}, .* got {count}$"):
+                SimConfig(replications=count)
+
     def test_rejects_non_finite_duration_and_rate(self):
         # an infinite run never ends; an infinite rate makes every datagram due at once
         with pytest.raises(ValidationError, match="duration must be positive and finite"):
@@ -581,6 +590,28 @@ class TestStream:
     ], ids=["plain-idle", "oracle-idle-appendix", "oracle-duplicates", "oracle-traffic"])
     def test_trace_digest(self, config, variant, mode, want):
         assert trace_digest(config, variant, mode) == want
+
+    # sha256 of the repr of untraced runs' SimMetrics, so occupancy, the
+    # oracle's sojourn means and counts and the counters are pinned on the
+    # path no trace record covers
+    @pytest.mark.parametrize("config, variant, mode, params, want", [
+        (quiet(duration=2e4, seed=3), "plain", "text", {},
+         "65d525653091a91a4e528e232ff7bae9788cfbfe92773233952df7f2b06534c0"),
+        (quiet(duration=2e4, seed=8), "plain", "appendix", {},
+         "d6078761061846e593130cc8619ba4b8ff4271ab931a1e5b0605fb55cdd76aec"),
+        (quiet(duration=2e4, seed=9), "oracle", "text", {},
+         "699b1ef7ba3140897cb1429b5bd46c47af9881ac59aedc690a983e7debd257a7"),
+        (quiet(duration=2e4, seed=4), "oracle", "appendix", {},
+         "ff2c704a16e4c787eb34c27d59b6ca5bb9ab8a0a362cbe50b33b8cb8aa53e5bd"),
+        # served in stretches, with 488 lost sends and their resends
+        (SimConfig(duration=400.0, seed=11, data_rate=50.0, ack_delay=0.2), "oracle", "text",
+         dict(T_W_minus=5.0, T_W_plus=40.0),
+         "2ec24296f1a3b2b362b69dc2234110c9f4f5b74f90d7a187fbbe760ad8aca8b5"),
+    ], ids=["plain-idle", "plain-idle-appendix", "oracle-idle", "oracle-idle-appendix",
+            "oracle-stretches"])
+    def test_untraced_metrics_digest(self, config, variant, mode, params, want):
+        metrics = simulate(default_params(**params), config, variant, mode)
+        assert hashlib.sha256(repr(metrics).encode()).hexdigest() == want
 
     # runs where ACK timing decides the counters: generated, acked,
     # delivered_in_order, duplicates, retransmissions, lost_sends,
