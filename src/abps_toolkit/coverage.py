@@ -8,17 +8,17 @@ The activation policy maps events to which interfaces stay powered.
 
 Coverage is disc-based: a point is covered while it sits within some
 access point's radius, decided once per trajectory as a (sample x AP)
-boolean matrix. A great-circle distance is never less than R|dphi|, so a
-distance is computed only for the pairs whose latitudes lie within the
-largest radius of each other (a latitude band, found by binary search in
-the APs sorted by latitude); no other pair can be covered. Access points
-sharing a network group are treated as one network, so walking across them
-keeps a single coverage interval alive (link-layer roaming); every
-ungrouped access point is a network of its own, and coverage with no
-persisting network splits at the handover point. Interval edges are located
-by bisecting the interpolated position between trajectory samples, so
-sub-sample precision comes for free; blips smaller than the sample spacing
-are invisible by construction.
+boolean matrix. Both routes list their (position, AP) pairs from one index
+of the access points in latitude order: a great-circle distance is never
+less than R|dphi|, so only the pairs whose latitudes lie within a reach of
+each other (a band, found by binary search) get a distance; the index's
+``band`` alone writes the reach. Access points sharing a network group are
+treated as one network, so walking across them keeps a single coverage
+interval alive (link-layer roaming); every ungrouped access point is a
+network of its own, and coverage with no persisting network splits at the
+handover point. Interval edges are located by bisecting the interpolated
+position between trajectory samples, so sub-sample precision comes for
+free; blips smaller than the sample spacing are invisible by construction.
 
 Whether an edge lies between two samples depends only on the disc matrix,
 so every edge of a walk is found first and all of them are bisected in
@@ -31,10 +31,10 @@ the very floats that 60 scalar steps per edge would give.
 The query route (``classify_trajectory``) asks its catalog once per walk:
 every catalog source answers ``query_many`` for a batch of positions, and
 ``query`` is its one-position case. ``LocalCatalog`` answers a batch from
-the distances of the pairs in the same kind of latitude band, a few
-thousand pairs at a time; ``TtlCache`` sends only the positions it holds no
-live entry for, and ``RemoteCatalog`` sends one request per position, since
-the service answers one at a time.
+the distances of the pairs in each position's band, a few thousand pairs
+at a time; ``TtlCache`` sends only the positions it holds no live entry
+for, and ``RemoteCatalog`` sends one request per position, since the
+service answers one at a time.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -141,6 +142,33 @@ def haversine_m(lat1, lon1, lat2, lon2):
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(a))
 
 
+class _ApIndex:
+    """Access points in latitude order, one site each, with their columns;
+    ``order`` gives each site's place in the sequence it was built from."""
+
+    def __init__(self, aps: Sequence[AccessPoint]) -> None:
+        columns = np.array([[ap.lat for ap in aps], [ap.lon for ap in aps],
+                            [ap.radius_m for ap in aps]], dtype=float)
+        self.order = np.argsort(columns[0])
+        self.lat, self.lon, self.radius = columns[:, self.order]
+        self.aps = np.fromiter(aps, dtype=object, count=len(aps))[self.order]
+        self.phi = np.radians(self.lat)
+
+    def band(self, low, high, reach_m: float):
+        """Per row, the first site and the number of sites within ``reach_m``
+        of the latitude span [low, high] (radians), with a margin of 1e-9 of
+        the reach plus 1 um, far more than a distance's or a position's rounding."""
+        reach = max(reach_m * (1 + 1e-9) + 1e-6, 0.0) / EARTH_RADIUS_M
+        start = np.searchsorted(self.phi, low - reach, "left")
+        return start, np.searchsorted(self.phi, high + reach, "right") - start
+
+    @staticmethod
+    def pairs(start, count):
+        """The (row, site) pairs of a band, row by row."""
+        row = np.repeat(np.arange(len(count)), count)
+        return row, np.arange(len(row)) + np.repeat(start - np.cumsum(count) + count, count)
+
+
 # ---------------------------------------------------------------------------
 # Catalog sources
 
@@ -172,18 +200,14 @@ class LocalCatalog(_Catalog):
             self.access_points = self._parse(read_utf8(source, ""))
         else:
             self.access_points = tuple(source)
+
+    @cached_property
+    def _ranked(self) -> tuple[_ApIndex, np.ndarray]:
+        """The index, built on the first query, and each site's tie rank."""
         aps = self.access_points
-        lat = np.array([ap.lat for ap in aps], dtype=float)
-        # rank of each AP among equal distances: ESSID, then catalog index
-        tie = np.empty(len(aps), dtype=np.int64)
-        tie[sorted(range(len(aps)), key=lambda j: aps[j].essid)] = np.arange(len(aps))
-        # every column in latitude order, for the band search of query_many
-        by_lat = np.argsort(lat)
-        self._phi = np.radians(lat[by_lat])
-        self._lat = lat[by_lat]
-        self._lon = np.array([ap.lon for ap in aps], dtype=float)[by_lat]
-        self._tie = tie[by_lat]
-        self._aps = np.fromiter(aps, dtype=object, count=len(aps))[by_lat]
+        index = _ApIndex(aps)
+        by_essid = np.array(sorted(range(len(aps)), key=lambda j: aps[j].essid), dtype=np.int64)
+        return index, np.argsort(by_essid)[index.order]
 
     def _parse(self, fh) -> tuple[AccessPoint, ...]:
         reader = csv.reader(fh)
@@ -209,23 +233,18 @@ class LocalCatalog(_Catalog):
     def query_many(self, lat: Sequence[float], lon: Sequence[float],
                    radius: float) -> list[tuple[AccessPoint, ...]]:
         """Each position's access points within ``radius``, from one distance
-        computation over the (position, AP) pairs of each position's latitude
-        band: a great-circle distance is at least R|dphi|, and the reach rule
-        is ``predict_coverage``'s."""
+        computation over the (position, AP) pairs of each position's band."""
         lat = np.asarray(lat, dtype=float)
         lon = np.asarray(lon, dtype=float)
-        reach = max(radius * (1 + 1e-9) + 1e-6, 0.0) / EARTH_RADIUS_M
-        s_phi = np.radians(lat)
-        low, high = s_phi - reach, s_phi + reach
-        # the number of pairs _band lists
-        pairs = int((np.searchsorted(self._phi, high, "right")
-                     - np.searchsorted(self._phi, low, "left")).sum())
-        if len(lat) > 1 and len(lat) + pairs > _BATCH_PAIRS:
+        index, tie = self._ranked
+        phi = np.radians(lat)
+        start, count = index.band(phi, phi, radius)
+        if len(lat) > 1 and len(lat) + int(count.sum()) > _BATCH_PAIRS:
             half = len(lat) // 2
             return (self.query_many(lat[:half], lon[:half], radius)
                     + self.query_many(lat[half:], lon[half:], radius))
-        row, pos = _band(self._phi, low, high)
-        dist = haversine_m(lat[row], lon[row], self._lat[pos], self._lon[pos])
+        row, pos = index.pairs(start, count)
+        dist = haversine_m(lat[row], lon[row], index.lat[pos], index.lon[pos])
         hit = dist <= radius
         row, pos, dist = row[hit], pos[hit], dist[hit]
         # One sort on one int64 key: row, then distance, then tie rank. Equal
@@ -234,8 +253,8 @@ class LocalCatalog(_Catalog):
         ranked = dist[by_dist]
         level = np.empty(len(dist), dtype=np.int64)
         level[by_dist] = np.cumsum(np.diff(ranked, prepend=ranked[:1]) > 0)
-        key = (row * len(dist) + level) * len(self._aps) + self._tie[pos]
-        found = tuple(self._aps[pos[np.argsort(key)]].tolist())
+        key = (row * len(dist) + level) * len(tie) + tie[pos]
+        found = tuple(index.aps[pos[np.argsort(key)]].tolist())
         ends = np.cumsum(np.bincount(row, minlength=len(lat))).tolist()
         return [found[a:b] for a, b in zip([0, *ends], ends)]
 
@@ -292,6 +311,8 @@ class RemoteCatalog(_Catalog):
                  token_env: str = CATALOG_TOKEN_ENV, session=None) -> None:
         if urlsplit(base_url).scheme not in ("http", "https"):
             raise ValidationError(f"catalog URL must be http or https, got {base_url!r}")
+        if not (timeout_s > 0.0 and math.isfinite(timeout_s)):
+            raise ValidationError(f"catalog timeout_s must be positive and finite, got {timeout_s}")
         self.base_url = base_url
         self.timeout_s = timeout_s
         self.token_env = token_env
@@ -486,6 +507,7 @@ def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
     """Extend a trajectory by dead reckoning from its last two samples."""
     if len(samples) < 2:
         raise ValidationError("extrapolation needs at least 2 samples")
+    _check_trajectory(samples)
     for name, value in (("horizon_s", horizon_s), ("step_s", step_s)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValidationError(f"{name} must be positive and finite, got {value}")
@@ -517,15 +539,6 @@ def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
 # Coverage prediction
 
 
-def _band(key, low, high):
-    """Row by row, the (row, position) pairs with low[row] <= key[position]
-    <= high[row], for a sorted ``key``."""
-    start = np.searchsorted(key, low, "left")
-    count = np.searchsorted(key, high, "right") - start
-    row = np.repeat(np.arange(len(count)), count)
-    return row, np.arange(len(row)) + np.repeat(start - np.cumsum(count) + count, count)
-
-
 def predict_coverage(
     trajectory: Sequence[TrajectorySample], aps: Sequence[AccessPoint]
 ) -> list[CoverageInterval]:
@@ -540,33 +553,23 @@ def predict_coverage(
         raise ValidationError("coverage prediction needs at least 2 samples")
     t, s_lat, s_lon = _check_trajectory(trajectory)
 
-    lat = np.array([ap.lat for ap in aps])
-    lon = np.array([ap.lon for ap in aps])
-    radius = np.array([ap.radius_m for ap in aps])
-    # network of each AP, numbered from 0: its own, or its group's (keyed by
-    # the group's first AP, so that a group name is an opaque string)
+    index = _ApIndex(aps)
+    # network of each site, numbered from 0: its own, or its group's (keyed
+    # by the group's first site, so that a group name is an opaque string)
     first: dict[str, int] = {}
     network = np.unique([first.setdefault(ap.group, j) if ap.group else j
-                         for j, ap in enumerate(aps)], return_inverse=True)[1]
-    # A great-circle distance is at least R|dphi|, so only the APs within
-    # r_max of a point's latitude can cover it. The reach adds 1e-9 of r_max
-    # and 1 um, far more than the rounding of a distance, of phi +/- reach
-    # and of an interpolated position, so no pair that could be covered is
-    # left out.
-    phi = np.radians(lat)
-    by_lat = np.argsort(phi)
-    key = phi[by_lat]
-    reach = (radius.max(initial=0.0) * (1 + 1e-9) + 1e-6) / EARTH_RADIUS_M
+                         for j, ap in enumerate(index.aps)], return_inverse=True)[1]
+    # only the sites within r_max of a sample's latitude can cover it
+    r_max = index.radius.max(initial=0.0)
     s_phi = np.radians(s_lat)
-    row, pos = _band(key, s_phi - reach, s_phi + reach)
-    col = by_lat[pos]
-    hit = haversine_m(s_lat[row], s_lon[row], lat[col], lon[col]) <= radius[col]
-    # covering[i, j]: sample i lies within AP j's disc; by_net[i, n]: within
-    # a disc of network n
+    row, pos = index.pairs(*index.band(s_phi, s_phi, r_max))
+    hit = haversine_m(s_lat[row], s_lon[row], index.lat[pos], index.lon[pos]) <= index.radius[pos]
+    # covering[i, j]: sample i lies within site j's disc; by_net[i, n]:
+    # within a disc of network n
     covering = np.zeros((len(t), len(aps)), dtype=bool)
-    covering[row[hit], col[hit]] = True
+    covering[row[hit], pos[hit]] = True
     by_net = np.zeros((len(t), network.max(initial=-1) + 1), dtype=bool)
-    by_net[row[hit], network[col[hit]]] = True
+    by_net[row[hit], network[pos[hit]]] = True
     covered = by_net.any(axis=1)
     # coverage flips, or no network persists across a handover
     flip = np.flatnonzero((covered[:-1] | covered[1:]) & ~(by_net[:-1] & by_net[1:]).any(axis=1))
@@ -576,12 +579,11 @@ def predict_coverage(
     # covering sample i. A step is a function of (lo, hi) alone, so the
     # first step that moves no bracket leaves them where 60 steps would.
     inside = covered[flip]
-    row, pos = _band(key, np.minimum(s_phi[flip], s_phi[flip + 1]) - reach,
-                     np.maximum(s_phi[flip], s_phi[flip + 1]) + reach)
-    col = by_lat[pos]
-    probe = ~inside[row] | by_net[flip[row], network[col]]
-    row, col = row[probe], col[probe]
-    ap_lat, ap_lon, ap_radius = lat[col], lon[col], radius[col]
+    row, pos = index.pairs(*index.band(np.minimum(s_phi[flip], s_phi[flip + 1]),
+                                       np.maximum(s_phi[flip], s_phi[flip + 1]), r_max))
+    probe = ~inside[row] | by_net[flip[row], network[pos]]
+    row, pos = row[probe], pos[probe]
+    ap_lat, ap_lon, ap_radius = index.lat[pos], index.lon[pos], index.radius[pos]
     t0, dt = t[flip], t[flip + 1] - t[flip]
     lat0, dlat = s_lat[flip], s_lat[flip + 1] - s_lat[flip]
     lon0, dlon = s_lon[flip], s_lon[flip + 1] - s_lon[flip]
@@ -602,7 +604,7 @@ def predict_coverage(
     rows = [0, *(flip + 1).tolist(), len(trajectory)]
     intervals = []
     for k in range(len(rows) - 1):
-        seen = [aps[j] for j in np.flatnonzero(covering[rows[k]:rows[k + 1]].any(axis=0))]
+        seen = index.aps[covering[rows[k]:rows[k + 1]].any(axis=0)].tolist()
         intervals.append(
             CoverageInterval(
                 cuts[k], cuts[k + 1], bool(covered[rows[k]]),
@@ -668,11 +670,9 @@ def classify_trajectory(
         return [
             CoverageEvent(trajectory[0].t, EventKind.EV_SHORT_WIFI, None, ())
         ]
-    # Each access point once, at its last listing (deduplicated by identity
-    # at C speed); of those at one (essid, lat, lon), the one listed last
-    # wins, as assigning every listing in walk order would keep.
-    listed = list(chain.from_iterable(answers))[::-1]
-    seen: dict[tuple, AccessPoint] = {}
-    for ap in reversed(dict(zip(map(id, listed), listed)).values()):
-        seen[(ap.essid, ap.lat, ap.lon)] = ap
-    return classify(predict_coverage(trajectory, list(seen.values())), threshold_s)
+    # Each access point once, as in the catalog: listings merge by identity
+    # at C speed, then the distinct objects by value, so that the fresh
+    # copies a remote catalog parses per request count once.
+    listed = list(chain.from_iterable(answers))
+    distinct = dict.fromkeys(dict(zip(map(id, listed), listed)).values())
+    return classify(predict_coverage(trajectory, list(distinct)), threshold_s)

@@ -599,21 +599,49 @@ class TestUseCases:
         assert apply_policy(middle).active_umts is True
         assert apply_policy(middle).active_wifi is False
 
-    def test_last_access_point_listed_at_one_place_wins(self):
+    def test_every_access_point_listed_at_one_place_counts(self):
+        # one mast, one ESSID, two radii: the query route keeps both, as
+        # predicting over the catalog itself does
         wide, narrow = ap("dup", 50, 40), ap("dup", 50, 10)
-        # a catalog lists both, in catalog order: the narrow disc, listed last
-        events = classify_trajectory(walk(100), LocalCatalog([wide, narrow]), 15.0)
-        assert [(e.kind, e.duration) for e in events][1] == (
-            EventKind.EV_LONG_WIFI, pytest.approx(20.0, abs=1e-6))
+        expected = classify(predict_coverage(walk(100), [wide, narrow]), 15.0)
+        for catalog in (LocalCatalog([wide, narrow]), TtlCache(LocalCatalog([narrow, wide]))):
+            events = classify_trajectory(walk(100), catalog, 15.0)
+            assert events == expected
+            assert [(e.kind, e.duration) for e in events][1] == (
+                EventKind.EV_LONG_WIFI, pytest.approx(80.0, abs=1e-6))
 
         class Scripted:
             def query_many(self, lat, lon, radius):
                 return [(wide,)] + [(narrow,)] * 50 + [(wide,)] * (len(lat) - 51)
 
-        # wide is listed first and last: the last listing wins
         events = classify_trajectory(walk(100), Scripted(), 15.0)
         assert [(e.kind, e.duration) for e in events][1] == (
             EventKind.EV_LONG_WIFI, pytest.approx(80.0, abs=1e-6))
+
+
+class TestTwoRoutesAgree:
+    """The query route classifies as predicting over the whole catalog."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_query_route_equals_prediction_over_the_catalog(self, seed):
+        rng = np.random.default_rng([27, seed])
+        for case in range(12):
+            # samples up to ~6 m apart, APs up to 40 m: every AP that covers
+            # a point of the walk lies within the 100 m query radius of a sample
+            track, aps = random_case(rng, rng.uniform(0.0, 1e4), n=40, dt=(0.5, 2.0),
+                                     speed=3.0)
+            for k in range(int(rng.integers(1, 4))):
+                s = track[int(rng.integers(len(track)))]
+                group = str(rng.choice(["", "g1", "g3"])) or None
+                radii = sorted(rng.uniform(5.0, 40.0, 2))
+                # the same ESSID on one mast, with two radii
+                aps += [AccessPoint(f"mast{k}", s.lat, s.lon, r, group) for r in radii]
+            aps = [aps[j] for j in rng.permutation(len(aps))]
+            expected = classify(predict_coverage(track, aps), 20.0)
+            cache = TtlCache(LocalCatalog(aps))
+            for catalog in (LocalCatalog(aps), cache, cache):
+                assert classify_trajectory(track, catalog, 20.0, 100.0) == expected
+            assert cache.hits == len(track)
 
 
 class TestCatalogFiles:
@@ -789,6 +817,12 @@ class TestRemoteCatalog:
     def test_only_http_urls(self, url):
         with pytest.raises(ValidationError, match="http"):
             RemoteCatalog(url, session=FakeSession())
+
+    @pytest.mark.parametrize("timeout_s", [0.0, -1.0, math.nan, math.inf])
+    def test_timeout_must_be_positive_and_finite(self, timeout_s):
+        with pytest.raises(ValidationError, match=f"^catalog timeout_s must be positive and "
+                                                  f"finite, got {timeout_s}$"):
+            RemoteCatalog("http://catalog.invalid/aps", timeout_s=timeout_s)
 
     def test_one_request_per_position(self):
         session = FakeSession(FakeResponse(payload=[self.RECORD]))
@@ -1054,6 +1088,16 @@ class TestExtrapolate:
                                         (10.0, math.inf, "step_s"), (10.0, -1.0, "step_s")):
             with pytest.raises(ValidationError, match=f"^{name} must be positive and finite"):
                 extrapolate(track, horizon_s, step_s)
+        # the walk is checked as every other walk consumer checks it
+        for bad, message in (
+                (TrajectorySample(0, 0.0, M), r"^trajectory timestamps must strictly increase "
+                                              r"\(0 then 0\)$"),
+                (TrajectorySample(10, 95.0, M), r"^trajectory sample 1 \(t=10\) has invalid "
+                                                r"coordinates \(95.0, "),
+                (TrajectorySample(math.nan, 0.0, M), r"^trajectory sample 1 has a non-finite "
+                                                     r"timestamp t=nan$")):
+            with pytest.raises(ValidationError, match=message):
+                extrapolate([TrajectorySample(0, 0.0, 0.0), bad], 10.0)
 
     def test_times_are_the_last_plus_multiples_of_the_step(self):
         track = [TrajectorySample(9, 0.0, 0.0), TrajectorySample(10, 0.0, M)]
