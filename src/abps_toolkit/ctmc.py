@@ -54,6 +54,10 @@ class GeneratorMatrix:
 
     def __post_init__(self) -> None:
         q = np.array(self.q, dtype=float)
+        if q.shape != (self.n_states, self.n_states):
+            raise ValidationError(
+                f"Q of {self.n_states} states must be {self.n_states} x {self.n_states}, "
+                f"got shape {q.shape}")
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
 

@@ -50,6 +50,13 @@ Constants declared without a value are external parameters and must be
 bound before composition. ``formula`` definitions are inlined where they
 are referenced.
 
+A constant's definition may name only constants, other expressions any
+constant, variable or formula, and an update only its own module's
+variables. The parser checks each name and initial value at its token once
+the whole listing has parsed, so a syntax error comes first; the first
+fault in the source raises :class:`UndeclaredIdentifierError` or
+:class:`InitOutOfRangeError` with its line and column.
+
 :func:`compile` turns a parsed spec into a :class:`Program`, which composes
 the chain at one set of bindings (``evaluate``, what :func:`compose` does)
 or composes and solves it at many points at once (``evaluate_many``).
@@ -62,7 +69,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Container, Mapping, Union
 
 import numpy as np
 
@@ -423,6 +430,13 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.constants: dict[str, Expr | None] = {}
+        self.declared: set[str] = set()  # each constant, variable and formula name
+        # Where parse_atom's names stand, for messages, and the names they may be.
+        self.where, self.scope = "", self.declared
+        # Each name or initial value to check once the listing is whole, in
+        # source order: its token, the names it may be, its error and message.
+        self.checks: list[tuple[int, Container[str], type[ModelError], str]] = []
 
     def peek(self, ahead: int = 0) -> str:
         """The kind of the token ``ahead`` places on."""
@@ -456,8 +470,6 @@ class _Parser:
         if self.peek() != "ctmc":
             raise self.error("model must start with the continuous-time marker 'ctmc'")
         self.advance()
-        declared: set[str] = set()  # each constant, variable and formula name
-        constants: dict[str, Expr | None] = {}
         formulas: dict[str, Expr] = {}
         formula_at: dict[str, int] = {}  # the index of each formula's token
         modules: list[ModuleSpec] = []
@@ -466,19 +478,19 @@ class _Parser:
             at = self.pos
             if kind == "const":
                 name, value = self.parse_const()
-                self._declare(declared, name, "constant", at + 2)
-                constants[name] = value
+                self._declare(name, "constant", at + 2)
+                self.constants[name] = value
             elif kind == "module":
                 mod, var_at = self.parse_module()
                 if any(m.name == mod.name for m in modules):
                     raise self.error(f"duplicate module {mod.name!r}", at + 1,
                                      DuplicateDeclarationError)
                 for var, var_pos in zip(mod.variables, var_at):
-                    self._declare(declared, var.name, "variable", var_pos)
+                    self._declare(var.name, "variable", var_pos)
                 modules.append(mod)
             elif kind == "formula":
                 name, expr = self.parse_formula()
-                self._declare(declared, name, "formula", at + 1)
+                self._declare(name, "formula", at + 1)
                 formulas[name] = expr
                 formula_at[name] = at
             elif kind == "rewards":
@@ -490,16 +502,18 @@ class _Parser:
             else:
                 raise self.error("expected 'const', 'module', 'formula' or 'rewards'")
         self._check_formula_order(formulas, formula_at)
-        spec = ModelSpec("ctmc", constants, formulas, tuple(modules), rewards)
-        _validate(spec)
+        for at, scope, kind, message in self.checks:
+            if self.tokens[at][1] not in scope:
+                raise self.error(message, at, kind)
+        spec = ModelSpec("ctmc", self.constants, formulas, tuple(modules), rewards)
         return _inline_formulas(spec)
 
-    def _declare(self, declared: set[str], name: str, what: str, at: int) -> None:
-        """Add ``name``, whose token is ``at``, to ``declared`` once."""
-        if name in declared:
+    def _declare(self, name: str, what: str, at: int) -> None:
+        """Declare ``name``, whose token is ``at``, once."""
+        if name in self.declared:
             raise self.error(f"duplicate declaration of {name!r} ({what})", at,
                              DuplicateDeclarationError)
-        declared.add(name)
+        self.declared.add(name)
 
     def _check_formula_order(self, formulas: dict[str, Expr], at: dict[str, int]) -> None:
         """Formulas are inlined in declaration order, so each may name only the
@@ -519,6 +533,7 @@ class _Parser:
         value: Expr | None = None
         if self.peek() == "=":
             self.advance()
+            self.where, self.scope = f"constant {name!r}", self.constants
             value = self.parse_expr()
         self.expect(";")
         return name, value
@@ -530,12 +545,14 @@ class _Parser:
         variables: list[Variable] = []
         var_at: list[int] = []
         commands: list[Command] = []
+        self.module, self.owned = name, set()  # for its commands to read
         while (kind := self.peek()) != "endmodule":
             if kind == "[":
                 commands.append(self.parse_command())
             elif kind == "IDENT":
                 var_at.append(self.pos)
                 variables.append(self.parse_vardecl())
+                self.owned.add(variables[-1].name)
             else:
                 raise self.error("expected a variable declaration, command or 'endmodule'")
         self.advance()
@@ -553,7 +570,11 @@ class _Parser:
         if low > high:
             raise self.error(f"empty range [{low}..{high}]", at)
         self.expect("init")
+        at = self.pos
         init = self.parse_int()
+        if not low <= init <= high:
+            self.checks.append((at, (), InitOutOfRangeError,
+                                f"initial value {init} of {name!r} outside [{low}..{high}]"))
         self.expect(";")
         return Variable(name, low, high, init)
 
@@ -574,6 +595,7 @@ class _Parser:
         if self.peek() == "IDENT":
             label = self.advance()
         self.expect("]")
+        self.where, self.scope = f"guard in module {self.module!r}", self.declared
         guard = self.parse_expr()
         self.expect("->")
         branches = [self.parse_branch()]
@@ -587,8 +609,10 @@ class _Parser:
         # An update starts "( IDENT '"; anything else is a rate expression.
         rate: Expr | None = None
         if not (self.peek() == "(" and self.peek(1) == "IDENT" and self.peek(2) == "'"):
+            self.where = f"rate in module {self.module!r}"
             rate = self.parse_expr()
             self.expect(":")
+        self.where = f"update in module {self.module!r}"
         updates = [self.parse_update()]
         while self.peek() == "&":
             self.advance()
@@ -601,7 +625,11 @@ class _Parser:
 
     def parse_update(self) -> Update:
         self.expect("(")
+        at = self.pos
         name = self.expect("IDENT")
+        self.checks.append((at, self.owned, UndeclaredIdentifierError,
+                            f"module {self.module!r} updates {name!r}, "
+                            "which is not one of its variables"))
         self.expect("'")
         self.expect("=")
         value = self.parse_expr()
@@ -612,6 +640,7 @@ class _Parser:
         self.expect("formula")
         name = self.expect("IDENT")
         self.expect("=")
+        self.where, self.scope = f"formula {name!r}", self.declared
         expr = self.parse_expr()
         self.expect(";")
         return name, expr
@@ -619,6 +648,7 @@ class _Parser:
     def parse_rewards(self) -> tuple[str, tuple[RewardItem, ...]]:
         self.expect("rewards")
         name = self.expect("STRING")
+        self.where, self.scope = f"rewards {name!r}", self.declared
         items: list[RewardItem] = []
         while self.peek() != "endrewards":
             guard = self.parse_expr()
@@ -671,7 +701,10 @@ class _Parser:
             self.advance()
             return Bool(kind == "true")
         if kind == "IDENT":
-            return Ident(self.advance())
+            name = self.advance()
+            self.checks.append((self.pos - 1, self.scope, UndeclaredIdentifierError,
+                                f"undeclared identifier {name!r} in {self.where}"))
+            return Ident(name)
         if kind == "(":
             self.advance()
             inner = self.parse_expr()
@@ -688,51 +721,6 @@ def parse(text: str) -> ModelSpec:
 def parse_file(path) -> ModelSpec:
     """Parse a UTF-8 listing, read by :func:`abps_toolkit._text.read_utf8`."""
     return parse(read_utf8(path, None).read())
-
-
-def _validate(spec: ModelSpec) -> None:
-    var_names = {v.name for v in spec.variables()}
-    module_vars = {m.name: {v.name for v in m.variables} for m in spec.modules}
-
-    for var in spec.variables():
-        if not (var.low <= var.init <= var.high):
-            raise InitOutOfRangeError(
-                f"initial value {var.init} of {var.name!r} outside [{var.low}..{var.high}]"
-            )
-
-    def check_idents(expr: Expr, allowed: set[str], where: str) -> None:
-        for name in _idents(expr):
-            if name not in allowed:
-                raise UndeclaredIdentifierError(
-                    f"undeclared identifier {name!r} in {where}"
-                )
-
-    const_names = set(spec.constants)
-    formula_names = set(spec.formulas)
-    everything = const_names | formula_names | var_names
-
-    for name, expr in spec.constants.items():
-        if expr is not None:
-            check_idents(expr, const_names, f"constant {name!r}")
-    for name, expr in spec.formulas.items():
-        check_idents(expr, everything, f"formula {name!r}")
-    for mod in spec.modules:
-        for cmd in mod.commands:
-            check_idents(cmd.guard, everything, f"guard in module {mod.name!r}")
-            for branch in cmd.branches:
-                if branch.rate is not None:
-                    check_idents(branch.rate, everything, f"rate in module {mod.name!r}")
-                for upd in branch.updates:
-                    if upd.var not in module_vars[mod.name]:
-                        raise UndeclaredIdentifierError(
-                            f"module {mod.name!r} updates {upd.var!r}, "
-                            "which is not one of its variables"
-                        )
-                    check_idents(upd.value, everything, f"update in module {mod.name!r}")
-    for rname, items in spec.rewards.items():
-        for item in items:
-            check_idents(item.guard, everything, f"rewards {rname!r}")
-            check_idents(item.value, everything, f"rewards {rname!r}")
 
 
 def _inline_formulas(spec: ModelSpec) -> ModelSpec:

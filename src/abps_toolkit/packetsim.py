@@ -24,22 +24,21 @@ Mechanics worth knowing:
   the ACK timeout every datagram is retransmitted at least once, which is
   the easiest way to exercise duplicate suppression. With a delay no larger
   than the timeout, the ACK of a connected send wins over its timeout (a
-  tie goes to the ACK), so it is settled at send time: the datagram leaves
-  ``pending`` at once and counts as acknowledged if the ACK falls due
-  within the run. Its timeout, the only event that could tell, does nothing.
+  tie goes to the ACK), so the send is settled: the datagram counts as
+  acknowledged if the ACK falls due within the run, and it is never sent
+  or received again.
 - Each interface and the oracle hold at most one pending transition, so
   each has a clock: the time it next moves, ``inf`` when it has none. A
   transition is cancelled or redrawn by overwriting its clock. Traffic
   comes from three other sources: the time of the next datagram, which
-  advances by the fixed period, and two FIFOs: the timeouts of lost sends
-  and, only with an ACK delay above the timeout, the ACKs and timeouts of
-  connected sends. Each FIFO entry lies a fixed delay after its send and
-  simulated time never runs backwards, so each FIFO is already in time and
-  scheduling order. Only a state event moves a clock, so the loop finds the
-  earliest clock once per state event and serves the traffic due strictly
-  before it. Ties break by event class (oracle, interface, datagram, ACK,
-  timeout); two interfaces due at the same time fire in the order their
-  clocks were set, so runs are reproducible bit for bit.
+  advances by the fixed period, and two FIFOs: the ACKs of connected sends
+  and the timeouts of every send. Each FIFO entry lies a fixed delay after
+  its send and simulated time never runs backwards, so each FIFO is already
+  in time and scheduling order. Only a state event moves a clock, so the
+  loop finds the earliest clock once per state event and serves the traffic
+  due strictly before it. Ties break by event class (oracle, interface,
+  datagram, ACK, timeout); two interfaces due at the same time fire in the
+  order their clocks were set, so runs are reproducible bit for bit.
 - Every state event, an interface's transition or an oracle move with the
   forced transition it causes, is handled in the loop of ``run`` itself.
   The loop keeps in locals the oracle's state, clock and entry time, the
@@ -54,10 +53,10 @@ Mechanics worth knowing:
   meets one fate (settled over a connected interface, lost over a failed
   one, or parked), and so does every timeout of a datagram last sent over
   the same interface (settled, parked, or lost again). With an ACK delay no
-  larger than the timeout no ACK is queued and no datagram is received
-  twice, so the counters depend only on which sends, losses and parks
-  happen, not on their order. An untraced such run (``_Stretches``) serves
-  the traffic due before each state event in one step: its Python steps
+  larger than the timeout every connected send is settled, so the counters
+  depend only on which sends, losses and parks happen, not on their order.
+  An untraced such run (``_Stretches``) queues no ACK and serves the
+  traffic due before each state event in one step: its Python steps
   grow with the state events and binades, not with the datagrams, and a
   lost datagram costs one list element, not a loop event:
 
@@ -84,7 +83,8 @@ Mechanics worth knowing:
 
   A traced run writes a record per datagram, and an ACK delay above the
   timeout queues ACKs whose order matters, so both go one datagram at a
-  time. That path is the reference the stretches are tested against.
+  time. That path queues every ACK and timeout and takes no shortcut: it
+  is the reference the stretches are tested against.
 - Random numbers come from one generator per run, seeded by the run's seed,
   in blocks of ``BLOCK_SIZE``: one block stream of unit exponentials (each
   sojourn is one of them times its mean) and one of uniforms (the setup
@@ -343,20 +343,13 @@ class _Simulation:
                        f"seq={datagram.seq} attempt={datagram.attempts} "
                        f"active={nic.phase != PHASE_OFF}")
         seq, now = datagram.seq, self.now
-        if nic.phase != PHASE_CONNECTED:
+        if nic.phase == PHASE_CONNECTED:
+            self._receive(seq)
+            self.acks.append((now + self.ack_delay, seq))
+        else:
             # failed but not yet detected: the datagram is lost in transit
             self.lost_sends += 1
-            self.timeouts.append((now + self.ack_timeout, seq))
-            return
-        self._receive(seq)
-        if self.ack_delay <= self.ack_timeout:
-            # the ACK beats the timeout or ties and goes first: settle it now
-            del self.pending[seq]
-            if now + self.ack_delay <= self.config.duration:
-                self.acked += 1
-        else:
-            self.acks.append((now + self.ack_delay, seq))
-            self.timeouts.append((now + self.ack_timeout, seq))
+        self.timeouts.append((now + self.ack_timeout, seq))
 
     def _receive(self, seq: int) -> None:
         if seq != self.next_expected:
@@ -631,10 +624,10 @@ class _Stretches(_Simulation):
     one state event at a time instead of one datagram at a time.
 
     Between two state events every fresh datagram meets one fate: settled
-    over a connected interface, lost over a failed one or parked, and so
-    does every timeout of a datagram last sent over the same interface. No
-    ACK is ever queued and no datagram is received twice, so the counters
-    depend only on which sends, losses and parks happen, not on their order.
+    over a connected interface (see the module docstring), lost over a
+    failed one or parked, and so does every timeout of a datagram last sent
+    over the same interface. So no ACK is queued, and the counters depend
+    only on which sends, losses and parks happen, not on their order.
     So the fresh datagrams due before the next state event are one step,
     and lost ones wait for their timeouts in runs of sequence numbers:
     ``(first, times, nic)`` holds the datagrams ``first``, ``first + 1``,

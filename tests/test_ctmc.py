@@ -174,6 +174,16 @@ class TestSteadyState:
         with pytest.raises(StructureError):
             steady_state(q, 0)
 
+    @pytest.mark.parametrize("n_states, q", [
+        (3, [[-1.0, 1.0], [1.0, -1.0]]),
+        (2, [[-1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]),
+        (1, [0.0]),
+    ])
+    def test_size_must_match_q(self, n_states, q):
+        # one size, stated twice: a mismatch would end in an IndexError
+        with pytest.raises(ValidationError, match=f"Q of {n_states} states must be"):
+            GeneratorMatrix(n_states, q)
+
     def test_singular_solve_is_a_structure_error(self, monkeypatch):
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")

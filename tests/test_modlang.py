@@ -1,17 +1,21 @@
 """Parser and composer tests, including the shipped reference listings."""
 
+import contextlib
 import copy
 import gc
+import importlib.util
+import io
 import itertools
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from abps_toolkit import abps, modlang
+from abps_toolkit import abps, cli, modlang
 from abps_toolkit.modlang import (
     Branch,
     Command,
@@ -201,8 +205,49 @@ class TestParse:
         pytest.param("ctmc module a x : [0..1] init 0; endmodule "
                      "module b y : [0..1] init 0; [] y=0 -> (x'=1); endmodule",
                      UndeclaredIdentifierError,
-                     "module 'b' updates 'x', which is not one of its variables",
+                     "line 1, column 83: module 'b' updates 'x', which is not one of its variables",
                      id="other-module-variable"),
+        pytest.param("ctmc module m x : [0..1] init 0; [] x=0 -> alpha*beta*gamma:(x'=1); "
+                     "endmodule", UndeclaredIdentifierError,
+                     "line 1, column 44: undeclared identifier 'alpha' in rate in module 'm'",
+                     id="first-of-three-in-a-rate"),
+        pytest.param("ctmc const double k = 2 * x;\nmodule m x : [0..1] init 0; endmodule",
+                     UndeclaredIdentifierError,
+                     "line 1, column 27: undeclared identifier 'x' in constant 'k'",
+                     id="constant-names-a-variable"),
+        pytest.param("ctmc formula f = g;", UndeclaredIdentifierError,
+                     "line 1, column 18: undeclared identifier 'g' in formula 'f'",
+                     id="undeclared-in-formula"),
+        pytest.param("ctmc module m x : [0..1] init 0;\n  [] y=0 -> (x'=1); endmodule",
+                     UndeclaredIdentifierError,
+                     "line 2, column 6: undeclared identifier 'y' in guard in module 'm'",
+                     id="undeclared-in-guard"),
+        pytest.param("ctmc module m x : [0..1] init 0; [] x=0 -> (x'=x+q); endmodule",
+                     UndeclaredIdentifierError,
+                     "line 1, column 50: undeclared identifier 'q' in update in module 'm'",
+                     id="undeclared-in-update"),
+        pytest.param('ctmc rewards "r"\n  true : w; endrewards', UndeclaredIdentifierError,
+                     "line 2, column 10: undeclared identifier 'w' in rewards 'r'",
+                     id="undeclared-in-rewards"),
+        pytest.param("ctmc module m x : [0..1] init -3; endmodule", InitOutOfRangeError,
+                     "line 1, column 31: initial value -3 of 'x' outside [0..1]",
+                     id="init-out-of-range"),
+        # the first error in the source wins, whatever its kind
+        pytest.param("ctmc module m x : [0..1] init 2; [] x=0 -> r:(x'=1); endmodule",
+                     InitOutOfRangeError,
+                     "line 1, column 31: initial value 2 of 'x' outside [0..1]",
+                     id="init-before-name"),
+        pytest.param("ctmc module m [] x=0 -> r:(x'=1); x : [0..1] init 2; endmodule",
+                     UndeclaredIdentifierError,
+                     "line 1, column 25: undeclared identifier 'r' in rate in module 'm'",
+                     id="name-before-init"),
+        pytest.param("ctmc module m [] x=0 -> (y'=1); x : [0..1] init 0; endmodule",
+                     UndeclaredIdentifierError,
+                     "line 1, column 26: module 'm' updates 'y', which is not one of its "
+                     "variables", id="update-before-declarations"),
+        # a syntax error anywhere comes first
+        pytest.param("ctmc formula f = g; formula h = ;", ParseError,
+                     "line 1, column 33: unexpected token ';' in expression", id="syntax-first"),
     ])
     def test_rejected_declaration(self, text, error, message):
         with pytest.raises(error) as err:
@@ -218,6 +263,38 @@ class TestParse:
         with pytest.raises(ValidationError) as err:
             modlang.parse_file(path)
         assert str(err.value) == f"{path}:4: byte 0xff is not UTF-8"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_TEXTS = {v: reference_model_path(v).read_text(encoding="utf-8") for v in abps.VARIANTS}
+
+
+def load_tool(name):
+    """A script of the ``tools`` directory, as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestListingMutants:
+    mutate = staticmethod(load_tool("listing_digest").mutate)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(abps.VARIANTS), st.randoms(use_true_random=False))
+    def test_rejected_mutants_name_their_place_and_exit_2(self, tmp_path_factory, variant, rng):
+        # one or two token edits of a bundled listing, as tools/listing_digest.py makes them
+        text, _ = self.mutate(REFERENCE_TEXTS[variant], rng)
+        try:
+            parse(text)
+        except modlang.ModelError as err:
+            assert err.line is not None and err.column is not None, str(err)
+        path = tmp_path_factory.getbasetemp() / "mutant.sm"
+        path.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["solve", str(path), "--params", "T_W_minus=20",
+                             "--params", "T_W_plus=80"])
+        assert code in (0, 2)
 
 
 # The expressions below sit in one of these listings; a, b and c are constants.
