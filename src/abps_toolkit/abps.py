@@ -21,9 +21,10 @@ Two builder modes exist:
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -90,6 +91,12 @@ class AbpsParams:
     in WiFi-only; a value pins that rate, and the pin holds when the
     windows change, in a sweep or through ``dataclasses.replace``.
     :func:`resolved_rates` gives the rates that result.
+
+    What is derived from the fields alone, such as the state-metric table or
+    the simulator's rate constants, is built on first use and kept on the
+    instance (:func:`_derived`). The instance is frozen and its energy rows
+    are read-only, so nothing kept can go stale; ``dataclasses.replace``, a
+    copy and an unpickled instance start with nothing kept.
     """
 
     alpha_U: float = 1 / 6.024
@@ -159,6 +166,24 @@ class AbpsParams:
             raise ValidationError(
                 f"state power {' + '.join(name for name, _ in terms)} = "
                 f"{' + '.join(repr(value) for _, value in terms)} is not finite")
+        object.__setattr__(self, "_tables", {})
+
+    def __reduce__(self):
+        # the fields alone, the energy rows as plain dicts: a copy or an
+        # unpickled instance goes through __post_init__ and keeps no table
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["e"] = {nic: dict(row) for nic, row in self.e.items()}
+        return functools.partial(type(self), **values), ()
+
+
+def _derived(params: AbpsParams, build, *args):
+    """``build(params, *args)``, built on the first call and kept on
+    ``params`` under ``(build, *args)``."""
+    key = (build, *args)
+    table = params._tables.get(key)
+    if table is None:
+        table = params._tables[key] = build(params, *args)
+    return table
 
 
 def _window_rates(params: AbpsParams, T_W_minus, T_W_plus) -> dict:
@@ -250,9 +275,9 @@ class AbpsModel:
     parameter set: its rates are the parameters named in
     :func:`resolved_rates`, bound when the chain is composed. It has no
     reward blocks: the chain's ``energy`` and ``throughput`` vectors are
-    tabulated state by state from :func:`state_power` and
-    :func:`state_throughput`, the same functions the event simulator
-    integrates.
+    read state by state off the table of :func:`state_power` and
+    :func:`state_throughput` over the phase pairs, the same table the event
+    simulator integrates.
     """
 
     variant: str
@@ -358,26 +383,19 @@ def _build(params: AbpsParams, variant: str, mode: str) -> AbpsModel:
     _check_variant_mode(variant, mode)
     program = _PROGRAMS[variant]
     chain = program.evaluate(resolved_rates(params, mode))
-    energy, throughput = _rewards(chain.var_names, chain.states, params, mode, variant)
+    _, energy, throughput = _rewards(chain.var_names, chain.states, params, mode, variant)
     chain = replace(chain, rewards={"energy": energy, "throughput": throughput})
     return AbpsModel(variant, mode, params, program.spec, chain)
 
 
-def _rewards(var_names, states, params: AbpsParams, mode: str, variant: str):
-    """The energy and throughput vectors over ``states``."""
-    return (
-        _state_table(var_names, states, state_power, params, mode, variant),
-        _state_table(var_names, states, state_throughput, params),
-    )
-
-
-def _state_table(var_names, states, rule, *args) -> np.ndarray:
-    """``rule(s_U, s_W, *args)`` tabulated over ``states``, read-only."""
-    u = var_names.index("s_U")
-    w = var_names.index("s_W")
-    table = np.array([rule(s[u], s[w], *args) for s in states], dtype=float)
-    table.flags.writeable = False
-    return table
+def _rewards(var_names, states, params: AbpsParams, mode: str, variant: str) -> np.ndarray:
+    """The availability, energy and throughput vectors over a builder's
+    ``states``, whose phases lie in 0..4, read off :func:`_phase_table`."""
+    phases = np.array(states, dtype=np.intp).reshape(len(states), len(var_names))
+    u, w = phases[:, var_names.index("s_U")], phases[:, var_names.index("s_W")]
+    vectors = _derived(params, _phase_table, mode, variant)[:, u, w]
+    vectors.flags.writeable = False
+    return vectors
 
 
 def build_plain(params: AbpsParams, mode: str = "text") -> AbpsModel:
@@ -396,8 +414,9 @@ def build(variant: str, params: AbpsParams, mode: str = "text") -> AbpsModel:
 
 # --------------------------------------------------------------------------
 # Shared per-state metric definitions: the only statement of the availability,
-# energy and throughput rules. The chain's builders and metrics read them, and
-# the event simulator integrates them over simulated time.
+# energy and throughput rules. The chain builders and the event simulator read
+# them through one table per parameter set, mode and variant; the simulator
+# integrates them over simulated time.
 
 
 def state_available(s_u: int, s_w: int) -> bool:
@@ -422,6 +441,18 @@ def state_throughput(s_u: int, s_w: int, params: AbpsParams) -> float:
     if s_u == PHASE_CONNECTED:
         return params.tput_U
     return 0.0
+
+
+def _phase_table(params: AbpsParams, mode: str, variant: str) -> np.ndarray:
+    """:func:`state_available` (1.0 or 0.0), :func:`state_power` and
+    :func:`state_throughput` at every phase pair, ``[:, s_U, s_W]``;
+    read-only. Read it through ``_derived``, which builds it once."""
+    phases = range(len(NIC_PHASES))
+    table = np.array([[[float(state_available(u, w)) for w in phases] for u in phases],
+                      [[state_power(u, w, params, mode, variant) for w in phases] for u in phases],
+                      [[state_throughput(u, w, params) for w in phases] for u in phases]])
+    table.flags.writeable = False
+    return table
 
 
 # --------------------------------------------------------------------------
@@ -452,7 +483,9 @@ def evaluate_chain(chain: ComposedChain) -> MetricsResult:
         if rname not in chain.rewards:
             raise ValidationError(f"chain lacks the {rname!r} reward structure")
     dist = steady_state(chain.generator, chain.initial)
-    vectors = [_state_table(chain.var_names, chain.states, state_available)]
+    # a listing's phases may leave 0..4, so its states are asked one by one
+    u, w = chain.var_names.index("s_U"), chain.var_names.index("s_W")
+    vectors = [np.array([state_available(s[u], s[w]) for s in chain.states], dtype=float)]
     vectors += [RewardVector(chain.rewards[rname]).values for rname in ("energy", "throughput")]
     [(availability, power, throughput)] = _metrics(dist.probabilities[np.newaxis], vectors)
     return MetricsResult(availability, power, throughput, dist)
@@ -589,8 +622,8 @@ def _sweep_batch(params: AbpsParams, points, variant: str, mode: str) -> list:
     rates.update((name, rate[picked]) for name, rate in windows.items())
     program = _PROGRAMS[variant]
     batch = program.evaluate_many(rates)
-    available = _state_table(program.var_names, batch.states, state_available)
-    energy, throughput = _rewards(program.var_names, batch.states, params, mode, variant)
+    available, energy, throughput = _rewards(program.var_names, batch.states, params, mode,
+                                             variant)
     vectors = (available, RewardVector(energy).values, RewardVector(throughput).values)
     solved = batch.probabilities[batch.ok]
     dists = StationaryDistribution.rows(solved)

@@ -28,13 +28,15 @@ pair. A step is a function of each edge's bracket alone, so the search
 stops at the first step that narrows no bracket, at most 60 steps in, on
 the very floats that 60 scalar steps per edge would give.
 
-The query route (``classify_trajectory``) asks its catalog once per walk:
-every catalog source answers ``query_many`` for a batch of positions, and
-``query`` is its one-position case. ``LocalCatalog`` answers a batch from
-the distances of the pairs in each position's band, a few thousand pairs
-at a time; ``TtlCache`` sends only the positions it holds no live entry
-for, and ``RemoteCatalog`` sends one request per position, since the
-service answers one at a time.
+The query route (``classify_trajectory``) asks its catalog once per walk,
+about every sample and about points within each step longer than the query
+radius, so that it finds every access point of radius up to half the query
+radius that covers some point of the walk. Every catalog source answers
+``query_many`` for a batch of positions, and ``query`` is its one-position
+case. ``LocalCatalog`` answers a batch from the distances of the pairs in
+each position's band, a few thousand pairs at a time; ``TtlCache`` sends
+only the positions it holds no live entry for, and ``RemoteCatalog`` sends
+one request per position, since the service answers one at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 from urllib.parse import urlencode, urlsplit
 
 import numpy as np
@@ -454,8 +456,10 @@ def _check_radius(radius: float) -> None:
 def load_trajectory(path) -> list[TrajectorySample]:
     """Read a ``t,lat,lon[,speed]`` CSV. The first row is a header when its
     t, lat and lon cells hold no number; any other row that does not parse
-    is an error naming its line."""
+    is an error naming its line, and so is a sample that
+    :func:`_check_trajectory` rejects."""
     samples: list[TrajectorySample] = []
+    lines: list[int] = []
     for lineno, row in enumerate(csv.reader(read_utf8(path, "")), start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -467,7 +471,8 @@ def load_trajectory(path) -> list[TrajectorySample]:
                 continue  # header
             raise ValidationError(f"{path}:{lineno}: malformed trajectory row {row!r}")
         samples.append(TrajectorySample(t, lat, lon, speed))
-    _check_trajectory(samples)
+        lines.append(lineno)
+    _check_trajectory(samples, lambda k: f"{path}:{lines[k]}: ")
     return samples
 
 
@@ -479,9 +484,10 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _check_trajectory(samples: Sequence[TrajectorySample]) -> np.ndarray:
+def _check_trajectory(samples: Sequence[TrajectorySample],
+                      where: Callable[[int], str] = lambda k: "") -> np.ndarray:
     """The t, lat and lon columns of a valid trajectory, as a (3 x samples)
-    array; an error names the first offending sample."""
+    array; an error names the first offending sample k, after ``where(k)``."""
     columns = np.array([(s.t, s.lat, s.lon) for s in samples], dtype=float)
     columns = columns.reshape(-1, 3).T.copy()
     t, lat, lon = columns
@@ -490,14 +496,16 @@ def _check_trajectory(samples: Sequence[TrajectorySample]) -> np.ndarray:
         k = int(valid.argmin())
         s = samples[k]
         if not math.isfinite(s.t):
-            raise ValidationError(f"trajectory sample {k} has a non-finite timestamp t={s.t}")
+            raise ValidationError(
+                f"{where(k)}trajectory sample {k} has a non-finite timestamp t={s.t}")
         raise ValidationError(
-            f"trajectory sample {k} (t={s.t}) has invalid coordinates ({s.lat}, {s.lon})"
+            f"{where(k)}trajectory sample {k} (t={s.t}) has invalid coordinates "
+            f"({s.lat}, {s.lon})"
         )
     rising = t[1:] > t[:-1]
     if not rising.all():
         k = int(rising.argmin())
-        raise ValidationError(f"trajectory timestamps must strictly increase "
+        raise ValidationError(f"{where(k + 1)}trajectory timestamps must strictly increase "
                               f"({samples[k].t} then {samples[k + 1].t})")
     return columns
 
@@ -645,14 +653,48 @@ def apply_policy(event: CoverageEvent) -> NicActivation:
     return NicActivation(active_wifi=True, active_umts=False)
 
 
+def _along_walk(lat: np.ndarray, lon: np.ndarray, spacing_m: float):
+    """The positions to ask about along a walk: its samples, and within each
+    step that may be longer than ``spacing_m`` the fewest evenly spaced
+    points that leave no two neighbours more than ``spacing_m`` apart along
+    the walk. So every point of the walk lies within ``spacing_m / 2`` of a
+    position asked about. The points are interpolated linearly in latitude
+    and longitude, as :func:`predict_coverage` bisects a step, except that
+    a step across the antimeridian goes the short way round.
+
+    Along such a path a step is at most R * hypot(dphi, c * dlambda) long,
+    where c is the largest cosine of a latitude on the step. The count of
+    positions grows with the walk's length over ``spacing_m``.
+    """
+    phi = np.radians(lat)
+    dlat = np.diff(lat)
+    dlon = np.diff(lon)
+    dlon -= 360.0 * np.sign(dlon) * (np.abs(dlon) > 180.0)
+    low, high = np.minimum(phi[:-1], phi[1:]), np.maximum(phi[:-1], phi[1:])
+    length = EARTH_RADIUS_M * np.hypot(np.radians(dlat),
+                                       np.cos(np.clip(0.0, low, high)) * np.radians(dlon))
+    parts = np.maximum(np.ceil(length / spacing_m), 1.0).astype(np.int64)
+    if parts.max(initial=1) == 1:
+        return lat, lon
+    # position k is part j of step i: sample i when j = 0
+    step = np.repeat(np.arange(len(parts)), parts)
+    f = (np.arange(len(step)) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[step]
+    ask_lat = np.append(lat[step] + f * dlat[step], lat[-1])
+    ask_lon = np.append(lon[step] + f * dlon[step], lon[-1])
+    ask_lon -= 360.0 * np.sign(ask_lon) * (np.abs(ask_lon) > 180.0)
+    return ask_lat, ask_lon
+
+
 def classify_trajectory(
     trajectory: Sequence[TrajectorySample],
     catalog,
     threshold_s: float = DEFAULT_LONG_THRESHOLD_S,
     query_radius_m: float = 500.0,
 ) -> list[CoverageEvent]:
-    """Ask the catalog once about every sample of the walk, then predict
-    coverage on the access points found and classify.
+    """Ask the catalog once about the walk (:func:`_along_walk`), then
+    predict coverage on the access points found and classify. Every access
+    point of radius up to ``query_radius_m / 2`` that covers some point of
+    the walk is among those found.
 
     The walk and the radius are checked first, so bad input raises
     ``ValidationError`` whatever the catalog does. When the catalog is
@@ -664,8 +706,9 @@ def classify_trajectory(
         raise ValidationError("classification needs at least 2 samples")
     _, lat, lon = _check_trajectory(trajectory)
     _check_radius(query_radius_m)
+    ask_lat, ask_lon = _along_walk(lat, lon, query_radius_m)
     try:
-        answers = catalog.query_many(lat.tolist(), lon.tolist(), query_radius_m)
+        answers = catalog.query_many(ask_lat.tolist(), ask_lon.tolist(), query_radius_m)
     except CatalogUnavailable:
         return [
             CoverageEvent(trajectory[0].t, EventKind.EV_SHORT_WIFI, None, ())

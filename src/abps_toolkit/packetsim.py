@@ -3,12 +3,14 @@
 Independent of the analytic chains in every respect except two shared
 definitions: the parameter set (with its resolved rates) and the per-state
 metric functions ``abps.state_available``/``state_power``/``state_throughput``,
-which the chain builders and metrics also read. Interface lifecycles and the
-coverage oracle advance through exponential sojourns, datagrams carry
-sequence numbers and are acknowledged end to end, timeouts retransmit over
-an alternative interface, and the receiving side restores order and
-discards duplicates. Simulated time integrals of the shared state functions
-provide the empirical metrics the analytic model is checked against.
+tabulated over the phase pairs once per parameter set, mode and variant
+(``abps._phase_table``), the table the chain builders also read. Interface
+lifecycles and the coverage oracle advance through exponential sojourns,
+datagrams carry sequence numbers and are acknowledged end to end, timeouts
+retransmit over an alternative interface, and the receiving side restores
+order and discards duplicates. Simulated time integrals of the shared state
+functions provide the empirical metrics the analytic model is checked
+against.
 
 Mechanics worth knowing:
 
@@ -85,6 +87,16 @@ Mechanics worth knowing:
   timeout queues ACKs whose order matters, so both go one datagram at a
   time. That path queues every ACK and timeout and takes no shortcut: it
   is the reference the stretches are tested against.
+- What a run reads and what it builds. Its rate constants (each interface's
+  sojourn scales and setup odds, WiFi's holding scale and the oracle's
+  sojourn scale by oracle state) and each occupancy cell's availability,
+  power and throughput are tables kept on the parameter set, built on first
+  use (``abps._derived``): ``_rates`` per mode, ``_cells`` per mode and
+  variant. The send times of a (period, duration) pair are kept for the
+  process (``_send_times``). A run builds its random generator, copies the
+  scale lists and maps it may change, and keeps its own clocks, counters
+  and occupancy. So the replications of ``abps compare`` and ``--reps N``
+  build the tables once, not once per run.
 - Random numbers come from one generator per run, seeded by the run's seed,
   in blocks of ``BLOCK_SIZE``: one block stream of unit exponentials (each
   sojourn is one of them times its mean) and one of uniforms (the setup
@@ -95,7 +107,7 @@ Mechanics worth knowing:
 from __future__ import annotations
 
 import bisect
-import itertools
+import functools
 import math
 import numbers
 from collections import deque
@@ -116,10 +128,9 @@ from abps_toolkit.abps import (
     PHASE_OFF,
     PHASE_SETUP,
     _check_variant_mode,
+    _derived,
+    _phase_table,
     resolved_rates,
-    state_available,
-    state_power,
-    state_throughput,
 )
 from abps_toolkit.ctmc import ValidationError
 
@@ -215,11 +226,52 @@ class NicState:
     due: float = math.inf  # time of the pending transition; inf = none
 
 
-def _nic_state(technology: str, alpha: float, success: float, fail: float,
-               gamma: float, mu: float) -> NicState:
-    setup = success + fail
-    scales = [0.0, 1.0 / alpha, 1.0 / setup, 1.0 / gamma, 1.0 / mu]  # by phase
-    return NicState(technology, scales, success / setup)
+@dataclass(frozen=True)
+class _Rates:
+    """The rate constants a run reads of its parameter set and mode."""
+
+    umts_scales: tuple[float, ...]  # NicState.scales, by phase
+    umts_setup_ok: float
+    wifi_scales: tuple[float, ...]
+    wifi_setup_ok: float
+    hold_scale: Mapping[int, float]    # WiFi's connected sojourn, by oracle state
+    oracle_scale: Mapping[int, float]  # the oracle's sojourn, by oracle state
+    lambda_uw_u: float
+    lambda_uw: float                   # the rate of leaving UW
+
+
+def _rates(params: AbpsParams, mode: str) -> _Rates:
+    """The run constants of ``params`` in ``mode``; read them through
+    ``_derived``, which builds them once."""
+    r = resolved_rates(params, mode)
+
+    def nic(alpha: float, success: float, fail: float, gamma: float, mu: float):
+        setup = success + fail
+        return (0.0, 1.0 / alpha, 1.0 / setup, 1.0 / gamma, 1.0 / mu), success / setup
+
+    lambda_uw = r["lambda_UW_U"] + r["lambda_UW_W"]
+    return _Rates(
+        *nic(r["alpha_U"], r["umts_setup_success"], r["umts_setup_fail"], r["gamma_U"],
+             r["mu_U"]),
+        *nic(r["alpha_W"], r["wifi_setup_success"], r["wifi_setup_fail"], r["gamma_W_minus"],
+             r["mu_W"]),
+        hold_scale={ORACLE_U: 1.0 / r["gamma_W_minus"], ORACLE_UW: 1.0 / r["gamma_W_minus"],
+                    ORACLE_W: 1.0 / r["gamma_W_plus"]},
+        oracle_scale={ORACLE_U: 1.0 / r["lambda_U_UW"], ORACLE_UW: 1.0 / lambda_uw,
+                      ORACLE_W: 1.0 / r["lambda_W_UW"]},
+        lambda_uw_u=r["lambda_UW_U"],
+        lambda_uw=lambda_uw,
+    )
+
+
+def _cells(params: AbpsParams, mode: str, variant: str) -> tuple:
+    """Per occupancy cell, in the order a run adds them: its (UMTS phase,
+    WiFi phase, oracle state), its index and the availability, power and
+    throughput of its phases from ``abps._phase_table``; read it through
+    ``_derived``, which builds it once."""
+    available, power, throughput = _derived(params, _phase_table, mode, variant).tolist()
+    return tuple(((u, w, o), (u * 5 + w) * 4 + o, available[u][w], power[u][w], throughput[u][w])
+                 for u in range(5) for w in range(5) for o in ORACLE_STATE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -268,24 +320,20 @@ class _Simulation:
         self.ack_delay = config.ack_delay
         self.ack_timeout = config.ack_timeout
 
-        r = resolved_rates(params, mode)
-        self.umts = _nic_state("UMTS", r["alpha_U"], r["umts_setup_success"],
-                               r["umts_setup_fail"], r["gamma_U"], r["mu_U"])
-        self.wifi = _nic_state("WiFi", r["alpha_W"], r["wifi_setup_success"],
-                               r["wifi_setup_fail"], r["gamma_W_minus"], r["mu_W"])
+        # the constants come from the parameter set's tables; a run copies
+        # what it may change
+        rates = _derived(params, _rates, mode)
+        self.umts = NicState("UMTS", list(rates.umts_scales), rates.umts_setup_ok)
+        self.wifi = NicState("WiFi", list(rates.wifi_scales), rates.wifi_setup_ok)
         self.oracle_state = ORACLE_UW
         # the interface whose clock was set last fires second on a tie;
         # run() sets UMTS's clock first, then WiFi's
         self.last_scheduled = self.wifi
         # WiFi's connected sojourn ends at a rate set by the oracle state
-        self.wifi_hold_scale = {ORACLE_U: 1.0 / r["gamma_W_minus"],
-                                ORACLE_UW: 1.0 / r["gamma_W_minus"],
-                                ORACLE_W: 1.0 / r["gamma_W_plus"]}
-        self.lambda_uw_u = r["lambda_UW_U"]
-        self.lambda_uw = r["lambda_UW_U"] + r["lambda_UW_W"]
-        self.oracle_scale = {ORACLE_U: 1.0 / r["lambda_U_UW"],
-                             ORACLE_UW: 1.0 / self.lambda_uw,
-                             ORACLE_W: 1.0 / r["lambda_W_UW"]}
+        self.wifi_hold_scale = dict(rates.hold_scale)
+        self.lambda_uw_u = rates.lambda_uw_u
+        self.lambda_uw = rates.lambda_uw
+        self.oracle_scale = dict(rates.oracle_scale)
 
         # time spent per (UMTS phase, WiFi phase, oracle state), at cell
         # (u * 5 + w) * 4 + o; every time-based metric is derived from it
@@ -514,13 +562,14 @@ class _Simulation:
 
         occupancy = {}
         available = power = throughput = 0.0
-        for u, w, o in itertools.product(range(5), range(5), ORACLE_STATE_NAMES):
-            t = cells[(u * 5 + w) * 4 + o]
+        for key, cell, cell_available, cell_power, cell_throughput in _derived(
+                self.params, _cells, self.mode, self.variant):
+            t = cells[cell]
             if t > 0.0:
-                occupancy[u, w, o] = t / duration
-                available += t if state_available(u, w) else 0.0
-                power += t * state_power(u, w, self.params, self.mode, self.variant)
-                throughput += t * state_throughput(u, w, self.params)
+                occupancy[key] = t / duration
+                available += t * cell_available
+                power += t * cell_power
+                throughput += t * cell_throughput
         delivered, parked = self._delivery()
         return SimMetrics(
             variant=self.variant,
@@ -587,21 +636,33 @@ class _SendTimes:
         times.append(t)
         steps.append(0.0)
         self.starts, self.times, self.steps = starts, times, steps
+        self.end = end
+        self._in_time: dict[float, int] = {}
+
+    def in_time(self, delay: float) -> int:
+        """The number of sends ``k`` with ``at(k) + delay <= end``: a prefix,
+        as the sum never falls when ``at(k)`` grows. Kept per delay."""
+        count = self._in_time.get(delay)
+        if count is None:
+            count = self._in_time[delay] = bisect.bisect_right(
+                range(self.starts[-1]), self.end, key=lambda k: self.at(k) + delay)
+        return count
 
     def at(self, k: int) -> float:
         """The time of send ``k``."""
         i = bisect.bisect_right(self.starts, k) - 1
         return self.times[i] + (k - self.starts[i]) * self.steps[i]
 
-    def between(self, first: int, end: int) -> list[float]:
-        """The times of sends ``first``, ..., ``end - 1``."""
+    def between(self, first: int, end: int, delay: float = 0.0) -> list[float]:
+        """The times of sends ``first``, ..., ``end - 1``, each the float sum
+        of the time and ``delay``."""
         starts, times, steps = self.starts, self.times, self.steps
         out: list[float] = []
         i = bisect.bisect_right(starts, first) - 1
         while first < end:
             start, t, step = starts[i], times[i], steps[i]
             last = min(end, starts[i + 1])
-            out += [t + (k - start) * step for k in range(first, last)]
+            out += [t + (k - start) * step + delay for k in range(first, last)]
             first, i = last, i + 1
         return out
 
@@ -617,6 +678,13 @@ class _SendTimes:
             return start + n
         # stop lies in the segment's binade, so the difference is exact
         return start + math.ceil((stop - t) / step)
+
+
+@functools.lru_cache(maxsize=16)
+def _send_times(period: float, duration: float) -> _SendTimes:
+    """A run's send times, ``period``, ``period + period``, ..., built once
+    per (period, duration)."""
+    return _SendTimes(period, period, duration)
 
 
 class _Stretches(_Simulation):
@@ -638,37 +706,29 @@ class _Stretches(_Simulation):
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.sends = _SendTimes(self.period, self.period, self.config.duration)
+        self.sends = _send_times(self.period, self.config.duration)
+        # the sends before this one have their ACK fall due within the run
+        self.in_time = self.sends.in_time(self.ack_delay)
         self.lost: list[tuple[int, list[float], NicState]] = []
         self.parked: list[tuple[int, int, bool]] = []
-
-    def _acked(self, time: Callable[[int], float], first: int, end: int) -> int:
-        """How many of the sends at ``time(first)``, ..., ``time(end - 1)``,
-        in time order, have their ACK fall due within the run."""
-        def late(i: int) -> bool:
-            return time(i) + self.ack_delay > self.config.duration
-        if not late(end - 1):
-            return end - first
-        return bisect.bisect_left(range(end), True, first, end - 1, key=late) - first
 
     def _serve(self, stop: float) -> None:
         """Serve the fresh datagrams due before ``stop`` in one step, then
         every timeout due before it."""
-        preferred, timeout = self._preferred, self.ack_timeout
         first, end = self.next_seq, self.sends.count_before(stop)
         if end > first:
             self.next_seq = end
-            nic = preferred()
+            nic = self._preferred()
             if nic is None:
                 self.parked.append((first, end, False))
             elif nic.phase == PHASE_CONNECTED:
-                self.acked += self._acked(self.sends.at, first, end)
+                self.acked += max(0, min(end, self.in_time) - first)
             else:
                 self.lost_sends += end - first
-                times = [t + timeout for t in self.sends.between(first, end)]
-                self.lost.append((first, times, nic))
+                self.lost.append((first, self.sends.between(first, end, self.ack_timeout), nic))
         if not self.lost:
             return
+        preferred, timeout = self._preferred, self.ack_timeout
         # serve every timeout due before stop; a resend lost again is due
         # one more timeout later, maybe still before stop
         work, waiting = self.lost, []
@@ -688,7 +748,11 @@ class _Stretches(_Simulation):
                 continue
             self.retransmissions += due
             if nic.phase == PHASE_CONNECTED:
-                self.acked += self._acked(times.__getitem__, 0, due)
+                # each resend is before stop, so its ACK is no later than one
+                # sent at stop
+                delay, duration = self.ack_delay, self.config.duration
+                self.acked += due if stop + delay <= duration else bisect.bisect_right(
+                    times, duration, 0, due, key=lambda t: t + delay)
             else:
                 self.lost_sends += due
                 work.append((first, [t + timeout for t in times[:due]], nic))

@@ -321,6 +321,57 @@ class TestEvaluate:
         with pytest.raises(ValidationError, match="s_U"):
             abps.evaluate_chain(modlang.compose(spec))
 
+    def test_availability_of_phases_outside_the_builders_range(self):
+        # s_U takes 2, 3 and 6 and s_W 5 and 6: availability is still the
+        # mass of the states with an interface in phase 3, connected
+        spec = modlang.parse(
+            "ctmc module m s_U : [2..6] init 2; s_W : [5..6] init 5;"
+            " [] s_U=2 -> 1.0:(s_U'=3); [] s_U=3 -> 3.0:(s_U'=6);"
+            " [] s_U=6 -> 2.0:(s_U'=2)&(s_W'=11-s_W); endmodule"
+            " rewards \"energy\" true : 1; endrewards"
+            " rewards \"throughput\" true : 1; endrewards"
+        )
+        chain = modlang.compose(spec)
+        result = abps.evaluate_chain(chain)
+        u = chain.var_names.index("s_U")
+        mass = sum(p for s, p in zip(chain.states, result.distribution.probabilities)
+                   if s[u] == abps.PHASE_CONNECTED)
+        assert len(chain.states) == 6
+        assert result.availability == pytest.approx(mass) and 0.0 < mass < 1.0
+
+
+#: Non-default values of every field the state functions read.
+OTHER_REWARDS = dict(
+    e={**abps.DEFAULT_ENERGY, "WiFi": {**abps.DEFAULT_ENERGY["WiFi"], "connected": 0.45}},
+    tput_U=0.3, tput_W=11.0, oracle_baseline_power=0.25, idle_connected_fraction=0.5,
+)
+
+
+class TestPhaseTable:
+    @pytest.mark.parametrize("overrides", [{}, OTHER_REWARDS], ids=["default", "other"])
+    @pytest.mark.parametrize("mode", abps.MODES)
+    @pytest.mark.parametrize("variant", abps.VARIANTS)
+    def test_table_is_the_state_functions(self, overrides, mode, variant):
+        p = default_params(**overrides)
+        table = abps._derived(p, abps._phase_table, mode, variant)
+        for u in range(5):
+            for w in range(5):
+                assert table[0, u, w] == float(abps.state_available(u, w))
+                assert table[1, u, w] == abps.state_power(u, w, p, mode, variant)
+                assert table[2, u, w] == abps.state_throughput(u, w, p)
+        assert not table.flags.writeable
+        assert abps._derived(p, abps._phase_table, mode, variant) is table
+
+    def test_builder_rewards_are_the_state_functions(self):
+        p = default_params(**OTHER_REWARDS)
+        for variant in abps.VARIANTS:
+            chain = abps.build(variant, p, "text").chain
+            u, w = chain.var_names.index("s_U"), chain.var_names.index("s_W")
+            assert chain.rewards["energy"].tolist() == [
+                abps.state_power(s[u], s[w], p, "text", variant) for s in chain.states]
+            assert chain.rewards["throughput"].tolist() == [
+                abps.state_throughput(s[u], s[w], p) for s in chain.states]
+
 
 class TestSweep:
     def test_grid_cardinality(self):

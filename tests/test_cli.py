@@ -1,14 +1,19 @@
 """Command-line contract tests: output formats and stable exit codes."""
 
 import codecs
+import contextlib
+import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abps_toolkit import cli, coverage
 from abps_toolkit.abps import reference_model_path
@@ -494,6 +499,61 @@ class TestOracle:
         code, out, err = run(capsys, "oracle", str(walk), str(catalog))
         assert (code, out) == (2, "")
         assert "sample 1" in err and "timestamp" in err
+
+
+# The inputs of `abps oracle` that the mutants below start from: a walk with
+# a header and a speed column, and the corridor catalog.
+ORACLE_INPUTS = {
+    "walk": "t,lat,lon,speed\n" + "".join(f"{i},0.0,{i * 5 * M:.12f},5\n" for i in range(61)),
+    "catalog": "essid,lat,lon,radius_m,group,open\n" + "".join(
+        f"campus-{i + 1},0.0,{x * M:.12f},60,campusnet,true\n"
+        for i, x in enumerate((40, 120, 200, 280))) + f"cafe,0.0,{150 * M:.12f},30,,true\n",
+}
+
+
+@st.composite
+def csv_mutants(draw, text):
+    """``text`` with one to three edits: a row deleted or repeated, a cell
+    set to '', nan, inf or 1e999, a column added, or a byte that is not
+    UTF-8 put in."""
+    data = text.encode()
+    for _ in range(draw(st.integers(1, 3))):
+        rows = data.split(b"\n")
+        i = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["delete", "repeat", "cell", "column", "byte"]))
+        if edit == "delete":
+            del rows[i]
+        elif edit == "repeat":
+            rows.insert(i, rows[i])
+        elif edit == "cell":
+            cells = rows[i].split(b",")
+            cells[draw(st.integers(0, len(cells) - 1))] = draw(
+                st.sampled_from([b"", b"nan", b"inf", b"1e999"]))
+            rows[i] = b",".join(cells)
+        elif edit == "column":
+            rows[i] += draw(st.sampled_from([b",", b",1.5", b",x"]))
+        else:
+            k = draw(st.integers(0, len(rows[i])))
+            rows[i] = rows[i][:k] + draw(st.sampled_from([b"\x80", b"\xc3", b"\xff"])) + rows[i][k:]
+        data = b"\n".join(rows)
+    return data
+
+
+class TestOracleInputMutants:
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(ORACLE_INPUTS)), st.data())
+    def test_mutants_exit_0_or_2_and_a_bad_walk_row_names_its_line(
+            self, tmp_path_factory, target, data):
+        paths = {name: tmp_path_factory.getbasetemp() / f"{name}.csv" for name in ORACLE_INPUTS}
+        for name, path in paths.items():
+            path.write_text(ORACLE_INPUTS[name])
+        paths[target].write_bytes(data.draw(csv_mutants(ORACLE_INPUTS[target])))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["oracle", str(paths["walk"]), str(paths["catalog"])])
+        assert code in (0, 2)
+        if code == 2 and target == "walk" and "needs at least 2 samples" not in err.getvalue():
+            assert re.match(rf"error: {re.escape(str(paths['walk']))}:\d+: ", err.getvalue())
 
 
 class TestByteOrderMark:

@@ -643,6 +643,31 @@ class TestTwoRoutesAgree:
                 assert classify_trajectory(track, catalog, 20.0, 100.0) == expected
             assert cache.hits == len(track)
 
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (60.0, 10.0), (-33.87, 151.21)])
+    @pytest.mark.parametrize("heading", [0.0, 0.6, math.pi / 2], ids=["east", "ene", "north"])
+    def test_an_access_point_on_a_long_step_is_found(self, origin, heading):
+        # a 1 km step from an uncovered sample into a covered one; an AP of
+        # half the 100 m query radius sits on the step's middle, 500 m from
+        # both ends, and the bisection of the step's edge lands in it first
+        lat0, lon0 = origin
+        m_lat = 180.0 / (math.pi * coverage.EARTH_RADIUS_M)
+        m_lon = m_lat / math.cos(math.radians(lat0))
+
+        def at(d):
+            return lat0 + d * math.sin(heading) * m_lat, lon0 + d * math.cos(heading) * m_lon
+
+        track = [TrajectorySample(0.0, *at(0.0)), TrajectorySample(100.0, *at(1000.0)),
+                 TrajectorySample(101.0, *at(1010.0))]
+        a, b = track[:2]
+        aps = [AccessPoint("middle", (a.lat + b.lat) / 2, (a.lon + b.lon) / 2, 50.0),
+               AccessPoint("end", *at(1000.0), 30.0)]
+        expected = classify(predict_coverage(track, aps), 20.0)
+        # coverage starts at the middle disc's near edge, 450 m in
+        assert [e.kind for e in expected] == [EventKind.EV_NO_WIFI, EventKind.EV_LONG_WIFI]
+        assert expected[1].timestamp == pytest.approx(45.0, abs=0.1)
+        for catalog in (LocalCatalog(aps), TtlCache(LocalCatalog(aps))):
+            assert classify_trajectory(track, catalog, 20.0, 100.0) == expected
+
 
 class TestCatalogFiles:
     def test_fixture_roundtrip(self, tmp_path):

@@ -1,7 +1,10 @@
 """Event-simulator tests: determinism, delivery integrity, convergence."""
 
+import copy
 import hashlib
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -551,6 +554,58 @@ class TestSendTimes:
             assert sends.count_before(t) == k
             assert sends.count_before(math.nextafter(t, math.inf)) == k + 1
         assert sends.count_before(math.nextafter(start, 0.0)) == 0
+
+    def test_kept_send_times_equal_fresh_ones(self):
+        # two (period, duration) pairs, interleaved, each read with two delays
+        for period, duration in [(0.02, 50.0), (1 / 3, 80.0)] * 2:
+            kept = packetsim._send_times(period, duration)
+            fresh = packetsim._SendTimes(period, period, duration)
+            assert (kept.starts, kept.times, kept.steps) == (
+                fresh.starts, fresh.times, fresh.steps)
+            times = fresh.between(0, fresh.starts[-1])
+            assert kept.between(0, kept.starts[-1]) == times
+            for delay in (0.2, 1 / 3):
+                assert kept.in_time(delay) == sum(t + delay <= duration for t in times)
+
+
+class TestKeptTables:
+    """A run reads the rate and metric tables of its own parameter set,
+    kept on that instance; ``dataclasses.replace`` starts with none."""
+
+    CONFIGS = [quiet(duration=3000.0, seed=3),
+               SimConfig(duration=80.0, seed=3, data_rate=50.0, ack_timeout=1.0, ack_delay=0.2)]
+
+    @pytest.mark.parametrize("variant", abps.VARIANTS)
+    @pytest.mark.parametrize("mode", abps.MODES)
+    def test_runs_read_their_own_params(self, variant, mode):
+        a = default_params()
+        b = replace(a, tput_W=11.0, T_W_minus=5.0,
+                    e={**abps.DEFAULT_ENERGY,
+                       "WiFi": {**abps.DEFAULT_ENERGY["WiFi"], "connected": 0.45}})
+        for cfg in self.CONFIGS:
+            first = simulate(a, cfg, variant, mode)
+            other = simulate(b, cfg, variant, mode)
+            again = simulate(a, cfg, variant, mode)
+            fresh = replace(a)
+            assert not fresh._tables
+            assert first == again == simulate(fresh, cfg, variant, mode)
+            assert other.power_w != first.power_w
+            assert other.throughput_mbps != first.throughput_mbps
+            assert other.occupancy != first.occupancy
+
+    def test_kept_tables_leave_equality_repr_and_pickling_alone(self):
+        a = default_params(tput_W=11.0)
+        text = repr(a)
+        for variant in abps.VARIANTS:
+            simulate(a, self.CONFIGS[1], variant)
+        abps.build_oracle(a)
+        assert a._tables
+        assert a == replace(a) and repr(a) == text
+        for copied in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert copied == a and repr(copied) == text
+            assert not copied._tables
+            assert simulate(copied, self.CONFIGS[1], "oracle") == simulate(
+                a, self.CONFIGS[1], "oracle")
 
 
 class TestBlocks:

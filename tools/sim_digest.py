@@ -11,9 +11,13 @@ for an untraced run). Run it in two checkouts and compare the outputs::
 Each run imports the simulator from the ``src`` directory beside this
 script, so the two outputs fingerprint the two checkouts. The family covers
 both variants and both modes, traced and untraced runs, 0, 2 and 50
-datagrams/s, and ACK delays below, equal to and above the ACK timeout, at
-two window settings; the tight windows give lost sends, parks and
-retransmissions. A count of the configurations, of those with lost sends,
+datagrams/s, and ACK delays below, equal to and above the ACK timeout. Each
+configuration runs in turn under three parameter sets, each one object for
+the whole family: the defaults, tight windows, which give lost sends, parks
+and retransmissions, and one that differs in an energy row, ``tput_W``,
+``oracle_baseline_power`` and ``idle_connected_fraction``. So a table kept
+for one parameter set and read for another shows as a changed line.
+A count of the configurations, of those with lost sends,
 of those with a park record in their trace or datagrams parked at the end,
 and of the traced ones goes to stderr.
 """
@@ -30,7 +34,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from abps_toolkit import abps, packetsim  # noqa: E402
 
 SEEDS = range(1, 15)
-WINDOWS = [{}, {"T_W_minus": 5.0, "T_W_plus": 40.0}]
+PARAMS = {
+    "default": abps.default_params(),
+    "T_W_minus=5,T_W_plus=40": abps.default_params(T_W_minus=5.0, T_W_plus=40.0),
+    "energy,tput_W,baseline,idle": abps.default_params(
+        e={**abps.DEFAULT_ENERGY, "WiFi": {**abps.DEFAULT_ENERGY["WiFi"], "connected": 0.45,
+                                           "setup": 0.23}},
+        tput_W=11.0, oracle_baseline_power=0.25, idle_connected_fraction=0.5),
+}
 TIMEOUT = 0.5
 DELAYS = [0.2, TIMEOUT, 2.0]           # below, equal to and above the timeout
 IDLE_DURATION = 3000.0
@@ -39,15 +50,14 @@ TRAFFIC_DURATION = 80.0
 
 def configs():
     """(params name, params, config, variant, mode, traced) per run."""
-    for seed, windows in itertools.product(SEEDS, WINDOWS):
-        params = abps.default_params(**windows)
-        name = ",".join(f"{k}={v:g}" for k, v in windows.items()) or "default"
-        for variant, mode, traced in itertools.product(abps.VARIANTS, abps.MODES, (False, True)):
-            runs = [packetsim.SimConfig(duration=IDLE_DURATION, seed=seed, data_rate=0.0)]
-            runs += [packetsim.SimConfig(duration=TRAFFIC_DURATION, seed=seed, data_rate=rate,
-                                         ack_timeout=TIMEOUT, ack_delay=delay)
-                     for rate, delay in itertools.product((2.0, 50.0), DELAYS)]
-            for cfg in runs:
+    for seed, variant, mode, traced in itertools.product(SEEDS, abps.VARIANTS, abps.MODES,
+                                                         (False, True)):
+        runs = [packetsim.SimConfig(duration=IDLE_DURATION, seed=seed, data_rate=0.0)]
+        runs += [packetsim.SimConfig(duration=TRAFFIC_DURATION, seed=seed, data_rate=rate,
+                                     ack_timeout=TIMEOUT, ack_delay=delay)
+                 for rate, delay in itertools.product((2.0, 50.0), DELAYS)]
+        for cfg in runs:
+            for name, params in PARAMS.items():
                 yield name, params, cfg, variant, mode, traced
 
 
