@@ -547,6 +547,12 @@ def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
 # Coverage prediction
 
 
+def _wrap_lon(lon: np.ndarray) -> np.ndarray:
+    """Longitudes, or steps in longitude, moved by a turn into [-180, 180],
+    so that a step across the antimeridian goes the short way round."""
+    return lon - 360.0 * np.sign(lon) * (np.abs(lon) > 180.0)
+
+
 def predict_coverage(
     trajectory: Sequence[TrajectorySample], aps: Sequence[AccessPoint]
 ) -> list[CoverageInterval]:
@@ -594,7 +600,7 @@ def predict_coverage(
     ap_lat, ap_lon, ap_radius = index.lat[pos], index.lon[pos], index.radius[pos]
     t0, dt = t[flip], t[flip + 1] - t[flip]
     lat0, dlat = s_lat[flip], s_lat[flip + 1] - s_lat[flip]
-    lon0, dlon = s_lon[flip], s_lon[flip + 1] - s_lon[flip]
+    lon0, dlon = s_lon[flip], _wrap_lon(s_lon[flip + 1] - s_lon[flip])
     lo, hi = t0, t[flip + 1]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -659,8 +665,7 @@ def _along_walk(lat: np.ndarray, lon: np.ndarray, spacing_m: float):
     points that leave no two neighbours more than ``spacing_m`` apart along
     the walk. So every point of the walk lies within ``spacing_m / 2`` of a
     position asked about. The points are interpolated linearly in latitude
-    and longitude, as :func:`predict_coverage` bisects a step, except that
-    a step across the antimeridian goes the short way round.
+    and longitude, as :func:`predict_coverage` bisects a step.
 
     Along such a path a step is at most R * hypot(dphi, c * dlambda) long,
     where c is the largest cosine of a latitude on the step. The count of
@@ -668,8 +673,7 @@ def _along_walk(lat: np.ndarray, lon: np.ndarray, spacing_m: float):
     """
     phi = np.radians(lat)
     dlat = np.diff(lat)
-    dlon = np.diff(lon)
-    dlon -= 360.0 * np.sign(dlon) * (np.abs(dlon) > 180.0)
+    dlon = _wrap_lon(np.diff(lon))
     low, high = np.minimum(phi[:-1], phi[1:]), np.maximum(phi[:-1], phi[1:])
     length = EARTH_RADIUS_M * np.hypot(np.radians(dlat),
                                        np.cos(np.clip(0.0, low, high)) * np.radians(dlon))
@@ -680,9 +684,7 @@ def _along_walk(lat: np.ndarray, lon: np.ndarray, spacing_m: float):
     step = np.repeat(np.arange(len(parts)), parts)
     f = (np.arange(len(step)) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[step]
     ask_lat = np.append(lat[step] + f * dlat[step], lat[-1])
-    ask_lon = np.append(lon[step] + f * dlon[step], lon[-1])
-    ask_lon -= 360.0 * np.sign(ask_lon) * (np.abs(ask_lon) > 180.0)
-    return ask_lat, ask_lon
+    return ask_lat, _wrap_lon(np.append(lon[step] + f * dlon[step], lon[-1]))
 
 
 def classify_trajectory(

@@ -47,8 +47,8 @@ give booleans. Both branches of a conditional have the type its context
 wants. :func:`compile` checks every expression once, reached or not.
 
 Constants declared without a value are external parameters and must be
-bound before composition. ``formula`` definitions are inlined where they
-are referenced.
+bound before composition. A ``formula`` is a macro: the spec keeps its
+name where it is referenced, and :func:`compile` inlines its definition.
 
 A constant's definition may name only constants, other expressions any
 constant, variable or formula, and an update only its own module's
@@ -270,7 +270,8 @@ def _lookup(env: Mapping[str, object], name: str):
 
 
 def _substitute(expr: Expr, table: Mapping[str, Expr]) -> Expr:
-    """Replace identifier references per ``table`` (used to inline formulas).
+    """Replace identifier references per ``table`` (:func:`compile` inlines
+    formulas with it).
     A binary subtree that names none of them comes back as it is."""
     if isinstance(expr, Ident):
         return table.get(expr.name, expr)
@@ -348,7 +349,7 @@ class RewardItem:
 class ModelSpec:
     kind: str
     constants: dict[str, Expr | None]  # None: external parameter, bind at compose
-    formulas: dict[str, Expr]
+    formulas: dict[str, Expr]  # referenced by name; compile inlines them
     modules: tuple[ModuleSpec, ...]
     rewards: dict[str, tuple[RewardItem, ...]]
 
@@ -505,8 +506,7 @@ class _Parser:
         for at, scope, kind, message in self.checks:
             if self.tokens[at][1] not in scope:
                 raise self.error(message, at, kind)
-        spec = ModelSpec("ctmc", self.constants, formulas, tuple(modules), rewards)
-        return _inline_formulas(spec)
+        return ModelSpec("ctmc", self.constants, formulas, tuple(modules), rewards)
 
     def _declare(self, name: str, what: str, at: int) -> None:
         """Declare ``name``, whose token is ``at``, once."""
@@ -516,8 +516,8 @@ class _Parser:
         self.declared.add(name)
 
     def _check_formula_order(self, formulas: dict[str, Expr], at: dict[str, int]) -> None:
-        """Formulas are inlined in declaration order, so each may name only the
-        formulas declared before it."""
+        """:func:`compile` inlines formulas in declaration order, so each may
+        name only the formulas declared before it."""
         rank = {name: k for k, name in enumerate(formulas)}
         for k, (name, expr) in enumerate(formulas.items()):
             later = sorted((n for n in _idents(expr) if rank.get(n, -1) >= k), key=rank.get)
@@ -714,34 +714,14 @@ class _Parser:
 
 
 def parse(text: str) -> ModelSpec:
-    """Parse model source text into a validated :class:`ModelSpec`."""
+    """Parse model source text into a validated :class:`ModelSpec`, as
+    written: a formula's name stays where it is referenced."""
     return _Parser(text).parse_model()
 
 
 def parse_file(path) -> ModelSpec:
     """Parse a UTF-8 listing, read by :func:`abps_toolkit._text.read_utf8`."""
     return parse(read_utf8(path, None).read())
-
-
-def _inline_formulas(spec: ModelSpec) -> ModelSpec:
-    """Substitute formula bodies wherever formulas are referenced."""
-    table: dict[str, Expr] = {}
-    for name, expr in spec.formulas.items():
-        table[name] = _substitute(expr, table)  # formulas may use earlier ones
-
-    def sub(expr: Expr | None) -> Expr | None:
-        return None if expr is None else _substitute(expr, table)
-
-    def command(c: Command) -> Command:
-        return Command(c.label, sub(c.guard), tuple(
-            Branch(sub(b.rate), tuple(Update(u.var, sub(u.value)) for u in b.updates))
-            for b in c.branches))
-
-    modules = tuple(ModuleSpec(m.name, m.variables, tuple(map(command, m.commands)))
-                    for m in spec.modules)
-    rewards = {name: tuple(RewardItem(sub(i.guard), sub(i.value)) for i in items)
-               for name, items in spec.rewards.items()}
-    return ModelSpec(spec.kind, dict(spec.constants), dict(spec.formulas), modules, rewards)
 
 
 # --------------------------------------------------------------------------
@@ -849,8 +829,9 @@ class ChainBatch:
 
 
 def compile(spec: ModelSpec) -> "Program":
-    """Check ``spec``'s types and compile it once, to evaluate it at many
-    bindings."""
+    """Inline ``spec``'s formulas, check its types and compile it once, to
+    evaluate it at many bindings. A spec built in code composes as the
+    listing that :func:`format_model` prints for it."""
     return Program(spec)
 
 
@@ -910,14 +891,14 @@ def _no_key(state: tuple[int, ...]) -> tuple:
 class Program:
     """A spec compiled for evaluation at many bindings.
 
-    Compiling reads the spec's constants, commands and rewards and checks
-    their types, raising :class:`CompositionError` for an ill-typed
-    expression whether or not a walk would reach it; later edits to the
-    spec are not seen. The program keeps the walk of its latest
-    evaluation and replays it, evaluating only the rate and reward
-    expressions, while the constants that guards and updates read are
-    unchanged and the same candidate transitions are live (nonzero);
-    otherwise it walks again.
+    Compiling reads the spec's constants, formulas, commands and rewards,
+    inlines the formulas and checks the types, raising
+    :class:`CompositionError` for an ill-typed expression whether or not a
+    walk would reach it; later edits to the spec are not seen. The program
+    keeps the walk of its latest evaluation and replays it, evaluating only
+    the rate and reward expressions, while the constants that guards and
+    updates read are unchanged and the same candidate transitions are live
+    (nonzero); otherwise it walks again.
     """
 
     def __init__(self, spec: ModelSpec):
@@ -929,7 +910,10 @@ class Program:
         self.variables = spec.variables()
         var_names = self.var_names = tuple(v.name for v in self.variables)
         var_pos = {v.name: k for k, v in enumerate(self.variables)}
-        ranges = {v.name: (v.low, v.high) for v in self.variables}
+        # Each formula's body with the earlier formulas it names inlined.
+        formulas: dict[str, Expr] = {}
+        for name, expr in spec.formulas.items():
+            formulas[name] = _substitute(expr, formulas)
 
         # Names read by guards and updates: the constants among them decide
         # the state space.
@@ -938,20 +922,25 @@ class Program:
         def term(expr: Expr | None, want: str, decides_states: bool = False) -> _Term | None:
             if expr is None:
                 return None
+            if formulas:
+                expr = _substitute(expr, formulas)
             _check_type(expr, want)
             found = _Term(expr, var_names)
             if decides_states:
                 structural.update(found.names)
             return found
 
-        def command(cmd: Command):
+        def update(module: str, u: Update):
+            if u.var not in var_pos:
+                raise CompositionError(f"module {module!r} updates {u.var!r}, "
+                                       "which is not a declared variable")
+            v = self.variables[var_pos[u.var]]
+            return u.var, var_pos[u.var], (v.low, v.high), term(u.value, _NUMBER, True)
+
+        def command(module: str, cmd: Command):
             """A guard term and, per branch, its rate term and updates."""
             return term(cmd.guard, _BOOLEAN, True), [
-                (
-                    term(b.rate, _NUMBER),
-                    [(u.var, var_pos[u.var], ranges[u.var], term(u.value, _NUMBER, True))
-                     for u in b.updates],
-                )
+                (term(b.rate, _NUMBER), [update(module, u) for u in b.updates])
                 for b in cmd.branches
             ]
 
@@ -969,16 +958,13 @@ class Program:
         for label, mods in label_modules.items():
             if len(mods) >= 2:
                 self.synced.append([
-                    (
-                        spec.modules[mi].name,
-                        [command(c) for c in spec.modules[mi].commands if c.label == label],
-                    )
-                    for mi in mods
+                    (m.name, [command(m.name, c) for c in m.commands if c.label == label])
+                    for m in (spec.modules[mi] for mi in mods)
                 ])
         for mod in spec.modules:
             for cmd in mod.commands:
                 if cmd.label is None or len(label_modules[cmd.label]) < 2:
-                    self.plain.append((mod.name, *command(cmd)))
+                    self.plain.append((mod.name, *command(mod.name, cmd)))
         self.reward_terms = {
             rname: [(term(i.guard, _BOOLEAN, True), term(i.value, _NUMBER)) for i in items]
             for rname, items in spec.rewards.items()

@@ -348,7 +348,8 @@ class TestPredictCoverage:
 
 def reference_predict_coverage(trajectory, aps):
     """The scalar prediction: per-sample sets of network keys, and one
-    60-step bisection per crossing over the APs that crossing probes."""
+    60-step bisection per crossing over the APs that crossing probes, along
+    a step that crosses ±180° the short way round."""
     lat = np.array([a.lat for a in aps])
     lon = np.array([a.lon for a in aps])
     radius = np.array([a.radius_m for a in aps])
@@ -364,7 +365,7 @@ def reference_predict_coverage(trajectory, aps):
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             f = (mid - a.t) / (b.t - a.t)
-            here = haversine_m(a.lat + f * (b.lat - a.lat), a.lon + f * (b.lon - a.lon),
+            here = haversine_m(a.lat + f * (b.lat - a.lat), a.lon + f * wrap(b.lon - a.lon),
                                lat[probe], lon[probe])
             if bool((here <= radius[probe]).any()) == inside_at_a:
                 lo = mid
@@ -392,7 +393,8 @@ def reference_predict_coverage(trajectory, aps):
 
 
 def wrap(lon):
-    """A longitude moved into [-180, 180] across the antimeridian."""
+    """A longitude, or a step in longitude, moved into [-180, 180] across
+    the antimeridian."""
     return lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
 
 
@@ -665,6 +667,26 @@ class TestTwoRoutesAgree:
         # coverage starts at the middle disc's near edge, 450 m in
         assert [e.kind for e in expected] == [EventKind.EV_NO_WIFI, EventKind.EV_LONG_WIFI]
         assert expected[1].timestamp == pytest.approx(45.0, abs=0.1)
+        for catalog in (LocalCatalog(aps), TtlCache(LocalCatalog(aps))):
+            assert classify_trajectory(track, catalog, 20.0, 100.0) == expected
+
+
+    @pytest.mark.parametrize("east", [True, False])
+    def test_a_step_across_the_antimeridian_goes_the_short_way(self, east):
+        # 111 m across ±180° on the equator, out of a 30 m disc on the first
+        # sample: covered as long as on the same step beside the antimeridian
+        lon0, lon1 = (179.9995, -179.9995) if east else (-179.9995, 179.9995)
+        track = [TrajectorySample(0.0, 0.0, lon0), TrajectorySample(10.0, 0.0, lon1)]
+        aps = [AccessPoint("start", 0.0, lon0, 30.0)]
+        timeline = predict_coverage(track, aps)
+        assert [iv.covered for iv in timeline] == [True, False]
+        assert timeline[0].start == 0.0
+        assert timeline[0].end == pytest.approx(2.697965, abs=1e-6)
+        beside = [TrajectorySample(0.0, 0.0, 179.999), TrajectorySample(10.0, 0.0, 180.0)]
+        assert timeline[0].end == pytest.approx(
+            predict_coverage(beside, [AccessPoint("start", 0.0, 179.999, 30.0)])[0].end,
+            abs=1e-9)
+        expected = classify(timeline, 20.0)
         for catalog in (LocalCatalog(aps), TtlCache(LocalCatalog(aps))):
             assert classify_trajectory(track, catalog, 20.0, 100.0) == expected
 

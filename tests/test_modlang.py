@@ -101,7 +101,7 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("ctmc formula f = 1 < 2;")
 
-    def test_formulas_inlined(self):
+    def test_parse_keeps_a_formula_name_and_compose_resolves_it(self):
         text = """ctmc
         module m x : [0..3] init 0;
           [] x=0 -> 1.0:(x'=1);
@@ -111,8 +111,14 @@ class TestParse:
         rewards "load" busy : 5.0; endrewards
         """
         spec = parse(text)
-        item = spec.rewards["load"][0]
-        assert modlang._idents(item.guard) == {"x"}
+        assert spec.rewards["load"][0].guard == modlang.Ident("busy")
+        assert spec.formulas == {"busy": modlang.Binary("!=", modlang.Ident("x"), Num(0.0))}
+        assert list(compose(spec).rewards["load"]) == [0.0, 5.0]
+
+    @pytest.mark.parametrize("variant", ["plain", "oracle"])
+    def test_reference_listing_prints_its_formula_names(self, variant):
+        assert "(W_connected & U_not_connected) : Tput_W;" in format_model(
+            parse_reference(variant))
 
     @pytest.mark.parametrize("formulas, message", [
         pytest.param("formula a = b + 1; formula b = 1;",
@@ -128,7 +134,7 @@ class TestParse:
                      "which is declared after it", id="cycle"),
     ])
     def test_formula_names_only_earlier_formulas(self, formulas, message):
-        # formulas are inlined in declaration order, so a self or forward
+        # compile inlines formulas in declaration order, so a self or forward
         # reference would stay an identifier that compose cannot bind
         text = f"ctmc {formulas} module m x : [0..1] init 0; [] x=0 -> a:(x'=0); endmodule"
         with pytest.raises(ParseError) as err:
@@ -692,6 +698,36 @@ class TestCompose:
         with pytest.raises(UndeclaredIdentifierError, match="^undeclared identifier: nope$"):
             compose(spec)
 
+    def test_built_spec_with_formulas_composes_as_its_listing(self):
+        # a boolean formula in a guard and a reward guard, a numeric one in a
+        # rate and a reward value; the rate reads the other module's variable
+        x, y = modlang.Ident("x"), modlang.Ident("y")
+        formulas = {"idle": modlang.Binary("=", x, Num(0.0)),
+                    "fast": modlang.Cond(modlang.Binary("=", y, Num(1.0)),
+                                         modlang.Ident("k"), Num(1.0))}
+        a = ModuleSpec("a", (Variable("x", 0, 1, 0),), (
+            Command(None, modlang.Ident("idle"),
+                    (Branch(modlang.Ident("fast"), (Update("x", Num(1.0)),)),)),
+            Command(None, modlang.Binary("=", x, Num(1.0)),
+                    (Branch(Num(1.0), (Update("x", Num(0.0)),)),)),
+        ))
+        rewards = {"r": (modlang.RewardItem(modlang.Ident("idle"), modlang.Ident("fast")),)}
+        spec = ModelSpec("ctmc", {"k": Num(3.0)}, formulas,
+                         (a, two_state_module("b", "y", 2.0, 0.5)), rewards)
+        chain = compose(spec)
+        assert snapshot(chain) == snapshot(compose(parse(format_model(spec))))
+        idx = {chain.states[i]: i for i in range(chain.n_states)}
+        assert chain.generator.rate(idx[(0, 1)], idx[(1, 1)]) == 3.0
+        assert chain.generator.rate(idx[(0, 0)], idx[(1, 0)]) == 1.0
+        assert [chain.rewards["r"][idx[s]] for s in ((0, 0), (0, 1), (1, 1))] == [1.0, 3.0, 0.0]
+
+    def test_built_spec_update_of_an_undeclared_variable_is_named(self):
+        spec = model_of(ModuleSpec("m", (Variable("x", 0, 1, 0),), (
+            Command(None, modlang.Bool(True), (Branch(None, (Update("z", Num(1.0)),)),)),)))
+        with pytest.raises(CompositionError) as err:
+            modlang.compile(spec)
+        assert str(err.value) == "module 'm' updates 'z', which is not a declared variable"
+
     def test_composed_spec_freed_without_cyclic_collector(self):
         # a spec and its compiled program, with the walk the program keeps,
         # are released by reference counting alone
@@ -882,9 +918,16 @@ def batch_rows(batch):
 def small_specs(draw):
     """Listings of one or two modules over a, b, c (rates and rewards) and
     k (a guard and update constant), with shared labels, self-loops,
-    out-of-range and non-integer updates, divisions, and every operator."""
+    out-of-range and non-integer updates, divisions, every operator and
+    formulas."""
     lines = ["ctmc"] + [f"const double {n};" for n in "abck"]
     names = [f"v{i}" for i in range(draw(st.integers(1, 2)))]
+    # sometimes a numeric formula for a rate and a boolean one for a guard,
+    # each reading a variable, which compile inlines
+    formulas = draw(st.booleans())
+    if formulas:
+        lines += [f"formula speed = ({names[-1]}=1 ? a : b) * 2;",
+                  f"formula busy = {names[0]}!=0 | k=2;"]
     for i, var in enumerate(names):
         lines += [f"module m{i}", f"  {var} : [0..2] init 0;"]
         for _ in range(draw(st.integers(1, 3))):
@@ -893,9 +936,9 @@ def small_specs(draw):
             guard = draw(st.sampled_from(
                 [f"{var}={j}", f"{var}!={j}", "true", "false", f"{var}=k",
                  f"{names[0]}=1 | {var}={j}", f"{var}!={j} & k-{var}!=1",
-                 f"({names[-1]}=1 ? {var}={j} : false)"]))
+                 f"({names[-1]}=1 ? {var}={j} : false)"] + ["busy"] * formulas))
             rate = draw(st.sampled_from(["a", "b", "a*b", "1/c", f"({names[-1]}=1 ? a : 2.0)",
-                                         "a+b", f"b-{var}", "-a"]))
+                                         "a+b", f"b-{var}", "-a"] + ["speed"] * formulas))
             value = draw(st.sampled_from([str(j), str(j), "k", f"{var}+1", f"{j}/2"]))
             lines.append(f"  [{label}] {guard} -> {rate}:({var}'={value});")
         lines.append("endmodule")
@@ -1047,6 +1090,7 @@ class TestCompiledCompose:
     @given(small_specs(), st.lists(st.fixed_dictionaries({n: BINDING_VALUES for n in "abck"}),
                                    min_size=2, max_size=5))
     def test_every_call_equals_a_fresh_compose(self, spec, bindings_seq):
+        assert parse(format_model(spec)) == spec
         program = modlang.compile(spec)
         for bindings in bindings_seq:
             assert outcome(program.evaluate, bindings) == outcome(fresh(spec), bindings)
