@@ -29,9 +29,10 @@ stops at the first step that narrows no bracket, at most 60 steps in, on
 the very floats that 60 scalar steps per edge would give.
 
 The query route (``classify_trajectory``) asks its catalog once per walk,
-about every sample and about points within each step longer than the query
-radius, so that it finds every access point of radius up to half the query
-radius that covers some point of the walk. Every catalog source answers
+about the fewest samples and points within long steps that leave no two
+neighbours farther apart along the walk than the query radius, so that it
+finds every access point of radius up to half the query radius that covers
+some point of the walk. Every catalog source answers
 ``query_many`` for a batch of positions, and ``query`` is its one-position
 case. ``LocalCatalog`` answers a batch from the distances of the pairs in
 each position's band, a few thousand pairs at a time; ``TtlCache`` sends
@@ -660,16 +661,19 @@ def apply_policy(event: CoverageEvent) -> NicActivation:
 
 
 def _along_walk(lat: np.ndarray, lon: np.ndarray, spacing_m: float):
-    """The positions to ask about along a walk: its samples, and within each
-    step that may be longer than ``spacing_m`` the fewest evenly spaced
-    points that leave no two neighbours more than ``spacing_m`` apart along
+    """The fewest positions along a walk, its first and last samples among
+    them, that leave no two neighbours more than ``spacing_m`` apart along
     the walk. So every point of the walk lies within ``spacing_m / 2`` of a
-    position asked about. The points are interpolated linearly in latitude
-    and longitude, as :func:`predict_coverage` bisects a step.
+    position asked about.
 
+    The candidates are the samples and evenly spaced points within each
+    step that may be longer than ``spacing_m``, interpolated linearly in
+    latitude and longitude, as :func:`predict_coverage` bisects a step.
     Along such a path a step is at most R * hypot(dphi, c * dlambda) long,
-    where c is the largest cosine of a latitude on the step. The count of
-    positions grows with the walk's length over ``spacing_m``.
+    where c is the largest cosine of a latitude on the step. From the first
+    sample, each next position is the farthest candidate whose summed bound
+    from the last is within ``spacing_m`` less the margin of
+    :meth:`_ApIndex.band`; this greedy choice is the fewest.
     """
     phi = np.radians(lat)
     dlat = np.diff(lat)
@@ -678,13 +682,19 @@ def _along_walk(lat: np.ndarray, lon: np.ndarray, spacing_m: float):
     length = EARTH_RADIUS_M * np.hypot(np.radians(dlat),
                                        np.cos(np.clip(0.0, low, high)) * np.radians(dlon))
     parts = np.maximum(np.ceil(length / spacing_m), 1.0).astype(np.int64)
-    if parts.max(initial=1) == 1:
-        return lat, lon
-    # position k is part j of step i: sample i when j = 0
+    # candidate k is part j of step i: sample i when j = 0; the last sample
+    # is candidate len(step), and each may jump to one candidate at least
     step = np.repeat(np.arange(len(parts)), parts)
     f = (np.arange(len(step)) - np.repeat(np.cumsum(parts) - parts, parts)) / parts[step]
-    ask_lat = np.append(lat[step] + f * dlat[step], lat[-1])
-    return ask_lat, _wrap_lon(np.append(lon[step] + f * dlon[step], lon[-1]))
+    along = np.append(0.0, np.cumsum((length / parts)[step]))
+    reach = np.maximum(np.searchsorted(along, along + spacing_m * (1 - 1e-9) - 1e-6, "right") - 1,
+                       np.arange(1, len(along) + 1)).tolist()
+    asked = [0]
+    while asked[-1] < len(step):
+        asked.append(reach[asked[-1]])
+    i, g = step[asked[:-1]], f[asked[:-1]]
+    ask_lat = np.append(lat[i] + g * dlat[i], lat[-1])
+    return ask_lat, _wrap_lon(np.append(lon[i] + g * dlon[i], lon[-1]))
 
 
 def classify_trajectory(
@@ -693,10 +703,11 @@ def classify_trajectory(
     threshold_s: float = DEFAULT_LONG_THRESHOLD_S,
     query_radius_m: float = 500.0,
 ) -> list[CoverageEvent]:
-    """Ask the catalog once about the walk (:func:`_along_walk`), then
-    predict coverage on the access points found and classify. Every access
-    point of radius up to ``query_radius_m / 2`` that covers some point of
-    the walk is among those found.
+    """Ask the catalog once about the fewest positions along the walk
+    (:func:`_along_walk`), then predict coverage on the access points found
+    and classify. Every access point of radius up to ``query_radius_m / 2``
+    that covers some point of the walk is among those found; a wider one is
+    found only when it lies within ``query_radius_m`` of a position asked.
 
     The walk and the radius are checked first, so bad input raises
     ``ValidationError`` whatever the catalog does. When the catalog is

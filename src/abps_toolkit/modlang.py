@@ -894,7 +894,10 @@ class Program:
     Compiling reads the spec's constants, formulas, commands and rewards,
     inlines the formulas and checks the types, raising
     :class:`CompositionError` for an ill-typed expression whether or not a
-    walk would reach it; later edits to the spec are not seen. The program
+    walk would reach it; later edits to the spec are not seen. A spec built
+    in code meets the parser's declaration rules here, with its error
+    classes and text: a variable declared twice, an initial value outside
+    its range, an update of another module's variable. The program
     keeps the walk of its latest evaluation and replays it, evaluating only
     the rate and reward expressions, while the constants that guards and
     updates read are unchanged and the same candidate transitions are live
@@ -910,6 +913,15 @@ class Program:
         self.variables = spec.variables()
         var_names = self.var_names = tuple(v.name for v in self.variables)
         var_pos = {v.name: k for k, v in enumerate(self.variables)}
+        # the parser's declaration rules, for a spec built in code
+        owner = {v.name: m.name for m in spec.modules for v in m.variables}
+        for k, v in enumerate(self.variables):
+            if var_pos[v.name] != k:
+                raise DuplicateDeclarationError(f"duplicate declaration of {v.name!r} (variable)")
+        for v in self.variables:
+            if not v.low <= v.init <= v.high:
+                raise InitOutOfRangeError(
+                    f"initial value {v.init} of {v.name!r} outside [{v.low}..{v.high}]")
         # Each formula's body with the earlier formulas it names inlined.
         formulas: dict[str, Expr] = {}
         for name, expr in spec.formulas.items():
@@ -934,6 +946,9 @@ class Program:
             if u.var not in var_pos:
                 raise CompositionError(f"module {module!r} updates {u.var!r}, "
                                        "which is not a declared variable")
+            if owner[u.var] != module:
+                raise UndeclaredIdentifierError(f"module {module!r} updates {u.var!r}, "
+                                                "which is not one of its variables")
             v = self.variables[var_pos[u.var]]
             return u.var, var_pos[u.var], (v.low, v.high), term(u.value, _NUMBER, True)
 
@@ -1003,31 +1018,53 @@ class Program:
         if len(shape) > 1:
             raise ValueError(f"bindings must be scalars or 1-d arrays, got shape {shape}")
         size = shape[0] if shape else 1
-        for first in range(size):
-            try:
-                self.evaluate({name: c[first] if c.ndim else c for name, c in columns.items()})
-                break
-            except (ModelError, ValidationError):
-                continue
-        else:
-            return ChainBatch((), np.zeros(size, dtype=bool), np.empty((size, 0)), {})
-        walk = self._walk
-        n = len(walk.states)
-        ok = np.zeros(size, dtype=bool)
-        probabilities = np.full((size, n), np.nan)
-        rewards = {rname: np.full((size, n), np.nan) for rname in walk.reward_slots}
-        step = max(1, _STACK_BYTES // (8 * n * n))
-        for start in range(first, size, step):
-            rows = slice(start, min(start + step, size))
+
+        def chunk(walk: _Walk, start: int) -> slice:
+            """The points from ``start`` whose generators fit in ``_STACK_BYTES``."""
+            n = len(walk.states)
+            return slice(start, min(start + max(1, _STACK_BYTES // (8 * n * n)), size))
+
+        def replay(walk: _Walk, rows: slice):
+            """The walk replayed on a chunk of points, or None when the
+            chunk's constants raise: every point fails alike."""
             bad = [np.zeros(rows.stop - rows.start, dtype=bool)]
             try:
                 with np.errstate(all="ignore"):  # as Python floats: inf or NaN, no warning
                     consts = _resolve_constants(
                         self.constants,
                         {name: c[rows] if c.ndim else c for name, c in columns.items()}, bad)
-            except ModelError:  # every point fails alike
+            except ModelError:
+                return None
+            return walk.replay(consts, bad)
+
+        # The kept walk serves when the first point fits it; else the first
+        # point that composes alone sets the walk, as evaluate() would.
+        walk, first, head = self._walk, 0, None
+        if walk is not None and size:
+            head = replay(walk, chunk(walk, 0))
+        if head is None or not head[0][0]:  # the first point does not fit
+            head = None
+            for first in range(size):
+                try:
+                    self.evaluate({name: c[first] if c.ndim else c
+                                   for name, c in columns.items()})
+                    break
+                except (ModelError, ValidationError):
+                    continue
+            else:
+                return ChainBatch((), np.zeros(size, dtype=bool), np.empty((size, 0)), {})
+            walk = self._walk
+        n = len(walk.states)
+        ok = np.zeros(size, dtype=bool)
+        probabilities = np.full((size, n), np.nan)
+        rewards = {rname: np.full((size, n), np.nan) for rname in walk.reward_slots}
+        start = first
+        while start < size:
+            rows = chunk(walk, start)
+            replayed, head, start = head or replay(walk, rows), None, rows.stop
+            if replayed is None:
                 continue
-            fits, q, vectors = walk.replay(consts, bad)
+            fits, q, vectors = replayed
             for rname, vec in vectors.items():
                 rewards[rname][rows] = vec
             picked = np.flatnonzero(fits)
@@ -1036,7 +1073,7 @@ class Program:
                     pi, solved = steady_states(q if fits.all() else q[picked], 0)
                 except StructureError:
                     continue  # every point fails alike; alone, each says why
-                probabilities[start + picked], ok[start + picked] = pi, solved
+                probabilities[rows.start + picked], ok[rows.start + picked] = pi, solved
         for array in (probabilities, *rewards.values()):
             array[~ok] = np.nan  # no result
             array.flags.writeable = False

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abps_toolkit import coverage
 from abps_toolkit.coverage import (
@@ -398,6 +400,26 @@ def wrap(lon):
     return lon - 360.0 if lon > 180.0 else lon + 360.0 if lon < -180.0 else lon
 
 
+def fewest_positions(lat, lon, radius):
+    """The greedy minimum of positions asked along a walk with no step
+    longer than ``radius``: from the first sample, the farthest sample whose
+    summed step bounds from the last one asked stay within ``radius``, less
+    one part in 1e9 and 1 um. A step's bound is R * hypot(dphi, c * dlambda),
+    with c the largest cosine of a latitude on the step."""
+    along = [0.0]
+    for a, b, da, db in zip(lat, lat[1:], lon, lon[1:]):
+        p, q = math.radians(a), math.radians(b)
+        c = 1.0 if p * q <= 0.0 else math.cos(min(abs(p), abs(q)))
+        along.append(along[-1] + coverage.EARTH_RADIUS_M * math.hypot(
+            math.radians(b - a), c * math.radians(wrap(db - da))))
+    limit = radius * (1 - 1e-9) - 1e-6
+    count, last = 1, 0
+    for k in range(1, len(along)):
+        if along[k] - along[last] > limit:
+            count, last = count + 1, k - 1
+    return count + (last < len(along) - 1)
+
+
 def random_case(rng, t0, n=60, dt=(0.5, 4.0), speed=1.4, origin=None):
     """A seeded walk and catalog in a local metric frame: APs near the walk,
     grouped or not, some that the walk grazes at a sample, and handover
@@ -643,7 +665,59 @@ class TestTwoRoutesAgree:
             cache = TtlCache(LocalCatalog(aps))
             for catalog in (LocalCatalog(aps), cache, cache):
                 assert classify_trajectory(track, catalog, 20.0, 100.0) == expected
-            assert cache.hits == len(track)
+            asked, _ = coverage._along_walk(np.array([s.lat for s in track]),
+                                            np.array([s.lon for s in track]), 100.0)
+            assert cache.hits == len(asked)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["mid", "polar", "antimeridian"]), st.floats(50.0, 500.0),
+           st.integers(0, 2**32 - 1))
+    def test_the_fewest_positions_find_every_disc_on_the_walk(self, place, radius, seed):
+        # a walk of 1-3 km in steps of 1-20 m, and discs of radius up to half
+        # the query radius, one of them on the walk midway between two
+        # consecutive positions asked about
+        rng = np.random.default_rng(seed)
+        lat0 = {"mid": rng.uniform(-60.0, 60.0), "polar": rng.choice([-1, 1]) * rng.uniform(
+            80.0, 89.9), "antimeridian": rng.uniform(-60.0, 60.0)}[place]
+        lon0 = (rng.choice([-1, 1]) * rng.uniform(179.97, 180.0) if place == "antimeridian"
+                else rng.uniform(-180.0, 180.0))
+        steps = rng.uniform(1.0, 20.0, 400)
+        steps = steps[:np.searchsorted(np.cumsum(steps), rng.uniform(1000.0, 3000.0)) + 1]
+        heading = rng.uniform(0.0, 2 * math.pi) + np.cumsum(rng.normal(0.0, 0.5, len(steps)))
+        m_lat = 180.0 / (math.pi * coverage.EARTH_RADIUS_M)
+        m_lon = m_lat / math.cos(math.radians(lat0))
+        x = np.append(0.0, np.cumsum(steps * np.cos(heading)))
+        y = np.append(0.0, np.cumsum(steps * np.sin(heading)))
+        track = [TrajectorySample(2.0 * i, lat0 + yi * m_lat, wrap(lon0 + xi * m_lon))
+                 for i, (xi, yi) in enumerate(zip(x, y))]
+        lat, lon = np.array([s.lat for s in track]), np.array([s.lon for s in track])
+        ask_lat, ask_lon = coverage._along_walk(lat, lon, radius)
+        # no step is longer than the radius, so every position asked is a
+        # sample; the path between two of them, in quarter steps
+        asked = [int(np.flatnonzero((lat == a) & (lon == o))[0])
+                 for a, o in zip(ask_lat, ask_lon)]
+        assert asked[0] == 0 and asked[-1] == len(track) - 1
+        f = np.linspace(0.0, 1.0, 5)[:, None]
+        dlon = np.array([wrap(b - a) for a, b in zip(lon, lon[1:])])
+        path_lat = lat[:-1] + f * np.diff(lat)
+        path_lon = (lon[:-1] + f * dlon + 540.0) % 360.0 - 180.0
+        length = haversine_m(path_lat[:-1], path_lon[:-1], path_lat[1:], path_lon[1:]).sum(axis=0)
+        gaps = [length[i:j].sum() for i, j in zip(asked, asked[1:])]
+        assert max(gaps) <= radius
+        assert len(asked) == fewest_positions(lat, lon, radius)
+
+        aps = [AccessPoint(f"ap{k}", lat[i] + rng.normal(0, 30) * m_lat,
+                           wrap(lon[i] + rng.normal(0, 30) * m_lon), rng.uniform(1.0, radius / 2),
+                           str(rng.choice(["", "g1", "g2"])) or None)
+               for k, i in enumerate(rng.integers(len(track), size=int(rng.integers(0, 8))))]
+        k = int(rng.integers(len(asked) - 1))
+        a, b = asked[k], asked[k + 1]
+        i = a + int(np.searchsorted(np.cumsum(length[a:b]), gaps[k] / 2))
+        g = float(np.clip((gaps[k] / 2 - length[a:i].sum()) / length[i], 0.0, 1.0))
+        aps.append(AccessPoint("midway", lat[i] + g * (lat[i + 1] - lat[i]),
+                               wrap(lon[i] + g * dlon[i]), rng.uniform(1.0, radius / 2)))
+        expected = classify(predict_coverage(track, aps), 20.0)
+        assert classify_trajectory(track, LocalCatalog(aps), 20.0, radius) == expected
 
     @pytest.mark.parametrize("origin", [(0.0, 0.0), (60.0, 10.0), (-33.87, 151.21)])
     @pytest.mark.parametrize("heading", [0.0, 0.6, math.pi / 2], ids=["east", "ene", "north"])
@@ -876,14 +950,23 @@ class TestRemoteCatalog:
         track = walk(100)
         events = classify_trajectory(track, RemoteCatalog("http://x", session=session))
         assert [e.kind for e in events] == [EventKind.EV_LONG_WIFI, EventKind.EV_NO_WIFI]
-        assert [(c["params"]["lat"], c["params"]["lon"]) for c in session.calls] == [
-            (s.lat, s.lon) for s in track]
-        # behind a cache: one request per distinct position
+        assert [(c["params"]["lat"], c["params"]["lon"]) for c in session.calls] == list(
+            zip(*coverage._along_walk(np.array([s.lat for s in track]),
+                                      np.array([s.lon for s in track]), 500.0)))
+        # behind a cache: one request per distinct position, on a walk there
+        # and back that starts and ends at one place, and none when the walk
+        # is retraced
         session.calls.clear()
         cache = TtlCache(RemoteCatalog("http://x", session=session))
-        classify_trajectory(track + [TrajectorySample(101 + i, s.lat, s.lon)
-                                     for i, s in enumerate(track[::-1])], cache)
-        assert len(session.calls) == len(track) == cache.misses
+        retrace = track + [TrajectorySample(101 + i, s.lat, s.lon)
+                           for i, s in enumerate(track[::-1])]
+        asked = list(zip(*coverage._along_walk(np.array([s.lat for s in retrace]),
+                                               np.array([s.lon for s in retrace]), 10.0)))
+        classify_trajectory(retrace, cache, query_radius_m=10.0)
+        assert len(session.calls) == cache.misses == len(set(asked)) == len(asked) - 1
+        classify_trajectory(retrace, cache, query_radius_m=10.0)
+        assert len(session.calls) == cache.misses == len(asked) - 1
+        assert cache.hits == len(asked) + 1
 
     def test_first_failure_stops_the_walk_and_degrades(self):
         class FailsThird(FakeSession):
@@ -893,7 +976,9 @@ class TestRemoteCatalog:
                 return super().get(url, params, headers, timeout)
 
         session = FailsThird(FakeResponse(payload=[self.RECORD]))
-        events = classify_trajectory(walk(100), RemoteCatalog("http://x", session=session))
+        # positions at most 20 m apart along the 100 m walk: the third fails
+        events = classify_trajectory(walk(100), RemoteCatalog("http://x", session=session),
+                                     query_radius_m=20.0)
         assert [e.kind for e in events] == [EventKind.EV_SHORT_WIFI]
         assert events[0].duration is None
         assert len(session.calls) == 3

@@ -6,6 +6,7 @@ import gc
 import importlib.util
 import io
 import itertools
+import re
 import warnings
 import weakref
 from pathlib import Path
@@ -728,6 +729,27 @@ class TestCompose:
             modlang.compile(spec)
         assert str(err.value) == "module 'm' updates 'z', which is not a declared variable"
 
+    @pytest.mark.parametrize("spec, kind, message", [
+        pytest.param(model_of(ModuleSpec("a", (Variable("x", 0, 1, 5),), ())),
+                     InitOutOfRangeError, "initial value 5 of 'x' outside [0..1]", id="init"),
+        pytest.param(model_of(two_state_module("a", "x", 1.0, 1.0),
+                              two_state_module("b", "x", 2.0, 2.0)),
+                     DuplicateDeclarationError, "duplicate declaration of 'x' (variable)",
+                     id="twice"),
+        pytest.param(model_of(two_state_module("a", "x", 1.0, 1.0), ModuleSpec(
+            "b", (Variable("y", 0, 1, 0),),
+            (Command(None, modlang.Bool(True), (Branch(None, (Update("x", Num(0.0)),)),)),))),
+                     UndeclaredIdentifierError,
+                     "module 'b' updates 'x', which is not one of its variables", id="owner"),
+    ])
+    def test_built_spec_keeps_the_parsers_declaration_rules(self, spec, kind, message):
+        with pytest.raises(kind) as err:
+            modlang.compile(spec)
+        assert str(err.value) == message
+        # the listing that format_model prints fails alike, at its token
+        with pytest.raises(kind, match=rf"^line \d+, column \d+: {re.escape(message)}$"):
+            parse(format_model(spec))
+
     def test_composed_spec_freed_without_cyclic_collector(self):
         # a spec and its compiled program, with the walk the program keeps,
         # are released by reference counting alone
@@ -1141,6 +1163,35 @@ class TestEvaluateMany:
         batch = program.evaluate_many({**usual, "umts_setup_fail": 0.0, "mu_U": [1.0, 2.0]})
         assert batch_rows(batch) == [solved(spec, point) for point in points]
         assert all(batch.ok)
+
+    def test_first_point_failing_its_constants_on_a_kept_walk(self):
+        # 1/T_W_minus fails at 0 while the kept walk fits the other points
+        spec = parse_reference("oracle")
+        program = modlang.compile(spec)
+        program.evaluate(BINDINGS)
+        minus = [0.0, 20.0, 40.0]
+        batch = program.evaluate_many({"T_W_minus": minus, "T_W_plus": 80.0})
+        assert batch.ok.tolist() == [False, True, True]
+        assert batch_rows(batch) == [solved(spec, {"T_W_minus": t, "T_W_plus": 80.0})
+                                     for t in minus]
+        # an unbound constant raises for the whole chunk: each point is still
+        # tried alone, and with none composing the batch has no walk
+        batch = program.evaluate_many({"T_W_minus": minus})
+        assert batch.states == () and batch.ok.tolist() == [False, False, False]
+
+    def test_first_point_off_the_kept_walk_sets_a_fresh_one(self):
+        spec = abps.build("oracle", default_params()).spec
+        program = modlang.compile(spec)
+        usual = resolved_rates(default_params(), "text")
+        program.evaluate(usual)
+        fail = usual["umts_setup_fail"]
+        points = [{**usual, "umts_setup_fail": f} for f in (0.0, fail, 0.0)]
+        batch = program.evaluate_many({**usual, "umts_setup_fail": [0.0, fail, 0.0]})
+        assert batch.ok.tolist() == [True, False, True]
+        assert batch_rows(batch) == [solved(spec, points[0]), None, solved(spec, points[2])]
+        # the first point's walk is kept: the usual point is off it now
+        batch = program.evaluate_many({**usual, "umts_setup_fail": [0.0, fail]})
+        assert batch.ok.tolist() == [True, False]
 
     def test_errors_only_where_eval_expr_meets_them(self):
         # 1/c = 0 is finite at c = 0 in numpy, but eval_expr's scalar rule

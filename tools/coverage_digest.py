@@ -17,7 +17,8 @@ ESSIDs, same-ESSID pairs with two radii on one mast, equal records listed
 twice, walks that start inside a disc, and places near both poles (89.9°)
 and on both sides of the antimeridian. Counts of the cases and of what they
 cover go to stderr, with the number of cases whose query-route events equal
-the classified prediction over the whole catalog.
+the classified prediction over the whole catalog, and the positions the
+query route asked and the listings it received against the walks' samples.
 """
 
 from __future__ import annotations
@@ -88,6 +89,20 @@ def walk(rng, at, aps) -> list[TrajectorySample]:
     return samples
 
 
+class Tally:
+    """A catalog in front of another that counts the positions it is asked
+    about and the access points it lists for them."""
+
+    def __init__(self, catalog) -> None:
+        self.catalog, self.positions, self.listings = catalog, 0, 0
+
+    def query_many(self, lat, lon, radius):
+        answers = self.catalog.query_many(lat, lon, radius)
+        self.positions += len(answers)
+        self.listings += sum(map(len, answers))
+        return answers
+
+
 def sha(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
 
@@ -95,7 +110,8 @@ def sha(value) -> str:
 def main(out) -> None:
     counts = dict.fromkeys(("cases", "covered intervals", "listings", "events", "same-ESSID pairs",
                             "walks starting covered", "walks across 180",
-                            "query-route events equal to the prediction's"), 0)
+                            "query-route events equal to the prediction's", "samples",
+                            "positions the query route asked", "listings it received"), 0)
     for (k, (lat0, lon0)), seed in itertools.product(enumerate(PLACES), SEEDS):
         rng = np.random.default_rng([seed, k])
         at = place_frame(lat0, lon0)
@@ -111,8 +127,8 @@ def main(out) -> None:
             answers = [[[index_of[id(ap)] for ap in answer]
                         for answer in local.query_many(lat, lon, radius)]
                        for radius in QUERY_RADII]
-            cache = coverage.TtlCache(coverage.LocalCatalog(aps))
-            events = coverage.classify_trajectory(track, cache)
+            tally = Tally(coverage.TtlCache(coverage.LocalCatalog(aps)))
+            events = coverage.classify_trajectory(track, tally)
             print(f"{name} intervals {sha(intervals)}", file=out)
             print(f"{name} answers {sha(answers)}", file=out)
             print(f"{name} events {sha(events)}", file=out)
@@ -125,6 +141,9 @@ def main(out) -> None:
                                               for a, b in zip(track, track[1:]))
             counts["query-route events equal to the prediction's"] += (
                 events == coverage.classify(intervals))
+            counts["samples"] += len(track)
+            counts["positions the query route asked"] += tally.positions
+            counts["listings it received"] += tally.listings
     print(", ".join(f"{v} {k}" for k, v in counts.items()), file=sys.stderr)
 
 
