@@ -177,10 +177,6 @@ def cmd_compare(args) -> int:
 
 def cmd_oracle(args) -> int:
     trajectory = coverage.load_trajectory(args.trajectory)
-    if len(trajectory) < 2:
-        raise ValidationError(
-            f"trajectory {args.trajectory} needs at least 2 samples, got {len(trajectory)}"
-        )
     catalog = coverage.LocalCatalog(args.catalog)
     if catalog.skipped_records:
         print(f"warning: skipped {catalog.skipped_records} malformed catalog records",

@@ -37,7 +37,10 @@ some point of the walk. Every catalog source answers
 case. ``LocalCatalog`` answers a batch from the distances of the pairs in
 each position's band, a few thousand pairs at a time; ``TtlCache`` sends
 only the positions it holds no live entry for, and ``RemoteCatalog`` sends
-one request per position, since the service answers one at a time.
+one request per position, since the service answers one at a time. A record
+with a null or boolean essid, lat, lon or radius_m is malformed and skipped.
+``_check_trajectory`` alone states the walk rules, 2 samples at least among
+them; a ``predict_coverage`` or ``classify_trajectory`` call runs it once.
 """
 
 from __future__ import annotations
@@ -186,6 +189,14 @@ class _Catalog:
     def query(self, lat: float, lon: float, radius: float) -> list[AccessPoint]:
         return list(self.query_many([lat], [lon], radius)[0])
 
+    def _keep(self, records) -> tuple[AccessPoint, ...]:
+        """The access points that ``records`` describe (:func:`_record_to_ap`);
+        each malformed record is skipped and counted in ``skipped_records``."""
+        found = [_record_to_ap(record) for record in records]
+        aps = tuple([ap for ap in found if ap is not None])
+        self.skipped_records += len(found) - len(aps)
+        return aps
+
 
 # LocalCatalog.query_many halves a batch of positions until each part has at
 # most this many positions and band pairs together, or one position. That
@@ -222,16 +233,8 @@ class LocalCatalog(_Catalog):
             raise ValidationError(
                 f"catalog header must be {','.join(CATALOG_FIELDS)}"
             )
-        aps = []
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            ap = _record_to_ap({k: v.strip() for k, v in zip(CATALOG_FIELDS, row)})
-            if ap is None:
-                self.skipped_records += 1
-            else:
-                aps.append(ap)
-        return tuple(aps)
+        return self._keep({k: v.strip() for k, v in zip(CATALOG_FIELDS, row)}
+                          for row in reader if any(cell.strip() for cell in row))
 
     def query_many(self, lat: Sequence[float], lon: Sequence[float],
                    radius: float) -> list[tuple[AccessPoint, ...]]:
@@ -358,15 +361,8 @@ class RemoteCatalog(_Catalog):
             raise CatalogUnavailable(
                 f"catalog answered {repr(records)[:80]}, not a JSON array"
             )
-        aps = []
-        for record in records:
-            ap = _record_to_ap(record)
-            if ap is None:
-                self.skipped_records += 1
-            else:
-                aps.append(ap)
         # the service already filters; re-check locally so the contract holds
-        return LocalCatalog(aps).query_many([lat], [lon], radius)[0]
+        return LocalCatalog(self._keep(records)).query_many([lat], [lon], radius)[0]
 
 
 class TtlCache(_Catalog):
@@ -417,17 +413,24 @@ class TtlCache(_Catalog):
 
 
 def _record_to_ap(record) -> AccessPoint | None:
-    """The access point a record describes, or None when it is malformed."""
+    """The access point a record describes, or None when it is malformed. A
+    null or boolean essid, lat, lon or radius_m is malformed; only a missing
+    or empty radius_m takes the default."""
     try:
+        essid, lat, lon = record["essid"], record["lat"], record["lon"]
+        radius = record.get("radius_m", "")
+        if essid is None or radius is None or bool in (type(essid), type(lat), type(lon),
+                                                       type(radius)):
+            return None
         group = (record.get("group") or "").strip() or None
         raw_open = str(record.get("open", "true")).strip().lower()
         if raw_open not in ("true", "false", "1", "0", "yes", "no"):
             return None
         return AccessPoint(
-            essid=str(record["essid"]),
-            lat=float(record["lat"]),
-            lon=float(record["lon"]),
-            radius_m=float(record.get("radius_m") or DEFAULT_AP_RADIUS_M),
+            essid=str(essid),
+            lat=float(lat),
+            lon=float(lon),
+            radius_m=DEFAULT_AP_RADIUS_M if radius == "" else float(radius),
             group=group,
             open=raw_open in ("true", "1", "yes"),
         )
@@ -457,8 +460,8 @@ def _check_radius(radius: float) -> None:
 def load_trajectory(path) -> list[TrajectorySample]:
     """Read a ``t,lat,lon[,speed]`` CSV. The first row is a header when its
     t, lat and lon cells hold no number; any other row that does not parse
-    is an error naming its line, and so is a sample that
-    :func:`_check_trajectory` rejects."""
+    is an error naming its line, and so is a sample, then a sample count,
+    that :func:`_check_trajectory` rejects."""
     samples: list[TrajectorySample] = []
     lines: list[int] = []
     for lineno, row in enumerate(csv.reader(read_utf8(path, "")), start=1):
@@ -473,7 +476,8 @@ def load_trajectory(path) -> list[TrajectorySample]:
             raise ValidationError(f"{path}:{lineno}: malformed trajectory row {row!r}")
         samples.append(TrajectorySample(t, lat, lon, speed))
         lines.append(lineno)
-    _check_trajectory(samples, lambda k: f"{path}:{lines[k]}: ")
+    _check_trajectory(samples, f"trajectory {path}", lambda k: f"{path}:{lines[k]}: ",
+                      say_count=True)
     return samples
 
 
@@ -485,12 +489,13 @@ def _is_number(cell: str) -> bool:
     return True
 
 
-def _check_trajectory(samples: Sequence[TrajectorySample],
-                      where: Callable[[int], str] = lambda k: "") -> np.ndarray:
-    """The t, lat and lon columns of a valid trajectory, as a (3 x samples)
-    array; an error names the first offending sample k, after ``where(k)``."""
-    columns = np.array([(s.t, s.lat, s.lon) for s in samples], dtype=float)
-    columns = columns.reshape(-1, 3).T.copy()
+def _check_trajectory(samples: Sequence[TrajectorySample], use: str,
+                      where: Callable[[int], str] = lambda k: "", say_count=False) -> np.ndarray:
+    """The t, lat and lon columns of a walk that keeps every walk rule, as a
+    (3 x samples) array. An error names the first offending sample k, after
+    ``where(k)``; then too few samples name ``use``, and their count if asked."""
+    columns = np.array([[s.t for s in samples], [s.lat for s in samples],
+                        [s.lon for s in samples]], dtype=float)
     t, lat, lon = columns
     valid = np.isfinite(t) & (lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0)
     if not valid.all():
@@ -508,15 +513,16 @@ def _check_trajectory(samples: Sequence[TrajectorySample],
         k = int(rising.argmin())
         raise ValidationError(f"{where(k + 1)}trajectory timestamps must strictly increase "
                               f"({samples[k].t} then {samples[k + 1].t})")
+    if len(samples) < 2:
+        raise ValidationError(f"{use} needs at least 2 samples"
+                              + (f", got {len(samples)}" if say_count else ""))
     return columns
 
 
 def extrapolate(samples: Sequence[TrajectorySample], horizon_s: float,
                 step_s: float = 1.0) -> list[TrajectorySample]:
     """Extend a trajectory by dead reckoning from its last two samples."""
-    if len(samples) < 2:
-        raise ValidationError("extrapolation needs at least 2 samples")
-    _check_trajectory(samples)
+    _check_trajectory(samples, "extrapolation")
     for name, value in (("horizon_s", horizon_s), ("step_s", step_s)):
         if not (value > 0.0 and math.isfinite(value)):
             raise ValidationError(f"{name} must be positive and finite, got {value}")
@@ -554,6 +560,14 @@ def _wrap_lon(lon: np.ndarray) -> np.ndarray:
     return lon - 360.0 * np.sign(lon) * (np.abs(lon) > 180.0)
 
 
+def _steps(lat: np.ndarray, lon: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The samples' latitudes in radians, and each step's latitude span [low,
+    high] in radians, dlat and dlon (the short way round), as both routes read them."""
+    phi = np.radians(lat)
+    return (phi, np.minimum(phi[:-1], phi[1:]), np.maximum(phi[:-1], phi[1:]),
+            np.diff(lat), _wrap_lon(np.diff(lon)))
+
+
 def predict_coverage(
     trajectory: Sequence[TrajectorySample], aps: Sequence[AccessPoint]
 ) -> list[CoverageInterval]:
@@ -564,10 +578,13 @@ def predict_coverage(
     covering the walk; a network swap with no network covering both sides
     closes the interval at the handover instant.
     """
-    if len(trajectory) < 2:
-        raise ValidationError("coverage prediction needs at least 2 samples")
-    t, s_lat, s_lon = _check_trajectory(trajectory)
+    return _predict(trajectory, _check_trajectory(trajectory, "coverage prediction"), aps)
 
+
+def _predict(trajectory, columns, aps, steps=None) -> list[CoverageInterval]:
+    """:func:`predict_coverage` of a checked walk, its columns and, if given, its steps."""
+    t, s_lat, s_lon = columns
+    s_phi, low, high, dlat, dlon = steps or _steps(s_lat, s_lon)
     index = _ApIndex(aps)
     # network of each site, numbered from 0: its own, or its group's (keyed
     # by the group's first site, so that a group name is an opaque string)
@@ -576,7 +593,6 @@ def predict_coverage(
                          for j, ap in enumerate(index.aps)], return_inverse=True)[1]
     # only the sites within r_max of a sample's latitude can cover it
     r_max = index.radius.max(initial=0.0)
-    s_phi = np.radians(s_lat)
     row, pos = index.pairs(*index.band(s_phi, s_phi, r_max))
     hit = haversine_m(s_lat[row], s_lon[row], index.lat[pos], index.lon[pos]) <= index.radius[pos]
     # covering[i, j]: sample i lies within site j's disc; by_net[i, n]:
@@ -594,14 +610,12 @@ def predict_coverage(
     # covering sample i. A step is a function of (lo, hi) alone, so the
     # first step that moves no bracket leaves them where 60 steps would.
     inside = covered[flip]
-    row, pos = index.pairs(*index.band(np.minimum(s_phi[flip], s_phi[flip + 1]),
-                                       np.maximum(s_phi[flip], s_phi[flip + 1]), r_max))
+    row, pos = index.pairs(*index.band(low[flip], high[flip], r_max))
     probe = ~inside[row] | by_net[flip[row], network[pos]]
     row, pos = row[probe], pos[probe]
     ap_lat, ap_lon, ap_radius = index.lat[pos], index.lon[pos], index.radius[pos]
     t0, dt = t[flip], t[flip + 1] - t[flip]
-    lat0, dlat = s_lat[flip], s_lat[flip + 1] - s_lat[flip]
-    lon0, dlon = s_lon[flip], _wrap_lon(s_lon[flip + 1] - s_lon[flip])
+    lat0, dlat, lon0, dlon = s_lat[flip], dlat[flip], s_lon[flip], dlon[flip]
     lo, hi = t0, t[flip + 1]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -660,7 +674,7 @@ def apply_policy(event: CoverageEvent) -> NicActivation:
     return NicActivation(active_wifi=True, active_umts=False)
 
 
-def _along_walk(lat: np.ndarray, lon: np.ndarray, spacing_m: float):
+def _along_walk(lat: np.ndarray, lon: np.ndarray, spacing_m: float, steps=None):
     """The fewest positions along a walk, its first and last samples among
     them, that leave no two neighbours more than ``spacing_m`` apart along
     the walk. So every point of the walk lies within ``spacing_m / 2`` of a
@@ -675,10 +689,7 @@ def _along_walk(lat: np.ndarray, lon: np.ndarray, spacing_m: float):
     from the last is within ``spacing_m`` less the margin of
     :meth:`_ApIndex.band`; this greedy choice is the fewest.
     """
-    phi = np.radians(lat)
-    dlat = np.diff(lat)
-    dlon = _wrap_lon(np.diff(lon))
-    low, high = np.minimum(phi[:-1], phi[1:]), np.maximum(phi[:-1], phi[1:])
+    _, low, high, dlat, dlon = steps or _steps(lat, lon)
     length = EARTH_RADIUS_M * np.hypot(np.radians(dlat),
                                        np.cos(np.clip(0.0, low, high)) * np.radians(dlon))
     parts = np.maximum(np.ceil(length / spacing_m), 1.0).astype(np.int64)
@@ -715,11 +726,10 @@ def classify_trajectory(
     short-coverage event (both interfaces on) spanning the whole trajectory;
     its duration is unknown and left unset.
     """
-    if len(trajectory) < 2:
-        raise ValidationError("classification needs at least 2 samples")
-    _, lat, lon = _check_trajectory(trajectory)
+    columns = _check_trajectory(trajectory, "classification")
     _check_radius(query_radius_m)
-    ask_lat, ask_lon = _along_walk(lat, lon, query_radius_m)
+    steps = _steps(*columns[1:])
+    ask_lat, ask_lon = _along_walk(*columns[1:], query_radius_m, steps)
     try:
         answers = catalog.query_many(ask_lat.tolist(), ask_lon.tolist(), query_radius_m)
     except CatalogUnavailable:
@@ -731,4 +741,4 @@ def classify_trajectory(
     # copies a remote catalog parses per request count once.
     listed = list(chain.from_iterable(answers))
     distinct = dict.fromkeys(dict(zip(map(id, listed), listed)).values())
-    return classify(predict_coverage(trajectory, list(distinct)), threshold_s)
+    return classify(_predict(trajectory, columns, list(distinct), steps), threshold_s)

@@ -512,10 +512,10 @@ ORACLE_INPUTS = {
 
 
 @st.composite
-def csv_mutants(draw, text):
+def csv_mutants(draw, text, sep=b","):
     """``text`` with one to three edits: a row deleted or repeated, a cell
-    set to '', nan, inf or 1e999, a column added, or a byte that is not
-    UTF-8 put in."""
+    (cells end at ``sep``) set to '', nan, inf or 1e999, a cell added, or a
+    byte that is not UTF-8 put in."""
     data = text.encode()
     for _ in range(draw(st.integers(1, 3))):
         rows = data.split(b"\n")
@@ -526,12 +526,12 @@ def csv_mutants(draw, text):
         elif edit == "repeat":
             rows.insert(i, rows[i])
         elif edit == "cell":
-            cells = rows[i].split(b",")
+            cells = rows[i].split(sep)
             cells[draw(st.integers(0, len(cells) - 1))] = draw(
                 st.sampled_from([b"", b"nan", b"inf", b"1e999"]))
-            rows[i] = b",".join(cells)
+            rows[i] = sep.join(cells)
         elif edit == "column":
-            rows[i] += draw(st.sampled_from([b",", b",1.5", b",x"]))
+            rows[i] += sep + draw(st.sampled_from([b"", b"1.5", b"x"]))
         else:
             k = draw(st.integers(0, len(rows[i])))
             rows[i] = rows[i][:k] + draw(st.sampled_from([b"\x80", b"\xc3", b"\xff"])) + rows[i][k:]
@@ -554,6 +554,42 @@ class TestOracleInputMutants:
         assert code in (0, 2)
         if code == 2 and target == "walk" and "needs at least 2 samples" not in err.getvalue():
             assert re.match(rf"error: {re.escape(str(paths['walk']))}:\d+: ", err.getvalue())
+
+
+# The parameter inputs of `abps sweep` that the mutants below start from, one
+# line per file line, --params entry or --grid token, each with the byte
+# that ends its cells.
+PARAMS_INPUTS = {
+    "file": ("# overrides\ngamma_U = 0.002\nT_W_minus=10\ne.UMTS.connected = 0.7\n", b"="),
+    "params": ("mu_U=0.01\ne.WiFi.connected=0.4", b"="),
+    "grid": ("tmin:5,10\ntplus:40,80", b","),
+}
+
+
+class TestParamsInputMutants:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(PARAMS_INPUTS)), st.data())
+    def test_mutants_exit_0_or_2_and_a_bad_file_line_names_its_line(
+            self, tmp_path_factory, target, data):
+        lines = {name: text.encode() for name, (text, _) in PARAMS_INPUTS.items()}
+        text, sep = PARAMS_INPUTS[target]
+        lines[target] = data.draw(csv_mutants(text, sep))
+        path = tmp_path_factory.getbasetemp() / "p.cfg"
+        path.write_bytes(lines["file"])
+        # a command line holds what the system decodes from its bytes
+        argv = {name: lines[name].decode("utf-8", "surrogateescape").split("\n")
+                for name in ("params", "grid")}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(["sweep", "--variant", "plain", "--params-file", str(path),
+                                 *(f"--params={entry}" for entry in argv["params"]),
+                                 "--grid", *argv["grid"]])
+            except SystemExit as stop:  # argparse: --grid takes two tokens
+                code = stop.code
+        assert code in (0, 2)
+        if code == 2 and str(path) in err.getvalue():
+            assert re.match(rf"error: {re.escape(str(path))}:\d+: ", err.getvalue())
 
 
 class TestByteOrderMark:

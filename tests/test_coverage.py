@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abps_toolkit import coverage
+from abps_toolkit import cli, coverage
 from abps_toolkit.coverage import (
     AccessPoint,
     CatalogUnavailable,
@@ -310,6 +310,17 @@ class TestPredictCoverage:
         with pytest.raises(ValidationError, match="^classification needs at least 2 samples$"):
             classify_trajectory([TrajectorySample(0, 0, 0)], LocalCatalog([]))
 
+    def test_each_call_checks_its_walk_once(self, monkeypatch):
+        checks = []
+        check = coverage._check_trajectory
+        monkeypatch.setattr(coverage, "_check_trajectory",
+                            lambda *args, **kwargs: checks.append(1) or check(*args, **kwargs))
+        timeline = predict_coverage(walk(360), corridor_catalog())
+        assert len(checks) == 1
+        checks.clear()
+        events = classify_trajectory(walk(360), LocalCatalog(corridor_catalog()))
+        assert (events, len(checks)) == (classify(timeline), 1)
+
     @pytest.mark.parametrize("k, t, lat, lon", [
         pytest.param(3, 3.0, 999.0, 0.0, id="999.0-0.0"),
         pytest.param(3, 3.0, 0.0, -180.5, id="0.0--180.5"),
@@ -346,6 +357,33 @@ class TestPredictCoverage:
         with pytest.raises(ValidationError) as err:
             predict_coverage(track, [])
         assert str(err.value) == "trajectory timestamps must strictly increase (1.0 then 1.0)"
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("entry", ["predict_coverage", "classify_trajectory", "extrapolate",
+                                   "load_trajectory", "abps oracle"])
+def test_every_walk_entry_point_needs_two_samples(tmp_path, capsys, entry, n):
+    track = walk(10)[:n]
+    path = tmp_path / "walk.csv"
+    path.write_text("t,lat,lon\n" + "".join(f"{s.t},{s.lat},{s.lon}\n" for s in track))
+    on_file = f"trajectory {path} needs at least 2 samples, got {n}"
+    if entry == "abps oracle":
+        catalog = tmp_path / "aps.csv"
+        catalog.write_text("essid,lat,lon,radius_m,group,open\n")
+        assert cli.main(["oracle", str(path), str(catalog)]) == 2
+        assert capsys.readouterr() == ("", f"error: {on_file}\n")
+        return
+    call, message = {
+        "predict_coverage": (lambda: predict_coverage(track, []), "coverage prediction"),
+        "classify_trajectory": (lambda: classify_trajectory(track, LocalCatalog([])),
+                                "classification"),
+        "extrapolate": (lambda: extrapolate(track, 10.0), "extrapolation"),
+        "load_trajectory": (lambda: load_trajectory(path), None),
+    }[entry]
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == (on_file if message is None
+                              else f"{message} needs at least 2 samples")
 
 
 def reference_predict_coverage(trajectory, aps):
@@ -925,6 +963,26 @@ class TestRemoteCatalog:
         catalog = RemoteCatalog("http://x", session=session)
         assert len(catalog.query(0.0, 0.0, 500.0)) == 1
         assert catalog.skipped_records == 6
+
+    @pytest.mark.parametrize("field, value", [
+        ("radius_m", 0), ("radius_m", 0.0), ("radius_m", None), ("radius_m", True),
+        ("essid", None), ("essid", False), ("lat", True), ("lon", False), ("lat", None),
+    ])
+    def test_null_boolean_or_zero_field_skipped(self, field, value):
+        # JSON null, true and false are not values of these fields, and a
+        # zero radius is not the default radius
+        record = {**self.RECORD, "essid": "remote-2", field: value}
+        session = FakeSession(FakeResponse(payload=[self.RECORD, record]))
+        catalog = RemoteCatalog("http://x", session=session)
+        assert [a.essid for a in catalog.query(0.0, 0.0, 500.0)] == ["remote-1"]
+        assert catalog.skipped_records == 1
+
+    def test_missing_or_empty_radius_takes_the_default(self):
+        bare = {k: v for k, v in self.RECORD.items() if k != "radius_m"}
+        session = FakeSession(FakeResponse(payload=[bare, dict(bare, radius_m="", open=False)]))
+        found = RemoteCatalog("http://x", session=session).query(0.0, 0.0, 500.0)
+        assert [(a.radius_m, a.open) for a in found] == [
+            (coverage.DEFAULT_AP_RADIUS_M, True), (coverage.DEFAULT_AP_RADIUS_M, False)]
 
     def test_infinite_radius_record_skipped(self):
         huge = json.loads('{"essid": "huge", "lat": 0.0, "lon": 0.0, "radius_m": Infinity}')
